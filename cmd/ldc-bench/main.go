@@ -38,7 +38,7 @@ func run() int {
 	chaosbench := flag.String("chaosbench", "", "run detect-and-repair solving under every built-in fault schedule and write machine-readable JSON to this path ('-' for stdout), then exit")
 	servebench := flag.String("servebench", "", "run the incremental recoloring service under sustained churn and write machine-readable JSON to this path ('-' for stdout), then exit")
 	recoverybench := flag.String("recoverybench", "", "run the crash-recovery suite (supervised kill/resume + durable-store WAL replay) and write machine-readable JSON to this path ('-' for stdout), then exit")
-	shardbench := flag.String("shardbench", "", "run the sharded-engine scaling curve and the large streamed power-law solve, write machine-readable JSON to this path ('-' for stdout), then exit")
+	shardbench := flag.String("shardbench", "", "run the worker-count (shard) scaling curve and the large streamed power-law solve, write machine-readable JSON to this path ('-' for stdout), then exit")
 	shardSolveOut := flag.String("shardsolve-out", "", "with -shardbench: also write the big run's instance+coloring as an ldc-verify document to this path")
 	matrixbench := flag.String("matrixbench", "", "run the cross-family who-wins matrix (oldc, fk24, maus21, delta1, degluby across Δ columns) and write machine-readable JSON to this path ('-' for stdout), then exit; honors -quick")
 	matrixDocs := flag.String("matrix-docs", "", "with -matrixbench: also write one ldc-verify document per matrix row into this directory")

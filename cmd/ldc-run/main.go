@@ -38,7 +38,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/algkit"
 	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/coloring"
@@ -51,7 +50,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oldc"
 	"repro/internal/seq"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -130,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		radius = fs.Float64("radius", 0.15, "radius for geometric")
 		seed   = fs.Int64("seed", 1, "generator seed")
 		algo    = fs.String("algo", "delta1", "delta1|linear|slow|luby|degluby|greedy|mis|mis-luby|oldc|fk24|maus21")
-		shards  = fs.Int("shards", 1, "route rounds through this many contiguous shards (luby, degluby, fk24, maus21)")
+		shards  = fs.Int("shards", 0, "worker count of every engine ldc-run builds: contiguous node ranges, one goroutine each (0 = GOMAXPROCS; not for delta1, greedy, mis)")
 		kappa   = fs.Float64("kappa", 5.0, "square-sum slack for -algo oldc/fk24")
 		buckets = fs.Int("buckets", 0, "commit buckets for -algo fk24 (0 = default 2β̂+2; m = fully sequential)")
 		kknob   = fs.Int("k", 0, "palette knob for -algo maus21: target O(kΔ) colors (0 = plain Linial)")
@@ -223,20 +221,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fatalf(2, "-ckpt applies to -algo degluby or oldc (the algorithms that snapshot their state)")
 	case *ckptPath != "" && *repair:
 		fatalf(2, "-ckpt and -repair are mutually exclusive (the repair pipeline has no snapshotter)")
-	case *ckptPath != "" && *algo == "oldc" && *shards > 1:
-		fatalf(2, "-ckpt for -algo oldc needs the serial engine (drop -shards)")
-	}
-	if *shards > 1 {
-		switch *algo {
-		case "luby", "degluby", "fk24", "maus21":
-		default:
-			fatalf(2, "-shards only applies to -algo luby, degluby, fk24, or maus21 (the other algorithms are written against the serial engine)")
-		}
+	case *shards != 0 && (*algo == "delta1" || *algo == "greedy" || *algo == "mis"):
+		fatalf(2, "-shards does not apply to -algo %s (delta1 builds its own engines; greedy and mis run none)", *algo)
 	}
 
-	// engineOpts carries the observers into every engine this command
-	// creates directly; the congest/arb layers thread them further down.
-	engineOpts := sim.Options{Tracer: tracerOrNil(tracer), Metrics: reg}
+	// engineOpts carries the worker count and the observers into every
+	// engine this command creates directly; the congest/arb layers thread
+	// the observers further down.
+	engineOpts := sim.Options{Workers: *shards, Tracer: tracerOrNil(tracer), Metrics: reg}
 	// traceStats accumulates the stats of exactly the engines the tracer
 	// observed, so the end event reconciles with the round events.
 	var traceStats sim.Stats
@@ -261,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		traceStats = stats
 		out.Valid = coloring.CheckProper(g, phi, g.MaxDegree()+1) == nil
 	case "luby":
-		phi, stats, err := baseline.Luby(runnerFor(g, *shards, engineOpts), g, *seed)
+		phi, stats, err := baseline.Luby(sim.NewEngineWith(g, engineOpts), g, *seed)
 		die(err)
 		fill(&out, stats, phi)
 		traceStats = stats
@@ -276,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			phi, stats, restarts, err := superviseDegluby(superviseConfig{
 				g:           g,
 				seed:        *seed,
-				newRunner:   func() sim.Resumable { return runnerFor(g, *shards, simOpts) },
+				newEngine:   func() *sim.Engine { return sim.NewEngineWith(g, simOpts) },
 				plan:        plan,
 				path:        *ckptPath,
 				every:       *ckptEvery,
@@ -292,7 +284,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			out.Restarts = restarts
 			out.Valid = coloring.CheckProper(g, phi, g.MaxDegree()+1) == nil
 		} else {
-			phi, stats, err := baseline.DegreeLuby(runnerFor(g, *shards, simOpts), g, *seed)
+			phi, stats, err := baseline.DegreeLuby(sim.NewEngineWith(g, simOpts), g, *seed)
 			die(err)
 			fill(&out, stats, phi)
 			traceStats = stats
@@ -340,7 +332,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// The Linial substrate runs fault-free and untraced: the chaos
 		// harness and the tracer both target the OLDC phase, so the trace's
 		// end totals reconcile against the solve engines alone.
-		init, m, _, err := linial.Proper(sim.NewEngine(g), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
+		init, m, _, err := linial.Proper(sim.NewEngineWith(g, sim.Options{Workers: *shards}), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
 		die(err)
 		inst := coloring.SquareSumOrientedRange(o, 4096, *kappa, 1, 3, *seed)
 		in := oldc.Input{O: o, SpaceSize: 4096, Lists: inst.Lists, InitColors: init, M: m}
@@ -354,6 +346,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			phi, stats, restarts, err := superviseOldc(superviseConfig{
 				g:           g,
 				seed:        *seed,
+				newEngine:   func() *sim.Engine { return sim.NewEngineWith(g, simOpts) },
 				plan:        plan,
 				path:        *ckptPath,
 				every:       *ckptEvery,
@@ -362,7 +355,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				tracer:      tracer,
 				reg:         reg,
 				stderr:      stderr,
-			}, func() *sim.Engine { return sim.NewEngineWith(g, simOpts) }, in, oldc.Options{SkipValidate: *spec != ""})
+			}, in, oldc.Options{SkipValidate: *spec != ""})
 			die(err)
 			fill(&out, stats, phi)
 			runStats = stats
@@ -406,7 +399,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		o := graph.OrientByID(g)
 		// Same fault-free, untraced Linial substrate as -algo oldc: the
 		// chaos harness and the tracer target the committing phase only.
-		init, m, _, err := linial.Proper(sim.NewEngine(g), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
+		init, m, _, err := linial.Proper(sim.NewEngineWith(g, sim.Options{Workers: *shards}), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
 		die(err)
 		inst := coloring.SquareSumOrientedRange(o, 4096, *kappa, 1, 3, *seed)
 		in := fk24.Input{O: o, SpaceSize: 4096, Lists: inst.Lists, InitColors: init, M: m}
@@ -415,7 +408,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			simOpts.Faults = plan.Model
 			out.ChaosSpec = *spec
 		}
-		phi, stats, err := fk24.Solve(algRunnerFor(g, *shards, simOpts), in,
+		phi, stats, err := fk24.Solve(sim.NewEngineWith(g, simOpts), in,
 			fk24.Options{Buckets: *buckets, SkipValidate: *spec != ""})
 		die(err)
 		fill(&out, stats, phi)
@@ -427,7 +420,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		out.DecodeFaults = total.DecodeFaults
 		out.KappaUsed = *kappa
 	case "maus21":
-		phi, colors, stats, err := maus21.Solve(algRunnerFor(g, *shards, engineOpts), g, maus21.Options{K: *kknob})
+		phi, colors, stats, err := maus21.Solve(sim.NewEngineWith(g, engineOpts), g, maus21.Options{K: *kknob})
 		die(err)
 		fill(&out, stats, phi)
 		traceStats = stats
@@ -498,39 +491,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		die(http.ListenAndServe(*metricsAddr, nil))
 	}
 	return 0
-}
-
-// runnerFor selects the engine a runner-generic algorithm executes on: the
-// serial sim.Engine by default, the sharded engine when -shards asks for
-// it. Both carry the same tracer/metrics observers, and the sharded
-// engine's output is bit-identical to the serial one, so the choice only
-// affects routing locality. Both are sim.Resumable, which is what lets
-// the -ckpt supervisor resume either from a round-boundary checkpoint.
-func runnerFor(g *graph.Graph, shards int, opts sim.Options) sim.Resumable {
-	if shards <= 1 {
-		return sim.NewEngineWith(g, opts)
-	}
-	return shard.FromGraph(g, shard.Options{
-		Shards:  shards,
-		Tracer:  opts.Tracer,
-		Metrics: opts.Metrics,
-		Faults:  opts.Faults,
-	})
-}
-
-// algRunnerFor is runnerFor narrowed to the algkit.Runner interface the
-// fk24/maus21 solvers take: the same two engines, with the tracer exposed
-// so the solvers can emit their own phase events.
-func algRunnerFor(g *graph.Graph, shards int, opts sim.Options) algkit.Runner {
-	if shards <= 1 {
-		return sim.NewEngineWith(g, opts)
-	}
-	return shard.FromGraph(g, shard.Options{
-		Shards:  shards,
-		Tracer:  opts.Tracer,
-		Metrics: opts.Metrics,
-		Faults:  opts.Faults,
-	})
 }
 
 // tracerOrNil converts a possibly-nil *obs.JSONL into an obs.Tracer that is

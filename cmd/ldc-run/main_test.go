@@ -51,7 +51,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown graph", []string{"-graph", "moebius"}, 2},
 		{"chaos without oldc", []string{"-graph", "ring", "-n", "16", "-algo", "delta1", "-chaos", "drop:0.1"}, 2},
 		{"shards with delta1", []string{"-graph", "ring", "-n", "16", "-algo", "delta1", "-shards", "4"}, 2},
-		{"shards with oldc", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-shards", "2"}, 2},
+		{"shards with greedy", []string{"-graph", "ring", "-n", "16", "-algo", "greedy", "-shards", "2"}, 2},
+		{"shards with mis", []string{"-graph", "ring", "-n", "16", "-algo", "mis", "-shards", "2"}, 2},
+		{"shards with oldc", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-shards", "2"}, 0},
 		{"repair without oldc", []string{"-graph", "ring", "-n", "16", "-algo", "luby", "-repair"}, 2},
 		{"trace with mis", []string{"-graph", "ring", "-n", "16", "-algo", "mis", "-trace", "-"}, 2},
 		{"trace with greedy", []string{"-graph", "ring", "-n", "16", "-algo", "greedy", "-trace", "-"}, 2},

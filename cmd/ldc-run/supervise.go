@@ -22,10 +22,10 @@ import (
 type superviseConfig struct {
 	g           *graph.Graph
 	seed        int64
-	newRunner   func() sim.Resumable // fresh engine per attempt
-	plan        *chaos.Plan          // nil = checkpointing without injected kills
-	path        string               // checkpoint file (-ckpt)
-	every       int                  // checkpoint cadence in rounds (-ckpt-every)
+	newEngine   func() *sim.Engine // fresh engine per attempt
+	plan        *chaos.Plan        // nil = checkpointing without injected kills
+	path        string             // checkpoint file (-ckpt)
+	every       int                // checkpoint cadence in rounds (-ckpt-every)
 	maxRestarts int
 	traceFile   *os.File // nil when untraced or tracing to stdout
 	tracer      *obs.JSONL
@@ -114,7 +114,7 @@ func superviseDegluby(c superviseConfig) (coloring.Assignment, sim.Stats, int, e
 		},
 	}, func(attempt int) error {
 		alg := baseline.NewDegreeLuby(c.g, c.seed)
-		eng := c.newRunner()
+		eng := c.newEngine()
 		eng.SetAfterRound(sim.ChainHooks(ckp.Hook(alg), killHook))
 		start, prior := 0, sim.Stats{}
 		switch ck, err := sim.ReadCheckpoint(c.path); {
@@ -167,7 +167,7 @@ func superviseDegluby(c superviseConfig) (coloring.Assignment, sim.Stats, int, e
 // Kill hooks are installed only for the two-phase RunFrom, so a -chaos
 // kill:R schedule counts two-phase rounds and never interrupts the
 // (unsupervisable) auxiliary solve.
-func superviseOldc(c superviseConfig, newEngine func() *sim.Engine, in oldc.Input, opts oldc.Options) (coloring.Assignment, sim.Stats, int, error) {
+func superviseOldc(c superviseConfig, in oldc.Input, opts oldc.Options) (coloring.Assignment, sim.Stats, int, error) {
 	baseOffset := int64(-1)
 	if c.traceFile != nil {
 		if err := c.tracer.Flush(); err != nil {
@@ -218,7 +218,7 @@ func superviseOldc(c superviseConfig, newEngine func() *sim.Engine, in oldc.Inpu
 		default:
 			return ckErr
 		}
-		eng := newEngine()
+		eng := c.newEngine()
 		prep, err := oldc.PrepareSolve(eng, in, opts)
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -68,9 +69,9 @@ func TestKillResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestKillShardResumeSharded runs the killshard builtin on the sharded
-// engine and checks the resumed coloring still matches the serial
-// uninterrupted baseline (sharding and kills are both transparent).
+// TestKillShardResumeSharded runs the killshard builtin on 4 workers and
+// checks the resumed coloring still matches the uninterrupted baseline
+// (worker count and kills are both transparent).
 func TestKillShardResumeSharded(t *testing.T) {
 	base, code := runJSON(t, deglubyArgs...)
 	if code != 0 {
@@ -197,6 +198,15 @@ func TestOldcCrossProcessResume(t *testing.T) {
 // combinations the supervisor refuses.
 func TestSuperviseUsageErrors(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "x.ckpt")
+	// A checkpointed oldc solve on 2 workers is a normal run; it needs a
+	// checkpoint path of its own, since it leaves an image behind.
+	t.Run("ckpt oldc with shards", func(t *testing.T) {
+		args := []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc",
+			"-ckpt", filepath.Join(t.TempDir(), "oldc.ckpt"), "-shards", "2"}
+		if code := run(args, io.Discard, io.Discard); code != 0 {
+			t.Fatalf("run(%v) = %d, want 0", args, code)
+		}
+	})
 	cases := []struct {
 		name string
 		args []string
@@ -205,7 +215,6 @@ func TestSuperviseUsageErrors(t *testing.T) {
 		{"kill with oldc without ckpt", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-chaos", "kill:3"}},
 		{"kill with luby", []string{"-graph", "ring", "-n", "16", "-algo", "luby", "-chaos", "kill:3"}},
 		{"ckpt with repair", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-ckpt", ckpt, "-repair"}},
-		{"ckpt oldc with shards", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-ckpt", ckpt, "-shards", "2"}},
 		{"chaos with maus21", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "maus21", "-chaos", "drop-10pct"}},
 		{"flip with degluby", append(deglubyArgs, "-chaos", "flip-1pct")},
 		{"storm with degluby", append(deglubyArgs, "-chaos", "storm", "-ckpt", ckpt)},
@@ -224,5 +233,31 @@ func TestSuperviseUsageErrors(t *testing.T) {
 	// parser's typed *ConflictError, which is a run failure, not usage.
 	if code := run(append(deglubyArgs, "-chaos", "kill:3+kill:3", "-ckpt", ckpt), io.Discard, io.Discard); code != 1 {
 		t.Fatalf("conflicting kill spec exit %d, want 1", code)
+	}
+}
+
+// TestShardsMatchOneWorker pins that -shards only sets the engines' worker
+// count: oldc solved on 2 workers, plain and checkpointed, reports the
+// coloring and Stats of the -shards 1 run.
+func TestShardsMatchOneWorker(t *testing.T) {
+	args := []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc"}
+	want, code := runJSON(t, append(args, "-shards", "1")...)
+	if code != 0 {
+		t.Fatalf("-shards 1 run exit %d", code)
+	}
+	for name, extra := range map[string][]string{
+		"shards with oldc":      {"-shards", "2"},
+		"ckpt oldc with shards": {"-shards", "2", "-ckpt", filepath.Join(t.TempDir(), "oldc.ckpt")},
+	} {
+		got, code := runJSON(t, append(args, extra...)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d", name, code)
+		}
+		if !reflect.DeepEqual(got.Coloring, want.Coloring) || got.Rounds != want.Rounds ||
+			got.Messages != want.Messages || got.TotalBits != want.TotalBits || got.MaxMsgBits != want.MaxMsgBits {
+			t.Errorf("%s: output diverges from -shards 1: rounds %d/%d messages %d/%d bits %d/%d max %d/%d",
+				name, got.Rounds, want.Rounds, got.Messages, want.Messages,
+				got.TotalBits, want.TotalBits, got.MaxMsgBits, want.MaxMsgBits)
+		}
 	}
 }

@@ -54,24 +54,23 @@ func LinearDeltaPlusOne(eng *sim.Engine, g *graph.Graph) (coloring.Assignment, s
 // its remaining palette; a proposal is kept if no neighbor proposed or
 // holds the same color. Terminates in O(log n) rounds w.h.p.
 //
-// It accepts any runner/topology pair — the serial sim.Engine over a
-// materialized *graph.Graph, or the sharded engine over streamed ingest —
-// and produces the identical coloring for the same seed on either.
-func Luby(r sim.Runner, t graph.Topology, seed int64) (coloring.Assignment, sim.Stats, error) {
-	alg := newLubyAlg(t, seed)
-	stats, err := r.Run(alg, 64*(intLog2(t.N())+2)+64)
+// The coloring is a pure function of (g, seed): identical for every
+// worker count.
+func Luby(r sim.Runner, g *graph.Graph, seed int64) (coloring.Assignment, sim.Stats, error) {
+	alg := newLubyAlg(g, seed)
+	stats, err := r.Run(alg, 64*(intLog2(g.N())+2)+64)
 	if err != nil {
 		return nil, stats, err
 	}
 	phi := coloring.Assignment(alg.color)
-	if err := coloring.CheckProperOn(t, phi, t.MaxDegree()+1); err != nil {
+	if err := coloring.CheckProper(g, phi, g.MaxDegree()+1); err != nil {
 		return nil, stats, err
 	}
 	return phi, stats, nil
 }
 
 type lubyAlg struct {
-	g        graph.Topology
+	g        *graph.Graph
 	rng      []*rand.Rand
 	color    []int // final color or -1
 	proposal []int
@@ -79,14 +78,14 @@ type lubyAlg struct {
 	started  bool
 }
 
-func newLubyAlg(t graph.Topology, seed int64) *lubyAlg {
-	n := t.N()
-	a := &lubyAlg{g: t, rng: make([]*rand.Rand, n), color: make([]int, n), proposal: make([]int, n)}
+func newLubyAlg(g *graph.Graph, seed int64) *lubyAlg {
+	n := g.N()
+	a := &lubyAlg{g: g, rng: make([]*rand.Rand, n), color: make([]int, n), proposal: make([]int, n)}
 	for v := 0; v < n; v++ {
 		a.rng[v] = rand.New(rand.NewSource(seed*1_000_003 + int64(v)))
 		a.color[v] = -1
 	}
-	a.width = bitio.WidthFor(t.MaxDegree() + 2)
+	a.width = bitio.WidthFor(g.MaxDegree() + 2)
 	return a
 }
 

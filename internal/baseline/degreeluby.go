@@ -20,17 +20,16 @@ import (
 // changes are the difference between an O(n·Δ)-per-round loop and one
 // proportional to the remaining conflict graph.
 //
-// Like Luby it runs on any runner/topology pair and is a pure function of
-// (topology, seed): the coloring is identical for every shard and worker
-// count.
-func DegreeLuby(r sim.Runner, t graph.Topology, seed int64) (coloring.Assignment, sim.Stats, error) {
-	alg := NewDegreeLuby(t, seed)
-	stats, err := r.Run(alg, DegreeLubyMaxRounds(t.N()))
+// Like Luby it is a pure function of (g, seed): the coloring is identical
+// for every worker count.
+func DegreeLuby(r sim.Runner, g *graph.Graph, seed int64) (coloring.Assignment, sim.Stats, error) {
+	alg := NewDegreeLuby(g, seed)
+	stats, err := r.Run(alg, DegreeLubyMaxRounds(g.N()))
 	if err != nil {
 		return nil, stats, err
 	}
 	phi := alg.Colors()
-	if err := coloring.CheckProperOn(t, phi, t.MaxDegree()+1); err != nil {
+	if err := coloring.CheckProper(g, phi, g.MaxDegree()+1); err != nil {
 		return nil, stats, err
 	}
 	return phi, stats, nil
@@ -54,7 +53,6 @@ func DegreeLubyMaxRounds(n int) int { return 64*(intLog2(n)+2) + 64 }
 // that is what makes the algorithm a sim.Snapshotter and DegreeLuby the
 // reference workload of the kill/resume golden tests.
 type DegreeLubyAlg struct {
-	t         graph.Topology
 	rng       []uint64 // per-node splitmix64 state
 	color     []int    // final color or -1
 	proposal  []int    // this round's proposal
@@ -64,12 +62,11 @@ type DegreeLubyAlg struct {
 	started   bool
 }
 
-// NewDegreeLuby returns the DegreeLuby algorithm state for t, ready to
+// NewDegreeLuby returns the DegreeLuby algorithm state for g, ready to
 // run (or to restore a checkpoint into via RestoreState).
-func NewDegreeLuby(t graph.Topology, seed int64) *DegreeLubyAlg {
-	n := t.N()
+func NewDegreeLuby(g *graph.Graph, seed int64) *DegreeLubyAlg {
+	n := g.N()
 	a := &DegreeLubyAlg{
-		t:         t,
 		rng:       make([]uint64, n),
 		color:     make([]int, n),
 		proposal:  make([]int, n),
@@ -80,7 +77,7 @@ func NewDegreeLuby(t graph.Topology, seed int64) *DegreeLubyAlg {
 	for v := 0; v < n; v++ {
 		a.rng[v] = uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(v)*0xBF58476D1CE4E5B9 ^ 0x94D049BB133111EB
 		a.color[v] = -1
-		a.taken[v] = make([]bool, len(t.Neighbors(v))+1)
+		a.taken[v] = make([]bool, len(g.Neighbors(v))+1)
 	}
 	return a
 }

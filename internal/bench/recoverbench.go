@@ -14,7 +14,6 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/graph"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -81,15 +80,15 @@ func (rep RecoverBenchReport) WriteJSON(path string) error { return writeBenchJS
 
 // runKillPlan executes one supervised DegreeLuby run under the plan,
 // checkpointing every round, and reports the recovery accounting. Plans
-// with shard kills run on the sharded engine (4 shards); the coloring is
-// engine-independent either way.
+// with shard kills run on 4 workers; the coloring is worker-independent
+// either way.
 func runKillPlan(g *graph.Graph, delta int, seed int64, np chaos.NamedPlan, ckptPath string) (KillRecoveryEntry, error) {
 	e := KillRecoveryEntry{Plan: np.Name, Spec: np.Spec, N: g.N(), Delta: delta}
 	maxRounds := baseline.DegreeLubyMaxRounds(g.N())
-	sharded := false
+	workers := 0
 	for _, k := range np.Plan.Kills {
 		if k.Shard >= 0 {
-			sharded = true
+			workers = 4
 		}
 	}
 	ckp := &sim.Checkpointer{Path: ckptPath, Every: 1}
@@ -105,12 +104,7 @@ func runKillPlan(g *graph.Graph, delta int, seed int64, np chaos.NamedPlan, ckpt
 		Sleep:       func(time.Duration) {}, // latency figures exclude backoff
 	}, func(attempt int) error {
 		alg := baseline.NewDegreeLuby(g, seed)
-		var eng sim.Resumable
-		if sharded {
-			eng = shard.FromGraph(g, shard.Options{Shards: 4, Faults: np.Plan.Model})
-		} else {
-			eng = sim.NewEngineWith(g, sim.Options{Faults: np.Plan.Model})
-		}
+		eng := sim.NewEngineWith(g, sim.Options{Workers: workers, Faults: np.Plan.Model})
 		eng.SetAfterRound(sim.ChainHooks(ckp.Hook(alg), killHook))
 		startRound, prior := 0, sim.Stats{}
 		if attempt > 0 {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/coloring"
 	"repro/internal/graph"
-	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 // ShardBenchEntry is one point on the shard scaling curve: the same fixed
@@ -33,9 +33,10 @@ type ShardCurve struct {
 	Entries       []ShardBenchEntry `json:"entries"`
 }
 
-// ShardBigRun records the large streamed power-law solve: a graph ingested
-// shard-by-shard without ever materializing the global adjacency, colored
-// with DegreeLuby, and checkable end-to-end with ldc-verify.
+// ShardBigRun records the large streamed power-law solve: a graph
+// materialized straight from its edge stream into one flat adjacency,
+// colored with DegreeLuby on S workers, and checkable end-to-end with
+// ldc-verify.
 type ShardBigRun struct {
 	N              int     `json:"n"`
 	M              int64   `json:"m"`
@@ -107,7 +108,10 @@ func RunShardBench(quick bool, solveOut string) (ShardBenchReport, error) {
 		counts = []int{1, 2, 4}
 		reps, timed = 2, 3
 	}
-	es := graph.StreamGNP(curveN, curveDeg/float64(curveN), shardCurveSeed)
+	g, err := graph.Materialize(graph.StreamGNP(curveN, curveDeg/float64(curveN), shardCurveSeed))
+	if err != nil {
+		return rep, fmt.Errorf("shardbench: curve graph: %w", err)
+	}
 
 	// The curve isolates routing throughput, so keep the collector out of
 	// the timed windows: a forced GC before each repetition plus a higher
@@ -116,13 +120,9 @@ func RunShardBench(quick bool, solveOut string) (ShardBenchReport, error) {
 	oldGC := debug.SetGCPercent(300)
 	defer debug.SetGCPercent(oldGC)
 
-	rep.Curve = ShardCurve{N: curveN}
+	rep.Curve = ShardCurve{N: curveN, M: int64(g.M())}
 	for _, s := range counts {
-		eng, err := shard.Ingest(es, shard.Options{Shards: s})
-		if err != nil {
-			return rep, fmt.Errorf("shardbench: ingest curve graph: %w", err)
-		}
-		rep.Curve.M = eng.Edges()
+		eng := sim.NewEngineWith(g, sim.Options{Workers: s})
 		a := &benchFlood{min: make([]int64, curveN)}
 		for v := range a.min {
 			a.min[v] = int64(v)
@@ -148,10 +148,11 @@ func RunShardBench(quick bool, solveOut string) (ShardBenchReport, error) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		rep.Curve.WiresPerRound = 2 * rep.Curve.M
+		ghosts, boundary := eng.Census()
 		rep.Curve.Entries = append(rep.Curve.Entries, ShardBenchEntry{
 			Shards:         s,
-			GhostNodes:     eng.GhostNodes(),
-			BoundaryEdges:  eng.BoundaryEdges(),
+			GhostNodes:     ghosts,
+			BoundaryEdges:  boundary,
 			NsPerRound:     bestNs,
 			WiresPerSec:    best,
 			HeapInuseBytes: ms.HeapInuse,
@@ -166,43 +167,46 @@ func RunShardBench(quick bool, solveOut string) (ShardBenchReport, error) {
 	return rep, nil
 }
 
-// runShardBigRun ingests a streamed power-law graph too large to route
-// comfortably unsharded, colors it with DegreeLuby, validates the coloring,
-// and optionally dumps the instance+coloring as an ldc-verify document.
+// runShardBigRun materializes a streamed power-law graph too large to
+// route comfortably on one worker, colors it with DegreeLuby, validates
+// the coloring, and optionally dumps the instance+coloring as an
+// ldc-verify document.
 func runShardBigRun(quick bool, solveOut string) (ShardBigRun, error) {
 	n, k, s := shardBigN, shardBigK, shardBigShards
 	if quick {
 		n, k, s = 20_000, 3, 4
 	}
 	es := graph.StreamPreferentialAttachment(n, k, shardBigSeed)
-	eng, err := shard.Ingest(es, shard.Options{Shards: s})
+	g, err := graph.Materialize(es)
 	if err != nil {
-		return ShardBigRun{}, fmt.Errorf("shardbench: ingest big run: %w", err)
+		return ShardBigRun{}, fmt.Errorf("shardbench: big run graph: %w", err)
 	}
+	eng := sim.NewEngineWith(g, sim.Options{Workers: s})
 	start := time.Now()
-	phi, stats, err := baseline.DegreeLuby(eng, eng, shardLubySeed)
+	phi, stats, err := baseline.DegreeLuby(eng, g, shardLubySeed)
 	if err != nil {
 		return ShardBigRun{}, fmt.Errorf("shardbench: big run solve: %w", err)
 	}
 	solve := time.Since(start)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	ghosts, boundary := eng.Census()
 	big := ShardBigRun{
 		N:              n,
-		M:              eng.Edges(),
-		MaxDegree:      eng.MaxDegree(),
-		Shards:         eng.Shards(),
+		M:              int64(g.M()),
+		MaxDegree:      g.MaxDegree(),
+		Shards:         s,
 		Seed:           shardBigSeed,
 		Rounds:         stats.Rounds,
 		Messages:       stats.Messages,
 		Colors:         coloring.CountColors(phi),
 		SolveSeconds:   solve.Seconds(),
 		HeapInuseBytes: ms.HeapInuse,
-		GhostNodes:     eng.GhostNodes(),
-		BoundaryEdges:  eng.BoundaryEdges(),
+		GhostNodes:     ghosts,
+		BoundaryEdges:  boundary,
 	}
 	if solveOut != "" {
-		if err := writeShardSolution(solveOut, es, eng.MaxDegree()+1, phi); err != nil {
+		if err := writeShardSolution(solveOut, es, g.MaxDegree()+1, phi); err != nil {
 			return big, err
 		}
 	}
@@ -211,7 +215,7 @@ func runShardBigRun(quick bool, solveOut string) (ShardBigRun, error) {
 
 // writeShardSolution dumps a solved instance as a self-contained ldc-verify
 // document (variant "proper"): the edges come from re-streaming the same
-// deterministic edge stream the engine ingested.
+// deterministic edge stream the graph was materialized from.
 func writeShardSolution(path string, es graph.EdgeStream, space int, phi coloring.Assignment) error {
 	doc := struct {
 		N        int      `json:"n"`

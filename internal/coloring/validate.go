@@ -127,18 +127,11 @@ func CheckProperList(in *Instance, phi Assignment) error {
 // CheckProper validates a proper coloring against an explicit palette
 // bound: colors in [0, numColors), no monochromatic edge.
 func CheckProper(g *graph.Graph, phi Assignment, numColors int) error {
-	return CheckProperOn(g, phi, numColors)
-}
-
-// CheckProperOn is CheckProper over any graph.Topology, so colorings
-// computed on graphs that were never materialized (the sharded engine's
-// streamed ingest) validate against the same rules.
-func CheckProperOn(t graph.Topology, phi Assignment, numColors int) error {
-	for v := 0; v < t.N(); v++ {
+	for v := 0; v < g.N(); v++ {
 		if phi[v] < 0 || phi[v] >= numColors {
 			return fmt.Errorf("coloring: node %d has color %d outside [0,%d)", v, phi[v], numColors)
 		}
-		for _, u := range t.Neighbors(v) {
+		for _, u := range g.Neighbors(v) {
 			if phi[u] == phi[v] {
 				return fmt.Errorf("coloring: monochromatic edge {%d,%d} with color %d", v, u, phi[v])
 			}

@@ -318,10 +318,9 @@ func (a *alg) Done() bool {
 // scheduled rounds plus quiesce slack.
 func MaxRounds(buckets int) int { return buckets + 4 }
 
-// Solve runs the framework on any Runner (serial or sharded engine) and
-// returns the coloring. The output is validated against the OLDC condition
+// Solve runs the framework on eng and returns the coloring. The output is validated against the OLDC condition
 // unless opts.SkipValidate is set.
-func Solve(r algkit.Runner, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
+func Solve(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
 	n := in.O.N()
 	if len(in.Lists) != n || len(in.InitColors) != n {
 		return nil, sim.Stats{}, fmt.Errorf("fk24: instance shape mismatch: n=%d, %d lists, %d init colors", n, len(in.Lists), len(in.InitColors))
@@ -354,9 +353,9 @@ func Solve(r algkit.Runner, in Input, opts Options) (coloring.Assignment, sim.St
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
-	a.sink = r
-	obs.EmitPhase(r.Tracer(), "fk24/buckets", obs.Attrs{"buckets": b, "tau": tau, "kprime": sp.kprime})
-	stats, err := r.Run(a, MaxRounds(b))
+	a.sink = eng
+	obs.EmitPhase(eng.Tracer(), "fk24/buckets", obs.Attrs{"buckets": b, "tau": tau, "kprime": sp.kprime})
+	stats, err := eng.Run(a, MaxRounds(b))
 	if err != nil {
 		return nil, stats, err
 	}

@@ -207,7 +207,7 @@ func decodeCommitMsg(r *bitio.Reader, spaceSize int) (commitMsg, error) {
 	return commitMsg{color: c, width: w}, nil
 }
 
-// faultReporter receives detected decode failures; both engines implement
+// faultReporter receives detected decode failures; *sim.Engine implements
 // it (ReportDecodeFault feeds the per-round fault ledger).
 type faultReporter interface{ ReportDecodeFault() }
 

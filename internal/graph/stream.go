@@ -1,16 +1,19 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // EdgeStream is a deterministic, restartable edge producer: every call to
 // ForEachEdge yields the edges of one fixed graph exactly once each, in an
 // order fully determined by the stream's parameters (seed included).
-// Streams let huge graphs be consumed — routed into shard-local CSR
-// storage (internal/shard), written to disk, or materialized — without the
-// global edge list, sort, and adjacency maps a Builder requires.
+// Streams let huge graphs be consumed — written to disk, or materialized
+// straight into one flat adjacency array — without the global edge list,
+// sort, and adjacency maps a Builder requires.
 //
 // Restartability is part of the contract: consumers may traverse a stream
 // several times (e.g. once to ingest and once to emit a self-contained
@@ -25,34 +28,82 @@ type EdgeStream interface {
 	ForEachEdge(emit func(u, v int) error) error
 }
 
-// Topology is the read-only neighborhood view distributed algorithms need
-// at run time. *Graph implements it; the sharded engine exposes one backed
-// by per-shard CSR storage so algorithms run unchanged on graphs that were
-// never materialized as a single *Graph.
-type Topology interface {
-	// N returns the number of vertices.
-	N() int
-	// MaxDegree returns Δ.
-	MaxDegree() int
-	// Neighbors returns v's sorted neighbor list; callers must not modify
-	// it.
-	Neighbors(v int) []int32
-}
+// errStreamChanged reports a stream whose second traversal differed from
+// its first.
+var errStreamChanged = errors.New("graph: stream changed between passes")
 
-// Materialize builds a *Graph from a stream via the standard Builder
-// (dedup + sorted adjacency). It is the bridge from the streaming world
-// back to the materialized one; the non-streaming generators are defined
-// as Materialize of their stream, which is what makes "streamed edges ==
-// materialized graph" hold by construction.
+// Materialize builds a *Graph from a stream in two passes, without an
+// edge list or sort: the first pass counts degrees and lays out one flat
+// adjacency array, the second fills it, and each neighbor list is then
+// sorted in place. Every vertex's list is a cap-limited window of the flat
+// array, so the mutation API's in-place append reallocates instead of
+// overwriting the next vertex's neighbors. The non-streaming generators are
+// defined as Materialize of their stream, which is what makes "streamed
+// edges == materialized graph" hold by construction.
+//
+// Endpoints outside [0, N) fail wrapping ErrVertexRange, self loops
+// wrapping ErrSelfLoop, and — unlike Builder, which silently deduplicates —
+// an edge emitted twice (in either orientation) fails wrapping
+// ErrDuplicateEdge. The stream must be restartable (the EdgeStream
+// contract); one that changes between the passes fails too.
 func Materialize(es EdgeStream) (*Graph, error) {
-	b := NewBuilder(es.N())
+	n := es.N()
+	check := func(u, v int) error {
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return fmt.Errorf("graph: edge {%d,%d} outside [0,%d): %w", u, v, n, ErrVertexRange)
+		}
+		if u == v {
+			return fmt.Errorf("graph: edge {%d,%d}: %w", u, v, ErrSelfLoop)
+		}
+		return nil
+	}
+	off := make([]int, n+1)
 	if err := es.ForEachEdge(func(u, v int) error {
-		b.AddEdge(u, v)
+		if err := check(u, v); err != nil {
+			return err
+		}
+		off[u+1]++
+		off[v+1]++
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return b.Build(), nil
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	flat := make([]int32, off[n])
+	next := make([]int, n)
+	copy(next, off)
+	if err := es.ForEachEdge(func(u, v int) error {
+		if err := check(u, v); err != nil {
+			return err
+		}
+		if next[u] == off[u+1] || next[v] == off[v+1] {
+			return errStreamChanged
+		}
+		flat[next[u]] = int32(v)
+		next[u]++
+		flat[next[v]] = int32(u)
+		next[v]++
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	g := &Graph{n: n, adj: make([][]int32, n), m: off[n] / 2}
+	for v := 0; v < n; v++ {
+		if next[v] != off[v+1] {
+			return nil, errStreamChanged
+		}
+		a := flat[off[v]:off[v+1]:off[v+1]]
+		slices.Sort(a)
+		for i := 1; i < len(a); i++ {
+			if a[i] == a[i-1] {
+				return nil, fmt.Errorf("graph: edge {%d,%d}: %w", v, a[i], ErrDuplicateEdge)
+			}
+		}
+		g.adj[v] = a
+	}
+	return g, nil
 }
 
 // Stream adapts a materialized graph to the EdgeStream interface (edges in

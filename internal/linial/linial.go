@@ -179,7 +179,7 @@ func (a *reduceAlg) Done() bool {
 // Proper computes a proper coloring with at most (smallest prime > 2β)²
 // colors, starting from the given proper m-coloring (e.g. unique ids), in
 // Schedule.Rounds() = O(log* m) communication rounds. It runs on any
-// sim.Runner — the serial engine or the sharded one.
+// sim.Runner.
 func Proper(r sim.Runner, o *graph.Oriented, init []int, m int) ([]int, int, sim.Stats, error) {
 	sched := ProperSchedule(m, o.MaxOutDegree())
 	if len(sched.Steps) == 0 {

@@ -22,7 +22,6 @@ var docCheckedPackages = []string{
 	"../maus21",
 	"../obs",
 	"../serve",
-	"../shard",
 	"../lint",
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -43,7 +42,7 @@ var goldenDigests = map[string]uint64{
 }
 
 // TestGoldenBitIdentity pins Solve to the embedded digests and checks the
-// output is bit-identical across engine worker counts and shard counts.
+// output is bit-identical across engine worker counts.
 func TestGoldenBitIdentity(t *testing.T) {
 	for _, tc := range goldenInstances() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,7 +55,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 			if got, want := digest(wantPhi, wantColors, wantStats), goldenDigests[tc.name]; got != want {
 				t.Errorf("golden digest drifted: got %#x want %#x", got, want)
 			}
-			for _, workers := range []int{4, 0} {
+			for _, workers := range []int{2, 4, 7, 0} {
 				eng := sim.NewEngine(tc.g)
 				if workers > 0 {
 					eng.SetWorkers(workers)
@@ -70,19 +69,6 @@ func TestGoldenBitIdentity(t *testing.T) {
 				}
 				if !reflect.DeepEqual(wantStats, stats) {
 					t.Errorf("workers=%d: stats diverge:\n want %+v\n  got %+v", workers, wantStats, stats)
-				}
-			}
-			for _, shards := range []int{2, 4} {
-				eng := shard.FromGraph(tc.g, shard.Options{Shards: shards})
-				phi, colors, stats, err := Solve(eng, tc.g, Options{K: tc.k})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantPhi, phi) || colors != wantColors {
-					t.Errorf("shards=%d: output diverges from serial", shards)
-				}
-				if !reflect.DeepEqual(wantStats, stats) {
-					t.Errorf("shards=%d: stats diverge from serial:\n want %+v\n  got %+v", shards, wantStats, stats)
 				}
 			}
 		})

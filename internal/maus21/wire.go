@@ -94,7 +94,7 @@ func decodePickMsg(r *bitio.Reader, q1, palette int) (pickMsg, error) {
 	return out, nil
 }
 
-// faultReporter receives detected decode failures (both engines implement
+// faultReporter receives detected decode failures (*sim.Engine implements
 // it).
 type faultReporter interface{ ReportDecodeFault() }
 

@@ -170,7 +170,8 @@ type Server struct {
 	prev     []int // reused pre-repair color snapshot
 }
 
-// New builds a server over g: the graph is oriented by id, every node gets
+// New builds a server over a copy of g (Apply mutates the server's graph,
+// never the caller's): the graph is oriented by id, every node gets
 // square-sum lists from cfg (Seed pins them), the initial colors are the
 // node ids (a proper coloring that stays proper under any mutation), and
 // the instance is solved once from scratch. A *oldc.ErrResidual from the
@@ -178,6 +179,10 @@ type Server struct {
 // batch — but any other error is returned.
 func New(g *graph.Graph, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	g, err := graph.Materialize(graph.Stream(g))
+	if err != nil {
+		return nil, fmt.Errorf("serve: copy graph: %w", err)
+	}
 	o := graph.OrientByID(g)
 	inst := coloring.SquareSumOrientedRange(o, cfg.SpaceSize, cfg.Kappa, cfg.MinDefect, cfg.MaxDefect, cfg.Seed)
 	s := &Server{

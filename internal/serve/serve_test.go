@@ -176,6 +176,35 @@ func TestServeReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestServeLeavesCallerGraph pins that the server works on its own copy:
+// an applied add_edge changes the server's graph and not the one passed to
+// New.
+func TestServeLeavesCallerGraph(t *testing.T) {
+	g := graph.Path(6)
+	want := make([][]int32, g.N())
+	for v := range want {
+		want[v] = append([]int32(nil), g.Neighbors(v)...)
+	}
+	s, err := New(g, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply([]Mutation{{Op: OpAddEdge, U: 0, V: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if o, _, _ := s.Instance(); !o.Graph().HasEdge(0, 5) {
+		t.Fatal("server graph is missing the applied edge")
+	}
+	if g.M() != 5 {
+		t.Errorf("caller graph has %d edges after Apply, want 5", g.M())
+	}
+	for v := range want {
+		if !reflect.DeepEqual(g.Neighbors(v), want[v]) {
+			t.Errorf("caller graph: neighbors of %d = %v, want %v", v, g.Neighbors(v), want[v])
+		}
+	}
+}
+
 func TestServeApplyErrorsFailFast(t *testing.T) {
 	g := graph.Path(6)
 	s, err := New(g, Config{Seed: 1})

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bitio"
 	"repro/internal/graph"
@@ -302,4 +304,69 @@ type tallyPayload struct{ calls *int64 }
 func (p tallyPayload) EncodeBits(w *bitio.Writer) {
 	atomic.AddInt64(p.calls, 1)
 	w.WriteUint(0, 8)
+}
+
+// panicAt panics in node 0's Outbox of the given round; node 0 belongs to
+// shard 0, which the goroutine calling Run executes, so the panic unwinds
+// Run while the other shards are still in the collect phase.
+type panicAt struct {
+	floodAlg
+	round, at int
+}
+
+func (a *panicAt) Outbox(v int, out *Outbox) {
+	if v == 0 && a.round == a.at {
+		panic("injected")
+	}
+	a.floodAlg.Outbox(v, out)
+}
+func (a *panicAt) Done() bool { a.round++; return a.floodAlg.Done() }
+
+// TestRunAfterPanic pins that a run unwound by a panic in a callback stops
+// its shard goroutines and leaves the engine's barrier clean: the same
+// engine then runs to the same Stats as a fresh one, and no goroutine is
+// left behind. A dirty barrier deadlocks, so the runs happen on a helper
+// goroutine the test waits for with a deadline.
+func TestRunAfterPanic(t *testing.T) {
+	g := graph.GNP(200, 0.05, 11)
+	want, err := NewEngineWith(g, Options{Workers: 4}).Run(newFlood(g.N()), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	var got Stats
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		eng := NewEngineWith(g, Options{Workers: 4})
+		for i := 0; i < 3; i++ {
+			func() {
+				defer func() {
+					if r := recover(); r != "injected" {
+						t.Errorf("recovered %v, want the injected panic", r)
+					}
+				}()
+				eng.Run(&panicAt{floodAlg: *newFlood(g.N()), at: 2}, 50)
+			}()
+		}
+		got, err = eng.Run(newFlood(g.N()), 50)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("engine deadlocked after panicked runs")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("run after panics diverges:\n want %+v\n  got %+v", want, got)
+	}
+	// Exited goroutines can take a moment to leave the count.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -3,19 +3,22 @@
 // distributed algorithm in this repository.
 //
 // Execution proceeds in synchronous rounds. In each round every node first
-// produces its outgoing messages (computed in parallel across nodes by a
-// worker pool), then the engine routes and delivers them, then every node
-// consumes its inbox (again in parallel). The engine measures the exact bit
-// size of every message by running its bitio encoding, so CONGEST bandwidth
-// claims are checked against real encodings rather than struct sizes.
+// produces its outgoing messages, then the engine routes and delivers
+// them, then every node consumes its inbox. The engine measures the exact
+// bit size of every message by running its bitio encoding, so CONGEST
+// bandwidth claims are checked against real encodings rather than struct
+// sizes.
 //
-// The routing phase is itself parallel: senders are partitioned into
-// contiguous shards, each shard encodes and counts its messages into a
-// private accounting partial, and a two-pass counting sort places every
-// message into a flat per-round arena (CSR-style offsets, mirroring
-// internal/graph's adjacency layout). Broadcasts are encoded once per
-// sender per round, not once per wire; bit totals still count every wire.
-// See docs/SIMULATOR.md for the full concurrency contract.
+// The node space is split into one contiguous range per worker (a shard),
+// and each shard runs all three phases for its own nodes on one goroutine,
+// with barriers between the phases. A broadcast is encoded once per sender
+// per round and routed as one block per destination shard — the sender's
+// payload plus its receivers there, a subrange of the sender's neighbor
+// list — while bit totals still count every wire. Each shard counting-sorts
+// its inbound blocks into its own inbox arena, so every inbox is sorted by
+// sender id and the Stats, traces and fault ledgers are bit-identical for
+// every worker count. See docs/SIMULATOR.md for the full concurrency
+// contract.
 //
 // The per-node callbacks of an Algorithm must only touch the state of the
 // node they are invoked for (plus read-only shared configuration); the
@@ -25,7 +28,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitio"
@@ -70,7 +72,8 @@ type Quiescent interface {
 	Quiesced() bool
 }
 
-// Outbox collects one node's outgoing messages for a round.
+// Outbox collects one node's outgoing messages for a round. The engine
+// hands each Outbox callback a handle that is only valid for that call.
 type Outbox struct {
 	node      int
 	neighbors []int32
@@ -121,8 +124,8 @@ type Stats struct {
 }
 
 // RoundFaults is one round's entry in the fault ledger. All fields merge
-// with sums across routing shards, so the ledger is bit-identical for
-// every worker count.
+// with sums across shards, so the ledger is bit-identical for every worker
+// count.
 type RoundFaults struct {
 	Dropped      int64 // wires dropped by the fault model
 	Corrupted    int64 // wires delivered with flipped payload bits
@@ -186,7 +189,7 @@ const (
 // FaultModel is a structured, composable fault schedule (internal/chaos
 // provides the standard implementations: i.i.d. drops, targeted wire
 // adversaries, crash and crash-recover node faults, bit flips). Wire is
-// consulted exactly once per wire per round from the routing workers, so
+// consulted exactly once per wire per round from the shard goroutines, so
 // implementations must be safe for concurrent use and must depend only on
 // their arguments — that is what makes fault schedules seed-deterministic
 // and worker-count independent. The returned salt seeds the choice of
@@ -200,7 +203,8 @@ type FaultModel interface {
 	Wire(round, from, to int) (FaultOutcome, uint64)
 }
 
-// Engine executes algorithms over a fixed communication graph.
+// Engine executes algorithms over a fixed communication graph. One Engine
+// runs one Run at a time; distinct engines may run concurrently.
 type Engine struct {
 	g       *graph.Graph
 	workers int
@@ -218,7 +222,7 @@ type Engine struct {
 	// Fault is the legacy ad-hoc drop hook, kept for backward
 	// compatibility: a message from `from` to `to` in `round` is discarded
 	// when Fault returns true. It is invoked exactly once per wire per
-	// round, from the routing workers: it must be safe for concurrent use
+	// round, from the shard goroutines: it must be safe for concurrent use
 	// and should depend only on its arguments. New code should install a
 	// structured, composable schedule from internal/chaos via Faults
 	// instead — only Faults activates the Stats.Faults ledger and payload
@@ -244,11 +248,26 @@ type Engine struct {
 	// decodeFaults counts ReportDecodeFault calls during the current
 	// round's Inbox phase; the engine drains it into the ledger.
 	decodeFaults atomic.Int64
+
+	// Routing state (see round.go): one shard per worker, built by the
+	// first run and kept for later ones until the node count or the worker
+	// count changes (builtN, builtFor record both at build time). chunk is
+	// the shard width: node v belongs to shards[v/chunk]. done collects
+	// the shard goroutines' phase completions.
+	shards   []*shard
+	chunk    int
+	builtN   int
+	builtFor int
+	done     chan struct{}
+
+	// Per-run state, written by the coordinator between phase barriers.
+	alg   Algorithm
+	round int
 }
 
 // Options bundles optional engine configuration for NewEngineWith.
 type Options struct {
-	Workers     int  // worker-pool size (0 = GOMAXPROCS)
+	Workers     int  // shard count: contiguous node ranges, one goroutine each (0 = GOMAXPROCS)
 	Bandwidth   int  // per-message bit budget (0 = unlimited)
 	NoCountBits bool // disable encoding-based bit accounting
 	Validate    bool // check SendTo targets against the graph
@@ -315,10 +334,11 @@ func (e *Engine) ReportDecodeFault() {
 	e.decodeFaults.Add(1)
 }
 
-// SetWorkers overrides the worker-pool size (1 forces fully sequential
-// execution; useful to pin down scheduling-independent behavior in tests).
-// Stats are identical for every worker count: per-shard accounting merges
-// with order-independent operations only.
+// SetWorkers overrides the worker count, which is the number of shards
+// the node space is split into (1 forces fully sequential execution;
+// useful to pin down scheduling-independent behavior in tests). Stats are
+// identical for every worker count: per-shard accounting merges with
+// order-independent operations only. The next run re-partitions.
 func (e *Engine) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -326,8 +346,7 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers = n
 }
 
-// Workers returns the configured worker-pool size (defaults to
-// GOMAXPROCS); benchmark reports record it so figures are comparable
+// Workers returns the configured worker count (defaults to GOMAXPROCS); benchmark reports record it so figures are comparable
 // across machines.
 func (e *Engine) Workers() int { return e.workers }
 
@@ -344,40 +363,6 @@ type ErrBandwidth struct {
 func (e *ErrBandwidth) Error() string {
 	return fmt.Sprintf("sim: round %d message %d->%d is %d bits, exceeds bandwidth %d",
 		e.Round, e.From, e.To, e.Bits, e.Limit)
-}
-
-// parallel runs f(v) for v in [0, n) on the worker pool.
-func (e *Engine) parallel(n int, f func(v int)) {
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for v := 0; v < n; v++ {
-			f(v)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				f(v)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // --- Common payloads ---
