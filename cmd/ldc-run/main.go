@@ -118,15 +118,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("ldc-run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		gname  = fs.String("graph", "regular", "ring|clique|grid|torus|hypercube|regular|gnp|tree|pa|geometric, or file:<path> for an edge-list file")
-		n      = fs.Int("n", 64, "node count (where applicable)")
-		deg    = fs.Int("deg", 6, "degree for regular / attachment count for pa")
-		p      = fs.Float64("p", 0.1, "edge probability for gnp")
-		rows   = fs.Int("rows", 8, "rows for grid/torus")
-		cols   = fs.Int("cols", 8, "cols for grid/torus")
-		dim    = fs.Int("dim", 6, "dimension for hypercube")
-		radius = fs.Float64("radius", 0.15, "radius for geometric")
-		seed   = fs.Int64("seed", 1, "generator seed")
+		gname   = fs.String("graph", "regular", "ring|clique|grid|torus|hypercube|regular|gnp|tree|pa|geometric, or file:<path> for an edge-list file")
+		n       = fs.Int("n", 64, "node count (where applicable)")
+		deg     = fs.Int("deg", 6, "degree for regular / attachment count for pa")
+		p       = fs.Float64("p", 0.1, "edge probability for gnp")
+		rows    = fs.Int("rows", 8, "rows for grid/torus")
+		cols    = fs.Int("cols", 8, "cols for grid/torus")
+		dim     = fs.Int("dim", 6, "dimension for hypercube")
+		radius  = fs.Float64("radius", 0.15, "radius for geometric")
+		seed    = fs.Int64("seed", 1, "generator seed")
 		algo    = fs.String("algo", "delta1", "delta1|linear|slow|luby|degluby|greedy|mis|mis-luby|oldc|fk24|maus21")
 		shards  = fs.Int("shards", 0, "worker count of every engine ldc-run builds: contiguous node ranges, one goroutine each (0 = GOMAXPROCS; not for delta1, greedy, mis)")
 		kappa   = fs.Float64("kappa", 5.0, "square-sum slack for -algo oldc/fk24")

@@ -16,6 +16,7 @@ package arb
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
@@ -97,14 +98,9 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 	}
 	phi := coloring.NewAssignment(n)
 	colorTime := make([]int, n) // global batch counter at coloring time
-	batchDir := make(map[[2]int]bool, g.M())
+	batchDir := map[[2]int]bool{}
 	batch := 0
-
-	// a_v(x): colored neighbors of v with color x.
-	av := make([]map[int]int, n)
-	for v := range av {
-		av[v] = map[int]int{}
-	}
+	av := newResidualCounts(in)
 	recordColored := func(batchOrient *graph.Oriented, origOf []int, colored []int) {
 		for _, v := range colored {
 			colorTime[v] = batch
@@ -125,9 +121,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 			}
 		}
 		for _, v := range colored {
-			for _, u := range g.Neighbors(v) {
-				av[u][phi[v]]++
-			}
+			av.record(g, phi, v)
 		}
 	}
 
@@ -173,7 +167,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 			// one exists because Σ(d+1) > deg counts every colored
 			// neighbor at most once per color.
 			for _, v := range unc {
-				x, ok := pickResidualColor(in.Lists[v], av[v])
+				x, ok := av.pick(v)
 				if !ok {
 					return res, fmt.Errorf("arb: node %d has no residual color", v)
 				}
@@ -270,7 +264,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 // colorBatch solves one OLDC sub-instance for the class members and writes
 // the colors into phi.
 func colorBatch(sub *graph.Graph, orig []int, members []int, bootOrient *graph.Oriented,
-	in *coloring.Instance, av []map[int]int, phi coloring.Assignment,
+	in *coloring.Instance, av *residualCounts, phi coloring.Assignment,
 	subInit []int, m int, solve Solver, cfg Config, newEng func(*graph.Graph) *sim.Engine) (sim.Stats, *graph.Oriented, []int, []int, error) {
 
 	var stats sim.Stats
@@ -299,9 +293,10 @@ func colorBatch(sub *graph.Graph, orig []int, members []int, bootOrient *graph.O
 		v := orig[si]
 		var cols, defs []int
 		l := in.Lists[v]
+		counts := av.of(v)
 		for idx, x := range l.Colors {
 			d := l.Defect[idx]
-			a := av[v][x]
+			a := int(counts[idx])
 			if a <= d {
 				cols = append(cols, x)
 				defs = append(defs, d-a)
@@ -333,12 +328,13 @@ func colorBatch(sub *graph.Graph, orig []int, members []int, bootOrient *graph.O
 	violating := make([]bool, len(members))
 	for i := range members {
 		v := orig[members[i]]
-		d, ok := in.Lists[v].DefectOf(asg[i])
+		l := in.Lists[v]
+		idx, ok := slices.BinarySearch(l.Colors, asg[i])
 		if !ok {
 			violating[i] = true
 			continue
 		}
-		allowed := d - av[v][asg[i]]
+		allowed := l.Defect[idx] - int(av.of(v)[idx])
 		same := 0
 		for _, j := range batchO.Out(i) {
 			if asg[j] == asg[i] {
@@ -374,7 +370,7 @@ func colorBatch(sub *graph.Graph, orig []int, members []int, bootOrient *graph.O
 // simultaneous picks cannot conflict). Existence of a residual color is
 // guaranteed by Σ(d_v(x)+1) > deg(v).
 func fallbackSchedule(g *graph.Graph, in *coloring.Instance, initColors []int, m int,
-	phi coloring.Assignment, av []map[int]int, colorTime []int, batch *int,
+	phi coloring.Assignment, av *residualCounts, colorTime []int, batch *int,
 	newEng func(*graph.Graph) *sim.Engine, tracer obs.Tracer) (sim.Stats, error) {
 
 	var stats sim.Stats
@@ -411,7 +407,7 @@ func fallbackSchedule(g *graph.Graph, in *coloring.Instance, initColors []int, m
 			if c2[si] != class {
 				continue
 			}
-			x, ok := pickResidualColor(in.Lists[v], av[v])
+			x, ok := av.pick(v)
 			if !ok {
 				return stats, fmt.Errorf("arb: fallback found no residual color at node %d", v)
 			}
@@ -420,19 +416,55 @@ func fallbackSchedule(g *graph.Graph, in *coloring.Instance, initColors []int, m
 			colored = append(colored, v)
 		}
 		for _, v := range colored {
-			for _, u := range g.Neighbors(v) {
-				av[u][phi[v]]++
-			}
+			av.record(g, phi, v)
 		}
 	}
 	return stats, nil
 }
 
-// pickResidualColor returns a color x with a_v(x) ≤ d_v(x).
-func pickResidualColor(l coloring.NodeList, a map[int]int) (int, bool) {
-	for i, x := range l.Colors {
-		if a[x] <= l.Defect[i] {
-			return x, true
+// residualCounts holds a_v(x), the number of colored neighbors of v with
+// color x, for every x ∈ L_v: one flat counter array indexed like
+// L_v.Colors through per-node offsets. Only uncolored nodes read their
+// counters, and only at colors of their own list, so an update skips
+// neighbors that are already colored and colors outside the neighbor's
+// list.
+type residualCounts struct {
+	lists []coloring.NodeList
+	off   []int   // node v's counters are cnt[off[v]:off[v+1]]
+	cnt   []int32 // parallel to the concatenated lists' Colors
+}
+
+func newResidualCounts(in *coloring.Instance) *residualCounts {
+	off := make([]int, len(in.Lists)+1)
+	for v, l := range in.Lists {
+		off[v+1] = off[v] + len(l.Colors)
+	}
+	return &residualCounts{lists: in.Lists, off: off, cnt: make([]int32, off[len(in.Lists)])}
+}
+
+// of returns v's counters, parallel to in.Lists[v].Colors.
+func (r *residualCounts) of(v int) []int32 { return r.cnt[r.off[v]:r.off[v+1]] }
+
+// record counts v's new color phi[v] at every uncolored neighbor that has
+// it in its list.
+func (r *residualCounts) record(g *graph.Graph, phi coloring.Assignment, v int) {
+	x := phi[v]
+	for _, u := range g.Neighbors(v) {
+		if phi[u] != coloring.Unset {
+			continue
+		}
+		if i, ok := slices.BinarySearch(r.lists[u].Colors, x); ok {
+			r.cnt[r.off[u]+i]++
+		}
+	}
+}
+
+// pick returns the first color x ∈ L_v with a_v(x) ≤ d_v(x).
+func (r *residualCounts) pick(v int) (int, bool) {
+	l := r.lists[v]
+	for i, a := range r.of(v) {
+		if int(a) <= l.Defect[i] {
+			return l.Colors[i], true
 		}
 	}
 	return 0, false

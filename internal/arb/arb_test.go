@@ -79,13 +79,42 @@ func TestRejectsViolatingInstance(t *testing.T) {
 }
 
 func TestPickResidualColor(t *testing.T) {
-	l := coloring.NodeList{Colors: []int{1, 2, 3}, Defect: []int{0, 1, 0}}
-	x, ok := pickResidualColor(l, map[int]int{1: 1, 2: 2, 3: 0})
+	// Node 0 has list {1, 2, 3} with defects {0, 1, 0}; its neighbors 1..5
+	// get colored one by one.
+	g := graph.CompleteBipartite(1, 5)
+	in := &coloring.Instance{G: g, SpaceSize: 8, Lists: make([]coloring.NodeList, g.N())}
+	in.Lists[0] = coloring.NodeList{Colors: []int{1, 2, 3}, Defect: []int{0, 1, 0}}
+	for v := 1; v < g.N(); v++ {
+		in.Lists[v] = coloring.NodeList{Colors: []int{0, 7}, Defect: []int{0, 0}}
+	}
+	av := newResidualCounts(in)
+	phi := coloring.NewAssignment(g.N())
+	color := func(v, x int) {
+		phi[v] = x
+		av.record(g, phi, v)
+	}
+	color(1, 1)
+	color(2, 2)
+	color(3, 2)
+	color(4, 7) // outside L_0: never counted
+	if got := av.of(0); got[0] != 1 || got[1] != 2 || got[2] != 0 {
+		t.Fatalf("a_0 = %v, want [1 2 0]", got)
+	}
+	x, ok := av.pick(0)
 	if !ok || x != 3 {
 		t.Fatalf("got %d,%v", x, ok)
 	}
-	if _, ok := pickResidualColor(l, map[int]int{1: 1, 2: 2, 3: 1}); ok {
+	color(5, 3)
+	if _, ok := av.pick(0); ok {
 		t.Fatal("no residual color should exist")
+	}
+	// Every leaf is colored, so the center's color 0 ∈ L_leaf is never
+	// counted: colored nodes never read their counters again.
+	color(0, 0)
+	for v := 1; v < g.N(); v++ {
+		if got := av.of(v); got[0] != 0 || got[1] != 0 {
+			t.Fatalf("colored leaf %d counted %v", v, got)
+		}
 	}
 }
 

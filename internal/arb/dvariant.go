@@ -45,19 +45,14 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 	phi := coloring.NewAssignment(n)
 	colorTime := make([]int, n)
 	batch := 0
-	av := make([]map[int]int, n)
-	for v := range av {
-		av[v] = map[int]int{}
-	}
+	av := newResidualCounts(in)
 	commit := func(colored []int) {
 		batch++
 		for _, v := range colored {
 			colorTime[v] = batch
 		}
 		for _, v := range colored {
-			for _, u := range g.Neighbors(v) {
-				av[u][phi[v]]++
-			}
+			av.record(g, phi, v)
 		}
 	}
 

@@ -86,12 +86,12 @@ func matrixCases(quick bool) []matrixCase {
 // verifyDoc is the ldc-verify input document a matrix row can emit, so CI
 // can re-validate every committed row with the standalone checker.
 type verifyDoc struct {
-	N        int            `json:"n"`
-	Edges    [][2]int       `json:"edges"`
-	Space    int            `json:"space"`
-	Lists    []verifyList   `json:"lists,omitempty"`
-	Coloring []int          `json:"coloring"`
-	Variant  string         `json:"variant"`
+	N        int          `json:"n"`
+	Edges    [][2]int     `json:"edges"`
+	Space    int          `json:"space"`
+	Lists    []verifyList `json:"lists,omitempty"`
+	Coloring []int        `json:"coloring"`
+	Variant  string       `json:"variant"`
 }
 
 type verifyList struct {
@@ -191,10 +191,10 @@ func RunMatrixBench(quick bool, docsDir string) (MatrixReport, error) {
 
 		for _, fam := range matrixFamilies() {
 			var (
-				phi    coloring.Assignment
-				stats  sim.Stats
-				bound  int
-				best   time.Duration
+				phi   coloring.Assignment
+				stats sim.Stats
+				bound int
+				best  time.Duration
 			)
 			for it := 0; it < iters; it++ {
 				start := time.Now()

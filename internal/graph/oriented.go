@@ -18,6 +18,13 @@ type Oriented struct {
 
 // Orient orients g using dir: dir(u, v) must return true iff the edge
 // {u, v} is oriented u→v, and must be antisymmetric.
+//
+// The arc lists come out sorted without a sort: ForEachEdge visits edges
+// in (u, v) order over sorted adjacency, so every arc appended to vertex
+// x's lists while visiting some u < x names u itself (ascending in u), and
+// every arc appended while visiting x names some v > x (ascending in v).
+// Each list is therefore its below-x part followed by its above-x part,
+// both ascending.
 func Orient(g *Graph, dir func(u, v int) bool) *Oriented {
 	o := &Oriented{g: g, out: make([][]int32, g.N()), in: make([][]int32, g.N())}
 	g.ForEachEdge(func(u, v int) {
@@ -29,10 +36,6 @@ func Orient(g *Graph, dir func(u, v int) bool) *Oriented {
 			o.in[u] = append(o.in[u], int32(v))
 		}
 	})
-	for v := 0; v < g.N(); v++ {
-		sort.Slice(o.out[v], func(i, j int) bool { return o.out[v][i] < o.out[v][j] })
-		sort.Slice(o.in[v], func(i, j int) bool { return o.in[v][i] < o.in[v][j] })
-	}
 	return o
 }
 

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -118,5 +121,92 @@ func TestOrientedInOutConsistency(t *testing.T) {
 	}
 	if inCount != outCount || outCount != g.M() {
 		t.Fatalf("in=%d out=%d m=%d", inCount, outCount, g.M())
+	}
+}
+
+// sortedOrient is the reference for Orient: the same arcs, with every list
+// sorted explicitly.
+func sortedOrient(g *Graph, dir func(u, v int) bool) (out, in [][]int32) {
+	out, in = make([][]int32, g.N()), make([][]int32, g.N())
+	g.ForEachEdge(func(u, v int) {
+		if !dir(u, v) {
+			u, v = v, u
+		}
+		out[u] = append(out[u], int32(v))
+		in[v] = append(in[v], int32(u))
+	})
+	for v := range out {
+		sort.Slice(out[v], func(i, j int) bool { return out[v][i] < out[v][j] })
+		sort.Slice(in[v], func(i, j int) bool { return in[v][i] < in[v][j] })
+	}
+	return out, in
+}
+
+// TestOrientListsSorted pins the invariant Orient relies on instead of a
+// sort: its out-lists and in-lists come out strictly ascending. It checks
+// random graphs, before and after Oriented mutations, under three
+// orientations: by id, by reversed id and by a random antisymmetric rule.
+func TestOrientListsSorted(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(60)
+		g := GNP(n, rng.Float64()*0.5, seed)
+		flip := make(map[[2]int]bool)
+		dirs := map[string]func(u, v int) bool{
+			"id":       func(u, v int) bool { return u > v },
+			"reversed": func(u, v int) bool { return u < v },
+			"random": func(u, v int) bool {
+				key := [2]int{min(u, v), max(u, v)}
+				f, ok := flip[key]
+				if !ok {
+					f = rng.Intn(2) == 0
+					flip[key] = f
+				}
+				return f == (u < v)
+			},
+		}
+		check := func(stage string) {
+			for name, dir := range dirs {
+				o := Orient(g, dir)
+				if err := o.Validate(); err != nil {
+					t.Fatalf("seed %d %s %s: %v", seed, stage, name, err)
+				}
+				wantOut, wantIn := sortedOrient(g, dir)
+				for v := 0; v < g.N(); v++ {
+					for _, l := range [][]int32{o.Out(v), o.In(v)} {
+						for i := 1; i < len(l); i++ {
+							if l[i-1] >= l[i] {
+								t.Fatalf("seed %d %s %s: node %d list %v not strictly ascending", seed, stage, name, v, l)
+							}
+						}
+					}
+					if !slices.Equal(o.Out(v), wantOut[v]) || !slices.Equal(o.In(v), wantIn[v]) {
+						t.Fatalf("seed %d %s %s: node %d out %v in %v, want out %v in %v",
+							seed, stage, name, v, o.Out(v), o.In(v), wantOut[v], wantIn[v])
+					}
+				}
+			}
+		}
+		check("generated")
+		// Mutate through an orientation, then orient the changed graph
+		// again.
+		o := OrientByID(g)
+		for i := 0; i < 3*n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			switch rng.Intn(4) {
+			case 0, 1:
+				_ = o.AddEdge(u, v) // self loops and existing edges are refused
+			case 2:
+				_ = o.RemoveEdge(u, v) // missing edges are refused
+			case 3:
+				if _, err := o.DetachNode(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("seed %d: mutated graph: %v", seed, err)
+		}
+		check("mutated")
 	}
 }

@@ -66,11 +66,11 @@ func polyEval(c, x, q, deg int) int {
 }
 
 // gfStep is a reusable fast evaluator for one reduction step's field GF(q):
-// it caches the Barrett reciprocal for mod-q reduction and the base-q digit
-// expansion of one loaded color, so a round's many polynomial evaluations
-// (every neighbor color × every evaluation point) run without integer
-// division or allocation. Outputs are bit-identical to the naive polyEval —
-// the equivalence test and fuzz target in gf_test.go pin this.
+// it caches the Barrett reciprocal for mod-q arithmetic and the base-q digit
+// expansion of one loaded color, so a round's many digit expansions and
+// polynomial evaluations run without integer division or allocation.
+// Outputs are bit-identical to the naive polyEval — the equivalence test
+// and fuzz target in gf_test.go pin this.
 type gfStep struct {
 	q      uint64
 	mhi    uint64 // ⌊2^63 / q⌋, the Barrett reciprocal
@@ -95,41 +95,55 @@ func (s *gfStep) init(sp stepParams) {
 	s.digits = s.digits[:sp.deg+1]
 }
 
-// reduce returns v mod q via Barrett reduction: qhat = ⌊v·mhi/2^63⌋ is at
-// most 2 short of ⌊v/q⌋ for v < 2^63, leaving at most two correction
-// subtractions and no hardware divide.
-func (s *gfStep) reduce(v uint64) uint64 {
+// divmod returns ⌊v/q⌋ and v mod q via Barrett reduction: the estimate
+// ⌊v·mhi/2^63⌋ is at most 2 short of ⌊v/q⌋ for any 64-bit v, leaving at
+// most two correction steps and no hardware divide.
+func (s *gfStep) divmod(v uint64) (quo, rem uint64) {
 	hi, lo := bits.Mul64(v, s.mhi)
-	r := v - (hi<<1|lo>>63)*s.q
-	for r >= s.q {
-		r -= s.q
+	quo = hi<<1 | lo>>63
+	rem = v - quo*s.q
+	for rem >= s.q {
+		quo++
+		rem -= s.q
 	}
+	return quo, rem
+}
+
+// reduce returns v mod q.
+func (s *gfStep) reduce(v uint64) uint64 {
+	_, r := s.divmod(v)
 	return r
 }
 
-// load decomposes color c into the evaluator's digit buffer, mirroring
-// polyEval's expansion (including its does-not-fit panic).
-func (s *gfStep) load(c int) {
+// expand writes the base-q digits of color c into dst, lowest first,
+// mirroring polyEval's expansion (including its does-not-fit panic).
+// len(dst) is the step's digit count deg+1.
+func (s *gfStep) expand(c int, dst []uint64) {
 	u := uint64(c)
-	for i := range s.digits {
-		s.digits[i] = u % s.q
-		u /= s.q
+	for i := range dst {
+		u, dst[i] = s.divmod(u)
 	}
 	if u != 0 {
 		panic(fmt.Sprintf("linial: color does not fit in %d base-%d digits", s.deg+1, s.q))
 	}
 }
 
-// evalAt returns the loaded polynomial's value at x — the same
-// highest-digit-first Horner recurrence as polyEval, with the modulus
+// load expands color c into the evaluator's own digit buffer.
+func (s *gfStep) load(c int) { s.expand(c, s.digits) }
+
+// horner evaluates the polynomial with the given ascending digits at x —
+// the same highest-digit-first recurrence as polyEval, with the modulus
 // taken by reduce. Requires x < q.
-func (s *gfStep) evalAt(x uint64) uint64 {
+func (s *gfStep) horner(digits []uint64, x uint64) uint64 {
 	acc := uint64(0)
-	for i := s.deg; i >= 0; i-- {
-		acc = s.reduce(acc*x + s.digits[i])
+	for i := len(digits) - 1; i >= 0; i-- {
+		acc = s.reduce(acc*x + digits[i])
 	}
 	return acc
 }
+
+// evalAt returns the loaded polynomial's value at x.
+func (s *gfStep) evalAt(x uint64) uint64 { return s.horner(s.digits, x) }
 
 // stepParams holds the parameters of one polynomial reduction step.
 type stepParams struct {

@@ -2,6 +2,8 @@ package linial
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/bitio"
@@ -80,41 +82,32 @@ func (a *reduceAlg) Outbox(v int, out *sim.Outbox) {
 }
 
 // reduceScratch is the per-callback scratch of one Inbox evaluation: the
-// fast field evaluator plus the collected neighbor colors and the per-point
-// value/collision buffers. Callbacks for different nodes run concurrently,
-// so scratch is pooled, never stored on the algorithm.
+// fast field evaluator plus the base-q digit expansions of the opponent
+// colors. Callbacks for different nodes run concurrently, so scratch is
+// pooled, never stored on the algorithm.
 type reduceScratch struct {
-	gf  gfStep
-	out []int   // out-neighbor colors this round
-	fv  []int32 // own polynomial value per evaluation point
-	cnt []int32 // colliding-neighbor count per evaluation point
+	gf     gfStep
+	digits []uint64 // deg+1 base-q digits per opponent, lowest first
 }
 
 var reduceScratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}
 
-// resize32 returns s with n zeroed entries, reusing capacity.
-func resize32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 func (a *reduceAlg) Inbox(v int, in []sim.Received) {
 	sp := a.sched.Steps[a.step]
-	q := sp.q
 	sc := reduceScratchPool.Get().(*reduceScratch)
 	sc.gf.init(sp)
-	// Collect out-neighbor colors (messages arrive from all neighbors). A
-	// payload that is not a clean UintPayload — e.g. corrupted in transit —
-	// is skipped: a missing opponent can only make the argmin pick a point
-	// with an unnoticed collision, which the validation after the run
-	// catches; it can never panic the reduction.
-	sc.out = sc.out[:0]
+	c := a.colors[v]
+	// Expand the opponents' digits once: out-neighbors (messages arrive
+	// from all neighbors), restricted to the node's class when one is set.
+	// An equal color shares the whole polynomial and collides at every
+	// point; it carries defect from an earlier defective step and cannot
+	// change the argmin, so it is dropped here. A payload that is not a
+	// clean UintPayload — e.g. corrupted in transit — is skipped: a missing
+	// opponent can only make the argmin pick a point with an unnoticed
+	// collision, which the validation after the run catches; it can never
+	// panic the reduction.
+	w := sp.deg + 1
+	sc.digits = sc.digits[:0]
 	for _, msg := range in {
 		if !a.o.HasArc(v, msg.From) {
 			continue
@@ -122,41 +115,33 @@ func (a *reduceAlg) Inbox(v int, in []sim.Received) {
 		if a.class != nil && a.class[msg.From] != a.class[v] {
 			continue
 		}
-		if pay, ok := msg.Payload.(sim.UintPayload); ok {
-			sc.out = append(sc.out, int(pay.Value))
+		if pay, ok := msg.Payload.(sim.UintPayload); ok && int(pay.Value) != c {
+			n := len(sc.digits)
+			sc.digits = slices.Grow(sc.digits, w)[:n+w]
+			sc.gf.expand(int(pay.Value), sc.digits[n:])
 		}
 	}
-	c := a.colors[v]
-	// Evaluate the node's own polynomial at every point, then sweep each
-	// neighbor polynomial across all points against it. Equal colors share
-	// the whole polynomial and collide everywhere; they carry defect from
-	// previous defective steps and do not influence the argmin.
-	fv := resize32(sc.fv, q)
-	sc.fv = fv
-	cnt := resize32(sc.cnt, q)
-	sc.cnt = cnt
 	sc.gf.load(c)
-	for x := 0; x < q; x++ {
-		fv[x] = int32(sc.gf.evalAt(uint64(x)))
-	}
-	for _, cu := range sc.out {
-		if cu == c {
-			continue
-		}
-		sc.gf.load(cu)
-		for x := 0; x < q; x++ {
-			if int32(sc.gf.evalAt(uint64(x))) == fv[x] {
-				cnt[x]++
+	// The new color is (x, f_c(x)) for the smallest point x with the fewest
+	// colliding opponents. Walk the points in order and stop counting a
+	// point once it ties the best so far: it can no longer win, since only
+	// a strictly smaller count replaces the best. Counts are never
+	// negative, so the first collision-free point ends the scan.
+	q := uint64(sp.q)
+	best, bestVal, bestCnt := uint64(0), uint64(0), math.MaxInt
+	for x := uint64(0); x < q && bestCnt > 0; x++ {
+		fx := sc.gf.evalAt(x)
+		cnt := 0
+		for i := 0; i < len(sc.digits) && cnt < bestCnt; i += w {
+			if sc.gf.horner(sc.digits[i:i+w], x) == fx {
+				cnt++
 			}
 		}
-	}
-	best, bestCnt := -1, int32(^uint32(0)>>1)
-	for x := 0; x < q; x++ {
-		if cnt[x] < bestCnt {
-			best, bestCnt = x, cnt[x]
+		if cnt < bestCnt {
+			best, bestVal, bestCnt = x, fx, cnt
 		}
 	}
-	a.next[v] = best*q + int(fv[best])
+	a.next[v] = int(best*q + bestVal)
 	reduceScratchPool.Put(sc)
 }
 
