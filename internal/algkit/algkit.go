@@ -14,9 +14,9 @@
 //     concurrent Inbox/Outbox callbacks run allocation-free.
 //   - AccumulateConflicts / ConflictArgmin: the batched bitset
 //     candidate-set conflict counting on top of cover.ConflictKernel.
-//   - CountWindow / CountMerge: per-color occurrence counting against
-//     sorted color lists (windowed for gap-g instances, two-pointer merged
-//     for gap 0).
+//   - CountWindow / CountMerge / Scratch.CountMergeBelow: per-color
+//     occurrence counting against sorted color lists (windowed for gap-g
+//     instances, two-pointer merged for gap 0).
 //
 // Everything here is deterministic and safe for concurrent use from
 // different engine worker goroutines, which is what keeps algorithm output
@@ -87,6 +87,8 @@ type Scratch struct {
 	D []int32
 	// Cnt holds per-list-position occurrence counts.
 	Cnt []int32
+	// Pos holds the common positions CountMergeBelow collects.
+	Pos []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -94,8 +96,12 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // GetScratch takes a scratch from the shared pool.
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-// PutScratch returns a scratch to the shared pool.
-func PutScratch(s *Scratch) { scratchPool.Put(s) }
+// PutScratch returns a scratch to the shared pool. The kernel's loaded
+// family is dropped first, so pooled scratch keeps no family alive.
+func PutScratch(s *Scratch) {
+	s.Kernel.Unload()
+	scratchPool.Put(s)
+}
 
 // Grow32 returns s resized to n zeroed entries, reusing capacity.
 func Grow32(s []int32, n int) []int32 {
@@ -140,6 +146,34 @@ func CountMerge(cnt []int32, cv, cu []int) {
 			i++
 			j++
 		}
+	}
+}
+
+// CountMergeBelow adds CountMerge(cnt, cv, cu)'s contribution only when
+// cv and cu have fewer than tau colors in common — for sorted sets that is
+// exactly !cover.TauGConflict(cv, cu, tau, 0). One two-pointer pass
+// collects the common positions (stopping at the tau-th) and adds them
+// once the merge ends below tau.
+func (s *Scratch) CountMergeBelow(cnt []int32, cv, cu []int, tau int) {
+	pos := s.Pos[:0]
+	for i, j := 0, 0; i < len(cv) && j < len(cu) && len(pos) < tau; {
+		switch {
+		case cv[i] < cu[j]:
+			i++
+		case cv[i] > cu[j]:
+			j++
+		default:
+			pos = append(pos, int32(i))
+			i++
+			j++
+		}
+	}
+	s.Pos = pos
+	if len(pos) >= tau {
+		return
+	}
+	for _, i := range pos {
+		cnt[i]++
 	}
 }
 

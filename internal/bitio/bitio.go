@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Typed decode errors. A Reader records the first failure it encounters
@@ -71,8 +72,18 @@ func (w *Writer) WriteUint(x uint64, width int) {
 	if width < 64 && x>>uint(width) != 0 {
 		panic(fmt.Sprintf("bitio: value %d does not fit in %d bits", x, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(uint(x>>uint(i)) & 1)
+	// Up to 8 bits per step: the next bits of x fill the current byte's
+	// free low bits.
+	for width > 0 {
+		if w.nbit%8 == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		free := 8 - w.nbit%8
+		n := min(free, width)
+		width -= n
+		chunk := x >> uint(width) & (1<<uint(n) - 1)
+		w.buf[len(w.buf)-1] |= byte(chunk << uint(free-n))
+		w.nbit += n
 	}
 }
 
@@ -83,9 +94,7 @@ func (w *Writer) WriteEliasGamma(x uint64) {
 		panic("bitio: Elias gamma needs x >= 1")
 	}
 	n := bits.Len64(x) - 1
-	for i := 0; i < n; i++ {
-		w.WriteBit(0)
-	}
+	w.WriteUint(0, n)
 	w.WriteUint(x, n+1)
 }
 
@@ -94,21 +103,25 @@ func (w *Writer) WriteEliasGamma(x uint64) {
 func (w *Writer) WriteVarint(x uint64) { w.WriteEliasGamma(x + 1) }
 
 // WriteBitset appends the characteristic vector of the set over a universe
-// of the given size: exactly `universe` bits.
+// of the given size: exactly `universe` bits. Elements may repeat.
 func (w *Writer) WriteBitset(set []int, universe int) {
-	mark := make([]bool, universe)
+	if universe < 0 {
+		panic(fmt.Sprintf("bitio: bad universe %d", universe))
+	}
 	for _, x := range set {
 		if x < 0 || x >= universe {
 			panic(fmt.Sprintf("bitio: element %d outside universe %d", x, universe))
 		}
-		mark[x] = true
 	}
-	for _, b := range mark {
-		if b {
-			w.WriteBit(1)
-		} else {
-			w.WriteBit(0)
-		}
+	// Extend with zero bytes (cleared: a reused buffer's capacity holds
+	// stale bytes), then set the members' bits.
+	start, n := w.nbit, len(w.buf)
+	w.nbit += universe
+	w.buf = slices.Grow(w.buf, (w.nbit+7)/8-n)[:(w.nbit+7)/8]
+	clear(w.buf[n:])
+	for _, x := range set {
+		p := start + x
+		w.buf[p/8] |= 1 << (7 - uint(p%8))
 	}
 }
 

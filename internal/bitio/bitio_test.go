@@ -232,3 +232,25 @@ func TestWriterReset(t *testing.T) {
 		t.Fatal("Reset discarded the buffer")
 	}
 }
+
+// TestWriterAllocs pins that a warm writer encodes a 2^15-color
+// characteristic vector — the size of a type message list over |C| = 2^15
+// — without allocating.
+func TestWriterAllocs(t *testing.T) {
+	const universe = 1 << 15
+	rng := rand.New(rand.NewSource(5))
+	set := make([]int, 3500)
+	for i := range set {
+		set[i] = rng.Intn(universe)
+	}
+	w := NewWriter()
+	w.WriteBitset(set, universe)
+	allocs := testing.AllocsPerRun(50, func() {
+		w.Reset()
+		w.WriteUint(5, 3)
+		w.WriteBitset(set, universe)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm WriteBitset allocated %.1f times per call", allocs)
+	}
+}

@@ -1,15 +1,19 @@
 package cover
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
-// The batched family-vs-family kernel answers, in one sweep over the two
-// color lists, the question the P1 stage asks per neighbor: which of my
-// candidate sets τ&g-conflict with at least one of yours? The scalar path
-// walks set × set × color; the batched path instead walks the aligned
-// color lists once and maintains one saturating counter per (own set,
-// neighbor set) pair in bit-sliced form — every neighbor set occupies one
-// bit lane, every own set one counter row — so a single list position pair
-// updates up to 64 × 64 conflict weights with a handful of word ops.
+// The batched family-vs-family kernel answers, in one walk over the
+// neighbor's color list, the question the P1 stage asks per neighbor:
+// which of my candidate sets τ&g-conflict with at least one of yours? The
+// scalar path walks set × set × color; the batched path instead finds the
+// common (within-g) colors of the two families and maintains one
+// saturating counter per (own set, neighbor set) pair in bit-sliced form —
+// every neighbor set occupies one bit lane, every own set one counter row
+// — so a single common color updates up to 64 × 64 conflict weights with a
+// handful of word ops.
 
 // kernelMaxTau bounds the τ the bit-sliced counters can represent (8
 // planes saturate at 255 ≥ τ); larger values fall back to the scalar
@@ -21,10 +25,19 @@ const kernelMaxTau = 255
 // should hold one per worker (e.g. in a sync.Pool) — the counter planes
 // are a few KB, and reusing them avoids re-zeroing the full array on every
 // call (only lanes touched by a call are cleared on its way out).
+//
+// The kernel also keeps a probe filter over the own family (f1) it last
+// loaded: every caller asks about one own family against each of a node's
+// neighbors in turn, so the filter is built once per node. Families are
+// immutable, so a loaded family is recognized by its pointer; Unload drops
+// the reference once the node is done.
 type ConflictKernel struct {
 	planes [64][8]uint64 // planes[i][p]: bit s = bit p of weight(own i, nbr s)
 	sat    [64]uint64    // bit s set once weight(own i, nbr s) overflowed
 	used   uint64        // own-set rows with any live counter bits
+
+	own    *CachedFamily // family the filter describes (nil = none)
+	filter []uint64      // bit x&(64·len−1) set for every x in own.NzColors
 }
 
 // FamilyConflictMask returns a bitmask over f1's candidate sets: bit i is
@@ -33,39 +46,36 @@ type ConflictKernel struct {
 // the first 64 sets of f1 are representable; when either family lacks its
 // compact membership index or τ exceeds the counter range, the scalar
 // reference sweep computes the same mask.
+//
+// The kernel visits every pair of nonzero colors (x of f1, y of f2) with
+// |x − y| ≤ g: it walks f2's nonzero colors, tests each x ∈ [y−g, y+g]
+// against the probe filter of f1's nonzero colors, and binary-searches f1
+// on a filter hit. Aliased filter bits fail the search, so the pairs are
+// exactly those of a merge of the two lists. Each pair adds one to every
+// (own set, neighbor set) weight it covers; the threshold reads only the
+// final counts, so the visiting order does not matter.
 func (k *ConflictKernel) FamilyConflictMask(f1, f2 *CachedFamily, tau, g int) uint64 {
 	if f1.NzMask == nil || f2.NzMask == nil || tau < 1 || tau > kernelMaxTau {
 		return familyConflictMaskSlow(f1, f2, tau, g)
 	}
+	if k.own != f1 {
+		k.load(f1)
+	}
 	p := bits.Len(uint(tau)) // counters hold [0, 2^p−1] with 2^p−1 ≥ τ
-	// Sweep only the colors that occur in at least one candidate set (the
-	// compacted nonzero rows) — candidate sets cover a small fraction of
-	// the lists, and zero-mask positions cannot change any counter.
+	// Only the colors that occur in at least one candidate set (the
+	// compacted nonzero rows) can change a counter, and candidate sets
+	// cover a small fraction of the lists.
 	l1, m1 := f1.NzColors, f1.NzMask
-	l2, m2 := f2.NzColors, f2.NzMask
-	lo := 0
-	for j1, x := range l1 {
-		vm := m1[j1]
-		for lo < len(l2) && l2[lo] < x-g {
-			lo++
-		}
-		for j2 := lo; j2 < len(l2) && l2[j2] <= x+g; j2++ {
-			um := m2[j2]
-			for mm := vm; mm != 0; mm &= mm - 1 {
-				i := bits.TrailingZeros64(mm)
-				k.used |= 1 << uint(i)
-				// Bit-sliced saturating +1 on every lane in um.
-				pl := &k.planes[i]
-				carry := um
-				for q := 0; q < p; q++ {
-					nc := pl[q] & carry
-					pl[q] ^= carry
-					carry = nc
-					if carry == 0 {
-						break
-					}
-				}
-				k.sat[i] |= carry
+	filter, fmask := k.filter, uint(64*len(k.filter)-1)
+	for j2, y := range f2.NzColors {
+		um := f2.NzMask[j2]
+		for x := y - g; x <= y+g; x++ {
+			b := uint(x) & fmask
+			if filter[b>>6]&(1<<(b&63)) == 0 {
+				continue
+			}
+			if j1, ok := slices.BinarySearch(l1, x); ok {
+				k.count(m1[j1], um, p)
 			}
 		}
 	}
@@ -93,6 +103,53 @@ func (k *ConflictKernel) FamilyConflictMask(f1, f2 *CachedFamily, tau, g int) ui
 	k.used = 0
 	return out
 }
+
+// count adds one to weight(own i, nbr s) for every i in vm and s in um:
+// a bit-sliced saturating +1 on the lanes um of each row in vm.
+func (k *ConflictKernel) count(vm, um uint64, p int) {
+	k.used |= vm
+	for ; vm != 0; vm &= vm - 1 {
+		i := bits.TrailingZeros64(vm)
+		pl := &k.planes[i]
+		carry := um
+		for q := 0; q < p; q++ {
+			nc := pl[q] & carry
+			pl[q] ^= carry
+			carry = nc
+			if carry == 0 {
+				break
+			}
+		}
+		k.sat[i] |= carry
+	}
+}
+
+// load builds the probe filter of f's nonzero colors: nextPow2(|NzColors|)
+// words (at most 16 bytes per color, whatever the color values), so at
+// most one bit in 64 is set and a miss is the common answer.
+func (k *ConflictKernel) load(f *CachedFamily) {
+	w := 1
+	for w < len(f.NzColors) {
+		w *= 2
+	}
+	if cap(k.filter) < w {
+		k.filter = make([]uint64, w)
+	} else {
+		k.filter = k.filter[:w]
+		clear(k.filter)
+	}
+	fmask := uint(64*w - 1)
+	for _, x := range f.NzColors {
+		b := uint(x) & fmask
+		k.filter[b>>6] |= 1 << (b & 63)
+	}
+	k.own = f
+}
+
+// Unload drops the kernel's reference to the family it last loaded (the
+// filter storage is kept for reuse), so a pooled kernel keeps no family
+// alive.
+func (k *ConflictKernel) Unload() { k.own = nil }
 
 // FamilyConflictMask is the one-shot convenience form (fresh scratch per
 // call); hot paths should reuse a ConflictKernel instead.

@@ -3,6 +3,8 @@ package cover
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -203,52 +205,140 @@ func TestCachedFamilyMatchesFamily(t *testing.T) {
 // TestFamilyConflictMaskMatchesReference pins the batched bit-sliced
 // family kernel to the scalar set-by-set sweep for every τ and gap the
 // algorithms use, including τ values around each pair's exact conflict
-// weight (the threshold compare's edge).
+// weight (the threshold compare's edge), one kernel switching between own
+// families, and probe-filter aliasing.
 func TestFamilyConflictMaskMatchesReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		space := 64 + rng.Intn(1500)
-		mk := func() *CachedFamily {
-			return NewCachedFamily(Type{
-				InitColor: rng.Intn(100),
-				List:      randSet(rng, 1+rng.Intn(60), space),
-				SetSize:   1 + rng.Intn(16),
-				NumSets:   1 + rng.Intn(20),
-			})
-		}
-		f1, f2 := mk(), mk()
-		var k ConflictKernel
-		for _, g := range []int{0, 1, 3} {
-			maxW := 0
-			for _, c1 := range f1.Sets {
-				for _, c2 := range f2.Sets {
-					if w := ConflictWeight(c1, c2, g); w > maxW {
-						maxW = w
+	t.Run("random", func(t *testing.T) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			space := 64 + rng.Intn(1500)
+			mk := func() *CachedFamily {
+				return NewCachedFamily(Type{
+					InitColor: rng.Intn(100),
+					List:      randSet(rng, 1+rng.Intn(60), space),
+					SetSize:   1 + rng.Intn(16),
+					NumSets:   1 + rng.Intn(20),
+				})
+			}
+			f1, f2 := mk(), mk()
+			var k ConflictKernel
+			for _, g := range []int{0, 1, 3} {
+				for _, tau := range tauEdges(f1, f2, g) {
+					want := familyConflictMaskSlow(f1, f2, tau, g)
+					if k.FamilyConflictMask(f1, f2, tau, g) != want {
+						return false
+					}
+					// The reused kernel must leave no state behind: a second
+					// call and the one-shot form agree with the first.
+					if k.FamilyConflictMask(f1, f2, tau, g) != want {
+						return false
+					}
+					if FamilyConflictMask(f1, f2, tau, g) != want {
+						return false
 					}
 				}
 			}
-			for _, tau := range []int{1, 2, 3, maxW - 1, maxW, maxW + 1, kernelMaxTau} {
-				if tau < 1 {
-					continue
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One kernel serves a run of calls whose own family changes at random,
+	// as a pooled kernel does across nodes; an empty family (no sets) and a
+	// family of an empty list are among the owns.
+	t.Run("alternating-own", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(51))
+		fams := []*CachedFamily{
+			NewCachedFamily(Type{InitColor: 1, List: randSet(rng, 50, 400), SetSize: 8, NumSets: 12}),
+			NewCachedFamily(Type{InitColor: 2, List: randSet(rng, 200, 400), SetSize: 30, NumSets: 40}),
+			NewCachedFamily(Type{InitColor: 3, List: randSet(rng, 9, 400), SetSize: 4, NumSets: 64}),
+			NewCachedFamily(Type{InitColor: 4, List: randSet(rng, 30, 400), SetSize: 5, NumSets: 0}),
+			NewCachedFamily(Type{InitColor: 5, List: nil, SetSize: 5, NumSets: 8}),
+		}
+		var k ConflictKernel
+		for i := 0; i < 2000; i++ {
+			f1, f2 := fams[rng.Intn(len(fams))], fams[rng.Intn(len(fams))]
+			g, tau := rng.Intn(3), 1+rng.Intn(4)
+			if got, want := k.FamilyConflictMask(f1, f2, tau, g), familyConflictMaskSlow(f1, f2, tau, g); got != want {
+				t.Fatalf("call %d (g=%d τ=%d): mask %x, want %x", i, g, tau, got, want)
+			}
+			if rng.Intn(10) == 0 {
+				k.Unload()
+			}
+		}
+	})
+	// The neighbor's colors sit a multiple of the filter size away from the
+	// own colors, so nearly every probe hits an aliased filter bit and
+	// only the search can reject it; colors near 0 with g > 0 probe below
+	// zero.
+	t.Run("aliased", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(52))
+		for trial := 0; trial < 200; trial++ {
+			own := randSet(rng, 24, 40)
+			nbr := make([]int, 0, 2*len(own))
+			for _, x := range own {
+				switch rng.Intn(3) {
+				case 0:
+					nbr = append(nbr, x) // a true common color
+				default:
+					nbr = append(nbr, x+(1+rng.Intn(1<<20))*4096)
 				}
-				want := familyConflictMaskSlow(f1, f2, tau, g)
-				if k.FamilyConflictMask(f1, f2, tau, g) != want {
-					return false
-				}
-				// The reused kernel must leave no state behind: a second
-				// call and the one-shot form agree with the first.
-				if k.FamilyConflictMask(f1, f2, tau, g) != want {
-					return false
-				}
-				if FamilyConflictMask(f1, f2, tau, g) != want {
-					return false
+			}
+			sort.Ints(nbr)
+			nbr = slices.Compact(nbr)
+			f1 := NewCachedFamily(Type{InitColor: 1, List: own, SetSize: 8, NumSets: 16})
+			f2 := NewCachedFamily(Type{InitColor: 2, List: nbr, SetSize: 8, NumSets: 16})
+			var k ConflictKernel
+			for _, g := range []int{0, 1, 2, 5} {
+				for _, tau := range tauEdges(f1, f2, g) {
+					if got, want := k.FamilyConflictMask(f1, f2, tau, g), familyConflictMaskSlow(f1, f2, tau, g); got != want {
+						t.Fatalf("trial %d g=%d τ=%d: mask %x, want %x", trial, g, tau, got, want)
+					}
 				}
 			}
 		}
-		return true
+	})
+}
+
+// tauEdges returns the τ values worth checking for a family pair: small
+// ones, each side of the largest pairwise conflict weight, and the counter
+// maximum.
+func tauEdges(f1, f2 *CachedFamily, g int) []int {
+	maxW := 0
+	for _, c1 := range f1.Sets {
+		for _, c2 := range f2.Sets {
+			if w := ConflictWeight(c1, c2, g); w > maxW {
+				maxW = w
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
+	var out []int
+	for _, tau := range []int{1, 2, 3, maxW - 1, maxW, maxW + 1, kernelMaxTau} {
+		if tau >= 1 {
+			out = append(out, tau)
+		}
+	}
+	return out
+}
+
+// TestConflictKernelFilterBounded pins the probe filter's memory to the
+// family, not the color values: colors near 2^30 cost at most 16 bytes
+// per nonzero color (a color-indexed table would need 128 MB).
+func TestConflictKernelFilterBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	list := randSet(rng, 600, 1<<20)
+	for i := range list {
+		list[i] += 1<<30 - 1<<20
+	}
+	for _, numSets := range []int{1, 16, 64} {
+		own := NewCachedFamily(Type{InitColor: 1, List: list, SetSize: 32, NumSets: numSets})
+		nbr := NewCachedFamily(Type{InitColor: 2, List: list, SetSize: 32, NumSets: 16})
+		var k ConflictKernel
+		k.FamilyConflictMask(own, nbr, 2, 0)
+		if got, limit := 8*cap(k.filter), 16*len(own.NzColors); got > limit {
+			t.Errorf("%d sets: filter holds %d bytes for %d nonzero colors, limit %d", numSets, got, len(own.NzColors), limit)
+		}
 	}
 }
 
@@ -300,6 +390,27 @@ func TestFamilyCacheHitsAndKeying(t *testing.T) {
 	}
 	if c.Len() != 6 {
 		t.Fatalf("Len=%d want 6", c.Len())
+	}
+	// Long lists are hashed from a sample of positions, so lists that
+	// differ only off the sample share a hash and the compare must tell
+	// them apart; a copy of a list hits like the list itself.
+	long := make([]int, 64)
+	for i := range long {
+		long[i] = 3 * i
+	}
+	other := append([]int(nil), long...)
+	other[1]++
+	tl := Type{InitColor: 3, List: long, SetSize: 4, NumSets: 3}
+	to := Type{InitColor: 3, List: other, SetSize: 4, NumSets: 3}
+	if typeHash(tl) != typeHash(to) {
+		t.Fatal("setup: the lists must differ only off the hash sample")
+	}
+	fl := c.Get(tl)
+	if c.Get(to) == fl {
+		t.Fatal("lists differing off the hash sample must not collide")
+	}
+	if c.Get(Type{InitColor: 3, List: append([]int(nil), long...), SetSize: 4, NumSets: 3}) != fl {
+		t.Fatal("a copy of a cached list must hit its entry")
 	}
 }
 

@@ -39,9 +39,12 @@ func NewCachedFamily(t Type) *CachedFamily {
 // Family(t) exactly — same seed, same partial Fisher–Yates draw order — so
 // the cached form is bit-identical to the reference derivation; the
 // compact membership index is built from the pre-sort positions as a side
-// product (via a reusable full-length scratch mask). Backing storage is
-// carved from the arena when one is given (the caller must hold the cache
-// lock) and freshly allocated otherwise. f.List aliases t.List.
+// product (via a reusable full-length scratch mask). Where Family refills
+// the whole index permutation for every set, this undoes each set's
+// SetSize swaps instead, which restores the identity permutation the next
+// set's draws start from. Backing storage is carved from the arena when
+// one is given (the caller must hold the cache lock) and freshly
+// allocated otherwise. f.List aliases t.List.
 func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 	setSize := t.SetSize
 	if setSize > len(t.List) {
@@ -60,22 +63,29 @@ func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 	rng := splitmix{state: t.seed()}
 	f.Sets = a.setHeaders(t.NumSets)
 	idx := a.indexScratch(len(t.List))
+	for i := range idx {
+		idx[i] = i
+	}
 	for s := range f.Sets {
-		for i := range idx {
-			idx[i] = i
-		}
 		// Partial Fisher–Yates: the first SetSize entries become a uniform
-		// subset (identical draws to Family).
-		for i := 0; i < setSize; i++ {
+		// subset (identical draws to Family). set[i] holds swap i's partner
+		// until the undo below replaces it with the drawn color.
+		set := a.ints(setSize)
+		for i := range set {
 			j := i + int(rng.next()%uint64(len(idx)-i))
 			idx[i], idx[j] = idx[j], idx[i]
+			set[i] = j
 		}
-		set := a.ints(setSize)
-		for i := 0; i < setSize; i++ {
+		// Undo the swaps last to first. Before swap i is undone the index
+		// is as swap i left it, and no later swap touches position i, so
+		// idx[i] is the drawn position.
+		for i := setSize - 1; i >= 0; i-- {
+			j := set[i]
 			set[i] = t.List[idx[i]]
 			if useMask {
 				colMask[idx[i]] |= 1 << uint(s)
 			}
+			idx[i], idx[j] = idx[j], idx[i]
 		}
 		sort.Ints(set)
 		f.Sets[s] = set
@@ -348,11 +358,18 @@ func (c *FamilyCache) ArenaBytes() int64 {
 	return c.arena.bytes
 }
 
-// typesEqual reports field-wise equality of two types.
+// typesEqual reports field-wise equality of two types. Lists of equal
+// length that start at the same address are the same memory, hence equal:
+// in-process receivers hold the sender's own list slice, so a cache hit
+// costs O(1) instead of a full list compare. Decoded or restored lists
+// are separate copies and take the element-wise compare.
 func typesEqual(a, b Type) bool {
 	if a.InitColor != b.InitColor || a.SetSize != b.SetSize ||
 		a.NumSets != b.NumSets || len(a.List) != len(b.List) {
 		return false
+	}
+	if len(a.List) == 0 || &a.List[0] == &b.List[0] {
+		return true
 	}
 	for i, x := range a.List {
 		if x != b.List[i] {

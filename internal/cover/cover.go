@@ -7,7 +7,6 @@
 package cover
 
 import (
-	"hash/fnv"
 	"math"
 	"sort"
 )
@@ -288,25 +287,47 @@ type Type struct {
 	NumSets   int
 }
 
-// seed hashes the type via FNV-1a.
+// seed hashes the type with 64-bit FNV-1a over the little-endian 8-byte
+// encodings of InitColor, SetSize, NumSets, len(List) and the list.
 func (t Type) seed() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(x int) {
-		v := uint64(x)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(t.InitColor)
-	put(t.SetSize)
-	put(t.NumSets)
-	put(len(t.List))
+	h := uint64(fnvOffset64)
+	h = fnvWord(h, uint64(t.InitColor))
+	h = fnvWord(h, uint64(t.SetSize))
+	h = fnvWord(h, uint64(t.NumSets))
+	h = fnvWord(h, uint64(len(t.List)))
 	for _, x := range t.List {
-		put(x)
+		h = fnvWord(h, uint64(x))
 	}
-	return h.Sum64()
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvPrimePow[k] is fnvPrime64^k mod 2^64.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
+// fnvWord feeds the 8 little-endian bytes of v into the FNV-1a state h.
+// Once the remaining high bytes are all zero, each of the k steps left is
+// a xor with 0 (a no-op) and a multiply, so one multiply by prime^k
+// finishes the word.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		if v == 0 {
+			return h * fnvPrimePow[8-i]
+		}
+		h = (h ^ v&0xff) * fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
 // Family deterministically derives the candidate family K of the type: a

@@ -1,6 +1,8 @@
 package cover
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -250,6 +252,38 @@ func TestFamilyLowConflict(t *testing.T) {
 			if cnt := PsiCount(fams[i], fams[j], tau, 0); cnt > 2 {
 				t.Fatalf("families %d,%d have %d conflicting sets", i, j, cnt)
 			}
+		}
+	}
+}
+
+// TestTypeSeedMatchesFNV pins the inline seed to hash/fnv's FNV-1a over
+// the little-endian 8-byte field encodings, on types whose fields and
+// list values are negative, small, or at least 2^32.
+func TestTypeSeedMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	draw := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return -rng.Intn(1 << 40)
+		case 1:
+			return rng.Intn(1 << 16)
+		case 2:
+			return 1<<32 + rng.Intn(1<<40)
+		default:
+			return int(rng.Uint64())
+		}
+	}
+	for i := 0; i < 300; i++ {
+		ty := Type{InitColor: draw(), SetSize: draw(), NumSets: draw(), List: make([]int, rng.Intn(50))}
+		for j := range ty.List {
+			ty.List[j] = draw()
+		}
+		h := fnv.New64a()
+		for _, x := range append([]int{ty.InitColor, ty.SetSize, ty.NumSets, len(ty.List)}, ty.List...) {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(x)))
+		}
+		if got, want := ty.seed(), h.Sum64(); got != want {
+			t.Fatalf("type %d: seed %#x, want %#x", i, got, want)
 		}
 	}
 }

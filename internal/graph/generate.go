@@ -129,7 +129,9 @@ func GNP(n int, p float64, seed int64) *Graph {
 
 // RandomRegular returns a d-regular graph on n vertices sampled via the
 // configuration model followed by edge-swap repair of loops and duplicate
-// edges. n*d must be even and d < n.
+// edges. n*d must be even and d < n. When the repair stalls, the stubs are
+// reshuffled from the same rng; a seed whose first shuffle repairs never
+// reshuffles, so its graph does not depend on the fallback.
 func RandomRegular(n, d int, seed int64) *Graph {
 	if n*d%2 != 0 {
 		panic("graph: RandomRegular needs n*d even")
@@ -139,15 +141,43 @@ func RandomRegular(n, d int, seed int64) *Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	stubs := make([]int, n*d)
-	for i := range stubs {
-		stubs[i] = i / d
+	pairs := make([][2]int, n*d/2)
+	for shuffles := 1; ; shuffles++ {
+		if shuffles > regularShuffles {
+			panic(fmt.Sprintf("graph: RandomRegular(%d,%d) failed to converge in %d shuffles", n, d, regularShuffles))
+		}
+		for i := range stubs {
+			stubs[i] = i / d
+		}
+		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		for i := range pairs {
+			pairs[i] = [2]int{stubs[2*i], stubs[2*i+1]}
+		}
+		if repairPairs(pairs, rng) {
+			break
+		}
 	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	type edge = [2]int
-	pairs := make([]edge, 0, n*d/2)
-	for i := 0; i < len(stubs); i += 2 {
-		pairs = append(pairs, edge{stubs[i], stubs[i+1]})
+	b := NewBuilder(n)
+	for _, e := range pairs {
+		b.AddEdge(e[0], e[1])
 	}
+	return b.Build()
+}
+
+// regularShuffles bounds RandomRegular's reshuffles. Stalls are rare (for
+// n=8, d=6 the first shuffle stalls with 46 of the seeds 0–299), so
+// running out means the parameters admit almost no simple graph.
+const regularShuffles = 100
+
+// repairPairs repairs loops and duplicate edges in place by double edge
+// swaps: a bad pair {u,v} and a random pair {x,y} become {u,x} and {v,y}
+// when neither new edge exists yet. It reports false when the repair
+// stalls: its attempt budget is spent, or the first bad pair has no
+// admissible partner, so that no draw can ever change the state. The
+// partner check runs only after len(pairs) failed draws in a row and draws
+// nothing from rng, so a repair that succeeds makes the same draws with or
+// without it.
+func repairPairs(pairs [][2]int, rng *rand.Rand) bool {
 	key := func(u, v int) [2]int32 {
 		if u > v {
 			u, v = v, u
@@ -155,17 +185,21 @@ func RandomRegular(n, d int, seed int64) *Graph {
 		return [2]int32{int32(u), int32(v)}
 	}
 	count := make(map[[2]int32]int, len(pairs))
-	bad := func(e edge) bool { return e[0] == e[1] || count[key(e[0], e[1])] > 1 }
+	bad := func(e [2]int) bool { return e[0] == e[1] || count[key(e[0], e[1])] > 1 }
 	for _, e := range pairs {
 		if e[0] != e[1] {
 			count[key(e[0], e[1])]++
 		}
 	}
-	// Repair by double edge swaps: replace a bad pair {u,v} and a random
-	// pair {x,y} with {u,x} and {v,y} when that strictly helps.
+	swappable := func(i, j int) bool {
+		u, v := pairs[i][0], pairs[i][1]
+		x, y := pairs[j][0], pairs[j][1]
+		return j != i && u != x && v != y && count[key(u, x)] == 0 && count[key(v, y)] == 0
+	}
+	fails := 0
 	for attempt := 0; ; attempt++ {
 		if attempt > 1000000 {
-			panic(fmt.Sprintf("graph: RandomRegular(%d,%d) failed to converge", n, d))
+			return false
 		}
 		badIdx := -1
 		for i, e := range pairs {
@@ -175,21 +209,30 @@ func RandomRegular(n, d int, seed int64) *Graph {
 			}
 		}
 		if badIdx == -1 {
-			break
+			return true
+		}
+		if fails >= len(pairs) {
+			fails = 0
+			stuck := true
+			for j := range pairs {
+				if swappable(badIdx, j) {
+					stuck = false
+					break
+				}
+			}
+			if stuck {
+				return false
+			}
 		}
 		j := rng.Intn(len(pairs))
-		if j == badIdx {
+		if !swappable(badIdx, j) {
+			fails++
 			continue
 		}
+		fails = 0
+		// Remove old edges from the multiset, insert the rewired pair.
 		u, v := pairs[badIdx][0], pairs[badIdx][1]
 		x, y := pairs[j][0], pairs[j][1]
-		if u == x || v == y {
-			continue
-		}
-		if count[key(u, x)] > 0 || count[key(v, y)] > 0 {
-			continue
-		}
-		// Remove old edges from the multiset, insert the rewired pair.
 		if u != v {
 			count[key(u, v)]--
 		}
@@ -198,14 +241,9 @@ func RandomRegular(n, d int, seed int64) *Graph {
 		}
 		count[key(u, x)]++
 		count[key(v, y)]++
-		pairs[badIdx] = edge{u, x}
-		pairs[j] = edge{v, y}
+		pairs[badIdx] = [2]int{u, x}
+		pairs[j] = [2]int{v, y}
 	}
-	b := NewBuilder(n)
-	for _, e := range pairs {
-		b.AddEdge(e[0], e[1])
-	}
-	return b.Build()
 }
 
 // PreferentialAttachment returns a Barabási–Albert style power-law graph:

@@ -239,6 +239,10 @@ type analyzeScratch struct {
 	mu     []uint8          // per list position; reused per node
 	colors []int            // arena: candidate color lists (persist)
 	cands  []classCandidate // arena: candidate records (persist)
+	// muOf memoizes the node's μ per small defect value (0 = not yet
+	// computed; μ ≥ 1): lists hold thousands of colors but few distinct
+	// defects, and μ depends only on the node and the defect.
+	muOf [64]uint8
 }
 
 // newAnalyzeScratch pre-sizes the scratch for h classes and totalColors
@@ -289,18 +293,21 @@ func analyzeNodeInto(sc *analyzeScratch, beta int, l coloring.NodeList, h, hPrim
 		sc.mu = make([]uint8, l.Len())
 	}
 	mus := sc.mu[:l.Len()]
+	clear(sc.muOf[:])
 	var totalMass float64
 	for idx := range l.Colors {
 		d := l.Defect[idx]
 		w := float64((d + 1) * (d + 1))
-		mu := int(math.Round(math.Log(rv/w) / math.Log(4)))
-		if mu < 1 {
-			mu = 1
+		var mu uint8
+		if uint(d) < uint(len(sc.muOf)) {
+			if sc.muOf[d] == 0 {
+				sc.muOf[d] = scaleOf(rv, w, h)
+			}
+			mu = sc.muOf[d]
+		} else {
+			mu = scaleOf(rv, w, h)
 		}
-		if mu > h {
-			mu = h
-		}
-		mus[idx] = uint8(mu)
+		mus[idx] = mu
 		p := &parts[mu]
 		if p.count == 0 || d < p.minDef {
 			p.minDef = d
@@ -381,6 +388,19 @@ func analyzeNodeInto(sc *analyzeScratch, beta int, l coloring.NodeList, h, hPrim
 		})
 	}
 	return classSelection{cands: sc.cands[candBase:len(sc.cands):len(sc.cands)]}, nil
+}
+
+// scaleOf returns the Lemma 3.8 scale μ ∈ [1, h] of a color with weight
+// w = (d+1)²: the μ with w ≈ rv/4^μ.
+func scaleOf(rv, w float64, h int) uint8 {
+	mu := int(math.Round(math.Log(rv/w) / math.Log(4)))
+	if mu < 1 {
+		mu = 1
+	}
+	if mu > h {
+		mu = h
+	}
+	return uint8(mu)
 }
 
 // candTaken reports whether a candidate for class f is already present.
@@ -718,18 +738,17 @@ func (a *twoPhaseAlg) chooseCv(v, class int, sc *algkit.Scratch) {
 
 // pickColor finalizes v's color (Phase II): counts exact colors of higher
 // classes and candidate-set occurrences of non-ignored same-class
-// out-neighbors. The ignore test depends only on the neighbor, and each
-// non-ignored neighbor set is merged against C_v once, filling the whole
-// per-color count buffer in a single two-pointer pass.
+// out-neighbors. The ignore test depends only on the neighbor, and one
+// two-pointer merge of each same-class neighbor set against C_v both
+// decides it and fills the per-color count buffer.
 func (a *twoPhaseAlg) pickColor(v int, sc *algkit.Scratch) {
 	class := a.spec.gclass[v]
 	cv := a.cv[v]
 	cnt := algkit.Grow32(sc.Cnt, len(cv))
 	sc.Cnt = cnt
 	for p := a.csr.Off[v]; p < a.csr.Off[v+1]; p++ {
-		if a.nbrCv[p] != nil && a.nbrType[p].gclass == class &&
-			!cover.TauGConflict(cv, a.nbrCv[p], a.spec.tau, 0) {
-			algkit.CountMerge(cnt, cv, a.nbrCv[p])
+		if a.nbrCv[p] != nil && a.nbrType[p].gclass == class {
+			sc.CountMergeBelow(cnt, cv, a.nbrCv[p], a.spec.tau)
 		}
 		if xu := a.nbrColor[p]; xu >= 0 {
 			algkit.CountWindow(cnt, cv, int(xu), 0)
@@ -752,8 +771,8 @@ func (a *twoPhaseAlg) pickColor(v int, sc *algkit.Scratch) {
 
 // ignored reports whether a same-class out-neighbor's candidate set
 // conflicts too heavily with C_v (it is then outside N_{i,*} and accounted
-// against the d_v/4 ignore budget). pickColor evaluates the same rule on
-// the packed cvBits form; this slice form is the documented reference.
+// against the d_v/4 ignore budget). pickColor evaluates the same rule
+// inside its counting merge; this form is the documented reference.
 func (a *twoPhaseAlg) ignored(v int, cu []int) bool {
 	return cover.ConflictWeight(a.cv[v], cu, 0) >= a.spec.tau
 }
