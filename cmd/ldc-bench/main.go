@@ -1,12 +1,14 @@
-// Command ldc-bench runs the reproduction experiments E1–E10 (DESIGN.md §4)
-// and prints their tables; EXPERIMENTS.md is generated from its output.
+// Command ldc-bench runs the reproduction experiments E1–E13 (DESIGN.md §4)
+// and prints their tables; EXPERIMENTS.md is generated from its output. It
+// also records the benchmark suites as ldc-bench/v2 JSON documents.
 //
 // Usage:
 //
-//	ldc-bench                  # run everything at full size
+//	ldc-bench                  # run every experiment at full size
 //	ldc-bench -quick           # smaller sweeps (< a few seconds)
 //	ldc-bench -run E1,E6       # selected experiments
-//	ldc-bench -simbench out.json  # engine microbenchmark → machine-readable JSON
+//	ldc-bench -suite all       # re-record every BENCH_<suite>.json here
+//	ldc-bench -quick -suite shard,matrix -out /tmp/b -docs /tmp/d
 package main
 
 import (
@@ -16,9 +18,11 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"repro/internal/bench"
 )
@@ -33,15 +37,9 @@ func run() int {
 	quick := flag.Bool("quick", false, "run reduced-size sweeps")
 	runIDs := flag.String("run", "all", "comma-separated experiment ids (E1..E13) or 'all'")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	simbench := flag.String("simbench", "", "run the simulator microbenchmark suite and write machine-readable JSON to this path ('-' for stdout), then exit")
-	algbench := flag.String("algbench", "", "run the OLDC algorithm benchmark suite and write machine-readable JSON to this path ('-' for stdout), then exit")
-	chaosbench := flag.String("chaosbench", "", "run detect-and-repair solving under every built-in fault schedule and write machine-readable JSON to this path ('-' for stdout), then exit")
-	servebench := flag.String("servebench", "", "run the incremental recoloring service under sustained churn and write machine-readable JSON to this path ('-' for stdout), then exit")
-	recoverybench := flag.String("recoverybench", "", "run the crash-recovery suite (supervised kill/resume + durable-store WAL replay) and write machine-readable JSON to this path ('-' for stdout), then exit")
-	shardbench := flag.String("shardbench", "", "run the worker-count (shard) scaling curve and the large streamed power-law solve, write machine-readable JSON to this path ('-' for stdout), then exit")
-	shardSolveOut := flag.String("shardsolve-out", "", "with -shardbench: also write the big run's instance+coloring as an ldc-verify document to this path")
-	matrixbench := flag.String("matrixbench", "", "run the cross-family who-wins matrix (oldc, fk24, maus21, delta1, degluby across Δ columns) and write machine-readable JSON to this path ('-' for stdout), then exit; honors -quick")
-	matrixDocs := flag.String("matrix-docs", "", "with -matrixbench: also write one ldc-verify document per matrix row into this directory")
+	suites := flag.String("suite", "", "run these comma-separated benchmark suites ('all', or any of "+strings.Join(bench.Suites, ",")+"), write each to <out>/BENCH_<suite>.json (schema "+bench.Schema+"), then exit; honors -quick")
+	outDir := flag.String("out", ".", "with -suite: directory for the BENCH_<suite>.json files")
+	docDir := flag.String("docs", "", "with -suite: also write one ldc-verify document per row that has a coloring into this directory")
 	tracePath := flag.String("trace", "", "run the canonical traced Δ=64 solve, write its ldc-trace/v1 JSONL to this path ('-' for stdout), verify reconciliation, then exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -85,77 +83,8 @@ func run() int {
 		}
 		return 0
 	}
-	if *simbench != "" {
-		rep := bench.RunSimBench()
-		if err := rep.WriteJSON(*simbench); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *algbench != "" {
-		rep := bench.RunAlgBench()
-		if err := rep.WriteJSON(*algbench); err != nil {
-			fmt.Fprintf(os.Stderr, "algbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *chaosbench != "" {
-		rep := bench.RunChaosBench()
-		if err := rep.WriteJSON(*chaosbench); err != nil {
-			fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *servebench != "" {
-		rep, err := bench.RunServeBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "servebench: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteJSON(*servebench); err != nil {
-			fmt.Fprintf(os.Stderr, "servebench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *recoverybench != "" {
-		rep, err := bench.RunRecoverBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "recoverybench: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteJSON(*recoverybench); err != nil {
-			fmt.Fprintf(os.Stderr, "recoverybench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *matrixbench != "" {
-		rep, err := bench.RunMatrixBench(*quick, *matrixDocs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "matrixbench: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteJSON(*matrixbench); err != nil {
-			fmt.Fprintf(os.Stderr, "matrixbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *shardbench != "" {
-		rep, err := bench.RunShardBench(*quick, *shardSolveOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteJSON(*shardbench); err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			return 1
-		}
-		return 0
+	if *suites != "" {
+		return runSuites(*suites, *quick, *outDir, *docDir)
 	}
 
 	s := bench.Suite{Quick: *quick}
@@ -200,4 +129,40 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// runSuites records the named suites; it fails on the first suite error
+// and, after writing every report, if any row's output is invalid.
+func runSuites(list string, quick bool, outDir, docDir string) int {
+	names := bench.Suites
+	if list != "all" {
+		names = strings.Split(list, ",")
+	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "suite: %v\n", err)
+		return 1
+	}
+	code := 0
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		start := time.Now()
+		rep, err := bench.RunSuite(name, quick, docDir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "suite: %v\n", err)
+			return 1
+		}
+		path := filepath.Join(outDir, "BENCH_"+name+".json")
+		if err := rep.WriteFile(path); err != nil {
+			fmt.Fprintf(os.Stderr, "suite: %v\n", err)
+			return 1
+		}
+		for _, row := range rep.Rows {
+			if !row.Valid {
+				fmt.Fprintf(os.Stderr, "suite: %s/%s: invalid output\n", row.Suite, row.Case)
+				code = 1
+			}
+		}
+		fmt.Fprintf(os.Stderr, "suite %s: %d rows in %v -> %s\n", name, len(rep.Rows), time.Since(start).Round(time.Millisecond), path)
+	}
+	return code
 }

@@ -265,9 +265,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			out.ChaosSpec = *spec
 		}
 		if *ckptPath != "" {
-			phi, stats, restarts, err := superviseDegluby(superviseConfig{
-				g:           g,
-				seed:        *seed,
+			phi, stats, restarts, err := supervise(superviseConfig{
 				newEngine:   func() *sim.Engine { return sim.NewEngineWith(g, simOpts) },
 				plan:        plan,
 				path:        *ckptPath,
@@ -277,7 +275,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				tracer:      tracer,
 				reg:         reg,
 				stderr:      stderr,
-			})
+			}, deglubyAttempt(g, *seed))
 			die(err)
 			fill(&out, stats, phi)
 			traceStats = stats
@@ -343,9 +341,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		var runStats sim.Stats
 		if *ckptPath != "" {
-			phi, stats, restarts, err := superviseOldc(superviseConfig{
-				g:           g,
-				seed:        *seed,
+			phi, stats, restarts, err := supervise(superviseConfig{
 				newEngine:   func() *sim.Engine { return sim.NewEngineWith(g, simOpts) },
 				plan:        plan,
 				path:        *ckptPath,
@@ -355,7 +351,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				tracer:      tracer,
 				reg:         reg,
 				stderr:      stderr,
-			}, in, oldc.Options{SkipValidate: *spec != ""})
+			}, oldcAttempt(in, oldc.Options{SkipValidate: *spec != ""}))
 			die(err)
 			fill(&out, stats, phi)
 			runStats = stats

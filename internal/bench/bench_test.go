@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -74,5 +76,72 @@ func TestExperimentsQuick(t *testing.T) {
 				t.Fatal("empty render")
 			}
 		})
+	}
+}
+
+// TestSuitesQuick runs every suite through the runner at -quick: each
+// report carries the v2 schema and a populated header, every row is valid
+// with ordered quartiles, and every emitted ldc-verify document exists.
+func TestSuitesQuick(t *testing.T) {
+	for _, name := range Suites {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			rep, err := RunSuite(name, true, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := rep.Header
+			if rep.Schema != "ldc-bench/v2" || h.Date == "" || h.GoOS == "" || h.GoArch == "" || h.CPUs < 1 ||
+				h.GoMaxProcs < 1 || h.GoVersion == "" || h.Commit == "" || !h.Quick {
+				t.Fatalf("schema %q, header %+v", rep.Schema, h)
+			}
+			if len(rep.Rows) == 0 {
+				t.Fatal("no rows")
+			}
+			for _, row := range rep.Rows {
+				if row.Suite != name || !row.Valid || len(row.Counts) == 0 || len(row.Timings) == 0 {
+					t.Errorf("%s: suite %q valid %t, %d counts, %d timings", row.Case, row.Suite, row.Valid, len(row.Counts), len(row.Timings))
+				}
+				for k, tm := range row.Timings {
+					if tm.N != quickReps || tm.Q1 > tm.Median || tm.Median > tm.Q3 {
+						t.Errorf("%s: timing %s = %+v", row.Case, k, tm)
+					}
+				}
+				if row.Doc == "" {
+					continue
+				}
+				if st, err := os.Stat(filepath.Join(dir, row.Doc)); err != nil || st.Size() == 0 {
+					t.Errorf("%s: verify doc %s missing or empty (%v)", row.Case, row.Doc, err)
+				}
+			}
+		})
+	}
+}
+
+// TestRunnerRejectsDrift gives the runner a case whose count changes
+// between repetitions: the suite must fail rather than report it.
+func TestRunnerRejectsDrift(t *testing.T) {
+	calls := 0
+	drift := benchCase{name: "drift", build: func() (benchOp, error) {
+		return func() (result, error) {
+			calls++
+			return result{counts: map[string]any{"rounds": calls}, valid: true}, nil
+		}, nil
+	}}
+	if _, err := runCases("fake", []benchCase{drift}, true, ""); err == nil || !strings.Contains(err.Error(), "not deterministic") {
+		t.Fatalf("drifting counts were accepted (err = %v)", err)
+	}
+}
+
+func TestQuantile(t *testing.T) {
+	s := []float64{1, 2, 3, 4, 5}
+	if q1, med, q3 := quantile(s, 0.25), quantile(s, 0.5), quantile(s, 0.75); q1 != 2 || med != 3 || q3 != 4 {
+		t.Fatalf("quartiles %v %v %v", q1, med, q3)
+	}
+	if got := quantile([]float64{7}, 0.75); got != 7 {
+		t.Fatalf("single sample quantile %v", got)
+	}
+	if got := quantile([]float64{1, 2}, 0.5); got != 1.5 {
+		t.Fatalf("interpolated median %v", got)
 	}
 }

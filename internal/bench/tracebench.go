@@ -11,24 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
-// RunTraced executes the canonical traced solve — the algbench Δ=64 case
-// with an ldc-trace/v1 tracer installed — writes the JSONL stream to path
-// ('-' = stdout), and verifies that the per-round events reconcile exactly
-// with the final sim.Stats before returning. It is the acceptance check
-// behind `ldc-bench -trace` and the CI bench-smoke job: if the trace and
-// the stats ever disagree, the run fails rather than shipping a plausible
-// but wrong trace.
+// RunTraced executes the canonical traced solve — the oldc suite's Δ=64
+// case with an ldc-trace/v1 tracer installed — writes the JSONL stream to
+// path ('-' = stdout), and verifies that the per-round events reconcile
+// exactly with the final sim.Stats before returning. It is the acceptance
+// check behind `ldc-bench -trace` and the CI trace smoke step: if the
+// trace and the stats ever disagree, the run fails rather than shipping a
+// plausible but wrong trace.
 func RunTraced(path string) error {
-	var c algBenchCase
-	for _, cand := range algBenchCases {
-		if cand.delta == 64 {
-			c = cand
-		}
-	}
-	if c.n == 0 {
-		return fmt.Errorf("tracebench: no delta=64 case in algBenchCases")
-	}
-
+	c := tracedInstance
 	// Tee the trace into a buffer so reconciliation verifies the exact
 	// bytes written to the output file.
 	var buf bytes.Buffer
@@ -45,7 +36,7 @@ func RunTraced(path string) error {
 		w = io.MultiWriter(os.Stdout, &buf)
 	}
 
-	in, _ := algBenchInput(c)
+	in := c.input()
 	tr := obs.NewJSONL(w)
 	eng := sim.NewEngineWith(in.O.Graph(), sim.Options{Tracer: tr})
 	obs.EmitStart(tr, obs.RunInfo{Algo: "oldc", Graph: "regular", N: c.n, M: in.O.Graph().M(), MaxDegree: c.delta, Seed: 1})
@@ -70,7 +61,7 @@ func RunTraced(path string) error {
 	if err := obs.Reconcile(events); err != nil {
 		return fmt.Errorf("tracebench: trace does not reconcile with stats: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "tracebench: %s n=%d Δ=%d rounds=%d msgs=%d bits=%d — trace reconciles\n",
-		c.name, c.n, c.delta, stats.Rounds, stats.Messages, stats.TotalBits)
+	fmt.Fprintf(os.Stderr, "tracebench: solve n=%d Δ=%d rounds=%d msgs=%d bits=%d — trace reconciles\n",
+		c.n, c.delta, stats.Rounds, stats.Messages, stats.TotalBits)
 	return nil
 }

@@ -218,8 +218,8 @@ type Named struct {
 
 // Builtin returns the standard chaos-bench fault schedules over g, from
 // gentle i.i.d. loss to combined crash+loss+corruption adversaries. The
-// set is the robustness regression surface: ldc-bench -chaosbench runs
-// oldc.SolveRobust under each and records survival and repair effort.
+// set is the robustness regression surface: `ldc-bench -suite chaos`
+// runs oldc.SolveRobust under each and records survival and repair effort.
 func Builtin(g *graph.Graph, seed uint64) []Named {
 	heavyNode := 0
 	for v := 1; v < g.N(); v++ {

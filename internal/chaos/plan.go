@@ -234,8 +234,8 @@ type NamedPlan struct {
 	Plan *Plan
 }
 
-// BuiltinRecovery returns the standard kill/recovery plans ldc-bench
-// -recoverybench cycles through: single and repeated whole-process kills,
+// BuiltinRecovery returns the standard kill/recovery plans `ldc-bench
+// -suite recover` cycles through: single and repeated whole-process kills,
 // a shard kill, and a kill under wire loss. Built through ParsePlan so
 // the spec language itself is exercised.
 func BuiltinRecovery(g *graph.Graph, seed uint64) []NamedPlan {

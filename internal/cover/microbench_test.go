@@ -65,72 +65,6 @@ func BenchmarkPsiCount(b *testing.B) {
 	}
 }
 
-// --- bitset kernels (bitset.go) vs the slice reference above ---
-
-func BenchmarkMuGBits(b *testing.B) {
-	c, _ := benchSets(64, 1<<14, 1)
-	s := NewColorSet(c)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.MuG(i%(1<<14), 2)
-	}
-}
-
-func BenchmarkConflictWeightBitsG0(b *testing.B) {
-	c1, c2 := benchSets(64, 1<<14, 2)
-	s1, s2 := NewColorSet(c1), NewColorSet(c2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s1.ConflictWeight(s2, 0)
-	}
-}
-
-func BenchmarkConflictWeightBitsG2(b *testing.B) {
-	c1, c2 := benchSets(64, 1<<14, 3)
-	s1, s2 := NewColorSet(c1), NewColorSet(c2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s1.ConflictWeight(s2, 2)
-	}
-}
-
-func BenchmarkTauGConflictBits(b *testing.B) {
-	c1, c2 := benchSets(64, 1<<14, 4)
-	s1, s2 := NewColorSet(c1), NewColorSet(c2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s1.TauGConflict(s2, 2, 0)
-	}
-}
-
-// BenchmarkTauGConflictHybrid is the kernel the algorithms' hot path uses:
-// a small sorted slice probing a packed bitset.
-func BenchmarkTauGConflictHybrid(b *testing.B) {
-	c1, c2 := benchSets(64, 1<<14, 4)
-	s2 := NewColorSet(c2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		TauGConflictSet(c1, s2, 2, 0)
-	}
-}
-
-func BenchmarkPsiCountSets(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	mk := func(c int) []ColorSet {
-		fam := Family(Type{InitColor: c, List: randSet(rng, 256, 1<<14), SetSize: 32, NumSets: 16})
-		bits := make([]ColorSet, len(fam))
-		for i, s := range fam {
-			bits[i] = NewColorSet(s)
-		}
-		return bits
-	}
-	b1, b2 := mk(1), mk(2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		PsiCountSets(b1, b2, 2, 0)
-	}
-}
-
 // BenchmarkFamilyConflictMask measures the batched family-vs-family
 // conflict kernel with a reused kernel — the per-neighbor Phase I
 // operation that replaces NumSets separate TauGConflict sweeps.

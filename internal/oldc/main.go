@@ -33,29 +33,16 @@ import (
 //     C_v, counting exact colors of higher classes and candidate sets of
 //     non-ignored same-class out-neighbors.
 func Solve(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
-	alg, total, err := prepareTwoPhase(eng, in, opts)
+	p, err := prepareSolve(eng, in, opts)
 	if err != nil {
-		return nil, total, err
+		return nil, p.prep, err
 	}
-	obs.EmitPhase(eng.Tracer(), "oldc/two-phase", obs.Attrs{"h": alg.spec.h})
-	stats, err := eng.Run(alg, twoPhaseMaxRounds(alg.spec.h))
-	publishCacheStats(eng, alg.cache)
-	total = total.Add(stats)
+	stats, err := eng.RunFrom(p.alg, 0, p.MaxRounds(), p.prep)
 	if err != nil {
-		return nil, total, err
+		publishCacheStats(eng, p.alg.cache)
+		return nil, stats, err
 	}
-	phi := coloring.Assignment(alg.phi)
-	for v, c := range phi {
-		if c < 0 {
-			return nil, total, fmt.Errorf("oldc: node %d left uncolored", v)
-		}
-	}
-	if !opts.SkipValidate {
-		if err := coloring.CheckOLDC(in.O, in.Lists, phi); err != nil {
-			return nil, total, fmt.Errorf("oldc: Solve output invalid: %w", err)
-		}
-	}
-	return phi, total, nil
+	return p.Finish(stats)
 }
 
 // twoPhaseMaxRounds is the round budget Solve grants the Lemma 3.7

@@ -9,9 +9,9 @@ import (
 )
 
 // End-to-end Solve benchmarks on regular graphs across the degree range
-// the family cache and bitset kernels target. Each iteration is one full
+// the family cache and conflict kernel target. Each iteration is one full
 // run (γ-class selection, Phase I, Phase II) on a fresh engine; the
-// instance is built once. cmd/ldc-bench -algbench runs the larger
+// instance is built once. `ldc-bench -suite oldc` runs the larger
 // machine-readable suite (internal/bench) built the same way.
 func benchmarkSolve(b *testing.B, n, delta, space int, kappa float64, noCache bool) {
 	g := graph.RandomRegular(n, delta, 1)

@@ -28,12 +28,23 @@ type PreparedSolve struct {
 // the seam. It emits the same phase events Solve does, so a supervised
 // trace is byte-identical to an unsupervised one.
 func PrepareSolve(eng *sim.Engine, in Input, opts Options) (*PreparedSolve, error) {
-	alg, prep, err := prepareTwoPhase(eng, in, opts)
+	p, err := prepareSolve(eng, in, opts)
 	if err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// prepareSolve is PrepareSolve, except that a failed preparation still
+// returns the seam with the statistics it spent, which Solve reports.
+func prepareSolve(eng *sim.Engine, in Input, opts Options) (*PreparedSolve, error) {
+	alg, prep, err := prepareTwoPhase(eng, in, opts)
+	p := &PreparedSolve{alg: alg, eng: eng, in: in, opts: opts, prep: prep}
+	if err != nil {
+		return p, err
+	}
 	obs.EmitPhase(eng.Tracer(), "oldc/two-phase", obs.Attrs{"h": alg.spec.h})
-	return &PreparedSolve{alg: alg, eng: eng, in: in, opts: opts, prep: prep}, nil
+	return p, nil
 }
 
 // Algorithm returns the prepared two-phase algorithm. It implements
@@ -49,8 +60,8 @@ func (p *PreparedSolve) PrepStats() sim.Stats { return p.prep }
 // MaxRounds returns the round budget the two-phase stage needs.
 func (p *PreparedSolve) MaxRounds() int { return twoPhaseMaxRounds(p.alg.spec.h) }
 
-// Finish validates the completed run and returns the coloring, mirroring
-// the tail of Solve. runStats must be the RunFrom return value (which
+// Finish validates the completed run and returns the coloring; Solve ends
+// with it too. runStats must be the RunFrom return value (which
 // already includes the prior, i.e. preparation plus any resumed rounds).
 func (p *PreparedSolve) Finish(runStats sim.Stats) (coloring.Assignment, sim.Stats, error) {
 	publishCacheStats(p.eng, p.alg.cache)
