@@ -16,13 +16,15 @@ import (
 )
 
 // TestArbAllocBudget pins an allocation ceiling for one Theorem 1.3 driver
-// run on a (Δ+1)-coloring instance. With one map of residual counts per
-// node and a graph.Orient that sorted every arc list, the run made about
-// 80,200 allocations; with the flat counters and the sort-free Orient it
-// makes about 61,400. Putting back either the maps (about 67,500) or the
-// sort (about 74,100) trips the budget.
+// run on a (Δ+1)-coloring instance. With a Builder, a HasArc-closure
+// Orient and a member map per batch, an append-based graph.Orient and a
+// map of batch arc directions, the run made about 60,800 allocations; with
+// flat induced views, a flat Orient and the per-edge direction record it
+// makes about 11,980. Putting back the per-batch Builder path (about
+// 13,750), per-list appends in the induced views (about 22,840) or in
+// Orient (about 31,790) trips the budget.
 func TestArbAllocBudget(t *testing.T) {
-	const budget = 64000
+	const budget = 12500
 	g := graph.GNP(1024, 24.0/1023, 5)
 	init, m := bootstrap(t, g)
 	in := coloring.Standard(g)

@@ -98,27 +98,12 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 	}
 	phi := coloring.NewAssignment(n)
 	colorTime := make([]int, n) // global batch counter at coloring time
-	batchDir := map[[2]int]bool{}
+	arcs := newBatchArcs(g)
 	batch := 0
 	av := newResidualCounts(in)
-	recordColored := func(batchOrient *graph.Oriented, origOf []int, colored []int) {
+	recordColored := func(colored []int) {
 		for _, v := range colored {
 			colorTime[v] = batch
-		}
-		// Remember the intra-batch orientation for same-batch edges.
-		if batchOrient != nil {
-			for a := 0; a < batchOrient.N(); a++ {
-				for _, b := range batchOrient.Out(a) {
-					u, w := origOf[a], origOf[int(b)]
-					lo, hi := u, w
-					fwd := true
-					if lo > hi {
-						lo, hi = hi, lo
-						fwd = false
-					}
-					batchDir[[2]int{lo, hi}] = fwd
-				}
-			}
 		}
 		for _, v := range colored {
 			av.record(g, phi, v)
@@ -174,7 +159,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 				phi[v] = x
 			}
 			batch++
-			recordColored(nil, nil, unc)
+			recordColored(unc)
 			break
 		}
 		if subDelta > stageDegree {
@@ -219,13 +204,13 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 			}
 			batch++
 			obs.EmitPhase(cfg.Tracer, "arb/batch", obs.Attrs{"stage": res.Stages, "class": class, "members": len(members)})
-			st, orient2, origOf, colored, err := colorBatch(sub, orig, members, boot.Orient, in, av, phi, subInit, m, solve, cfg, newEng)
+			st, colored, err := colorBatch(orig, members, boot.Orient, in, av, phi, arcs, subInit, m, solve, cfg, newEng)
 			res.Stats = res.Stats.Add(st)
 			if err != nil {
 				return res, fmt.Errorf("arb: stage %d class %d: %w", res.Stages, class, err)
 			}
 			res.Batches++
-			recordColored(orient2, origOf, colored)
+			recordColored(colored)
 		}
 		// All remaining uncolored nodes have < stageDegree/2 uncolored
 		// neighbors now.
@@ -241,15 +226,11 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 		if colorTime[u] != colorTime[v] {
 			return colorTime[u] > colorTime[v]
 		}
-		lo, hi := u, v
-		if lo > hi {
-			lo, hi = hi, lo
+		if arcs.has(u, v) {
+			return true
 		}
-		if fwd, ok := batchDir[[2]int{lo, hi}]; ok {
-			if u == lo {
-				return fwd
-			}
-			return !fwd
+		if arcs.has(v, u) {
+			return false
 		}
 		return u > v
 	})
@@ -261,51 +242,44 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 	return res, nil
 }
 
-// colorBatch solves one OLDC sub-instance for the class members and writes
-// the colors into phi.
-func colorBatch(sub *graph.Graph, orig []int, members []int, bootOrient *graph.Oriented,
-	in *coloring.Instance, av *residualCounts, phi coloring.Assignment,
-	subInit []int, m int, solve Solver, cfg Config, newEng func(*graph.Graph) *sim.Engine) (sim.Stats, *graph.Oriented, []int, []int, error) {
+// colorBatch solves one OLDC sub-instance for the class members (stage
+// subgraph ids, ascending), writes the committed colors into phi, records
+// the batch orientation between committed members in arcs and returns the
+// committed nodes' original ids.
+func colorBatch(orig []int, members []int, bootOrient *graph.Oriented,
+	in *coloring.Instance, av *residualCounts, phi coloring.Assignment, arcs *batchArcs,
+	subInit []int, m int, solve Solver, cfg Config, newEng func(*graph.Graph) *sim.Engine) (sim.Stats, []int, error) {
 
 	var stats sim.Stats
-	// Induced subgraph of the class members inside the stage subgraph.
-	memberSet := make(map[int]int, len(members)) // sub-id → batch-id
-	for i, si := range members {
-		memberSet[si] = i
+	// The class members' subgraph with the orientation inherited from the
+	// arbdefective bootstrap.
+	batchO, _, err := graph.InducedOriented(bootOrient, members)
+	if err != nil {
+		return stats, nil, err
 	}
-	bg := graph.NewBuilder(len(members))
-	for i, si := range members {
-		for _, sj := range sub.Neighbors(si) {
-			if j, ok := memberSet[int(sj)]; ok && j > i {
-				bg.AddEdge(i, j)
-			}
-		}
-	}
-	batchG := bg.Build()
-	// Orientation inherited from the arbdefective bootstrap.
-	batchO := graph.Orient(batchG, func(a, b int) bool {
-		return bootOrient.HasArc(members[a], members[b])
-	})
 	// Residual lists: keep colors with a_v(x) ≤ d_v(x), defect shrunk by
-	// the colored neighbors.
+	// the colored neighbors. They are carved from two flat buffers sized
+	// for the full lists.
+	total := 0
+	for _, si := range members {
+		total += len(in.Lists[orig[si]].Colors)
+	}
+	cols, defs := make([]int, 0, total), make([]int, 0, total)
 	lists := make([]coloring.NodeList, len(members))
 	for i, si := range members {
 		v := orig[si]
-		var cols, defs []int
 		l := in.Lists[v]
-		counts := av.of(v)
-		for idx, x := range l.Colors {
-			d := l.Defect[idx]
-			a := int(counts[idx])
-			if a <= d {
-				cols = append(cols, x)
-				defs = append(defs, d-a)
+		start := len(cols)
+		for idx, a := range av.of(v) {
+			if d := l.Defect[idx]; int(a) <= d {
+				cols = append(cols, l.Colors[idx])
+				defs = append(defs, d-int(a))
 			}
 		}
-		if len(cols) == 0 {
-			return stats, nil, nil, nil, fmt.Errorf("arb: node %d has empty residual list", v)
+		if len(cols) == start {
+			return stats, nil, fmt.Errorf("arb: node %d has empty residual list", v)
 		}
-		lists[i] = coloring.NodeList{Colors: cols, Defect: defs}
+		lists[i] = coloring.NodeList{Colors: cols[start:len(cols):len(cols)], Defect: defs[start:len(defs):len(defs)]}
 	}
 	init := make([]int, len(members))
 	for i, si := range members {
@@ -314,10 +288,10 @@ func colorBatch(sub *graph.Graph, orig []int, members []int, bootOrient *graph.O
 	opts := cfg.Opts
 	opts.SkipValidate = true // validated globally at the end
 	oin := oldc.Input{O: batchO, SpaceSize: in.SpaceSize, Lists: lists, InitColors: init, M: m}
-	asg, st, err := solve(newEng(batchG), oin, opts)
+	asg, st, err := solve(newEng(batchO.Graph()), oin, opts)
 	stats = stats.Add(st)
 	if err != nil {
-		return stats, nil, nil, nil, err
+		return stats, nil, err
 	}
 	// Commit only the defect-respecting subset of the batch. At laptop
 	// scale the practical parameter profile cannot afford the paper's full
@@ -345,12 +319,6 @@ func colorBatch(sub *graph.Graph, orig []int, members []int, bootOrient *graph.O
 			violating[i] = true
 		}
 	}
-	// origOf is the full member→original mapping (recordColored uses it to
-	// translate the batch orientation); colored is the committed subset.
-	origOf := make([]int, len(members))
-	for i, si := range members {
-		origOf[i] = orig[si]
-	}
 	colored := make([]int, 0, len(members))
 	for i, si := range members {
 		if violating[i] {
@@ -359,8 +327,45 @@ func colorBatch(sub *graph.Graph, orig []int, members []int, bootOrient *graph.O
 		v := orig[si]
 		colored = append(colored, v)
 		phi[v] = asg[i]
+		for _, j := range batchO.Out(i) {
+			if !violating[j] {
+				arcs.add(v, orig[members[j]])
+			}
+		}
 	}
-	return stats, batchO, origOf, colored, nil
+	return stats, colored, nil
+}
+
+// batchArcs is the Theorem 1.3 driver's record of the direction each batch
+// orientation gave the edges between the members it committed: one flag
+// per adjacency slot of the input graph, set[off[u]+i] iff the batch arc
+// u→g.Neighbors(u)[i] was committed. A committed node never joins a later
+// batch, so the batch that colors both endpoints of an edge is the only
+// one that records it — the edges whose endpoints share a coloring time.
+type batchArcs struct {
+	g   *graph.Graph
+	off []int
+	set []bool
+}
+
+func newBatchArcs(g *graph.Graph) *batchArcs {
+	off := make([]int, g.N()+1)
+	for v := 0; v < g.N(); v++ {
+		off[v+1] = off[v] + g.Degree(v)
+	}
+	return &batchArcs{g: g, off: off, set: make([]bool, off[g.N()])}
+}
+
+// add records the arc u→w; {u, w} must be an edge of g.
+func (b *batchArcs) add(u, w int) {
+	i, _ := slices.BinarySearch(b.g.Neighbors(u), int32(w))
+	b.set[b.off[u]+i] = true
+}
+
+// has reports whether the arc u→w was recorded.
+func (b *batchArcs) has(u, w int) bool {
+	i, ok := slices.BinarySearch(b.g.Neighbors(u), int32(w))
+	return ok && b.set[b.off[u]+i]
 }
 
 // fallbackSchedule colors all remaining uncolored nodes deterministically:
@@ -432,14 +437,23 @@ type residualCounts struct {
 	lists []coloring.NodeList
 	off   []int   // node v's counters are cnt[off[v]:off[v+1]]
 	cnt   []int32 // parallel to the concatenated lists' Colors
+	// run[v] is L_v's first color when L_v is a run of consecutive colors
+	// (every list of the standard instance), else −1: record then finds a
+	// color's counter without reading the neighbor's list.
+	run []int
 }
 
 func newResidualCounts(in *coloring.Instance) *residualCounts {
 	off := make([]int, len(in.Lists)+1)
+	run := make([]int, len(in.Lists))
 	for v, l := range in.Lists {
 		off[v+1] = off[v] + len(l.Colors)
+		run[v] = -1
+		if k := len(l.Colors); k > 0 && l.Colors[k-1]-l.Colors[0] == k-1 {
+			run[v] = l.Colors[0]
+		}
 	}
-	return &residualCounts{lists: in.Lists, off: off, cnt: make([]int32, off[len(in.Lists)])}
+	return &residualCounts{lists: in.Lists, off: off, cnt: make([]int32, off[len(in.Lists)]), run: run}
 }
 
 // of returns v's counters, parallel to in.Lists[v].Colors.
@@ -453,7 +467,11 @@ func (r *residualCounts) record(g *graph.Graph, phi coloring.Assignment, v int) 
 		if phi[u] != coloring.Unset {
 			continue
 		}
-		if i, ok := slices.BinarySearch(r.lists[u].Colors, x); ok {
+		if b := r.run[u]; b >= 0 {
+			if i := x - b; i >= 0 && i < r.off[u+1]-r.off[u] {
+				r.cnt[r.off[u]+i]++
+			}
+		} else if i, ok := slices.BinarySearch(r.lists[u].Colors, x); ok {
 			r.cnt[r.off[u]+i]++
 		}
 	}

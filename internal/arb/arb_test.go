@@ -1,6 +1,7 @@
 package arb
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/coloring"
@@ -114,6 +115,61 @@ func TestPickResidualColor(t *testing.T) {
 	for v := 1; v < g.N(); v++ {
 		if got := av.of(v); got[0] != 0 || got[1] != 0 {
 			t.Fatalf("colored leaf %d counted %v", v, got)
+		}
+	}
+}
+
+// TestResidualCountsMatchBruteForce colors a random graph's nodes one by
+// one and compares every uncolored node's counters with a direct count of
+// its colored neighbors, over lists that are runs of consecutive colors
+// (found by offset) and lists with one or more holes (found by binary
+// search), with colors below, inside and above each list.
+func TestResidualCountsMatchBruteForce(t *testing.T) {
+	const space = 24
+	rng := rand.New(rand.NewSource(5))
+	g := graph.GNP(60, 0.2, 5)
+	in := &coloring.Instance{G: g, SpaceSize: space, Lists: make([]coloring.NodeList, g.N())}
+	for v := range in.Lists {
+		var cols []int
+		switch lo, k := rng.Intn(space/2), 3+rng.Intn(space/2-2); v % 3 {
+		case 0: // a run
+			for x := lo; x < lo+k; x++ {
+				cols = append(cols, x)
+			}
+		case 1: // a run with one hole
+			hole := lo + 1 + rng.Intn(k-2)
+			for x := lo; x < lo+k; x++ {
+				if x != hole {
+					cols = append(cols, x)
+				}
+			}
+		default: // gaps of up to two colors
+			for x := rng.Intn(3); x < space; x += 1 + rng.Intn(3) {
+				cols = append(cols, x)
+			}
+		}
+		in.Lists[v] = coloring.NodeList{Colors: cols, Defect: make([]int, len(cols))}
+	}
+	av := newResidualCounts(in)
+	phi := coloring.NewAssignment(g.N())
+	for _, v := range rng.Perm(g.N()) {
+		phi[v] = rng.Intn(space)
+		av.record(g, phi, v)
+		for u := 0; u < g.N(); u++ {
+			if phi[u] != coloring.Unset {
+				continue
+			}
+			for i, x := range in.Lists[u].Colors {
+				want := 0
+				for _, w := range g.Neighbors(u) {
+					if phi[w] == x {
+						want++
+					}
+				}
+				if got := int(av.of(u)[i]); got != want {
+					t.Fatalf("after coloring %d: a_%d(%d) = %d, want %d", v, u, x, got, want)
+				}
+			}
 		}
 	}
 }

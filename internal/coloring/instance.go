@@ -216,14 +216,17 @@ func DegreePlusOne(g *graph.Graph, spaceSize int, seed int64) *Instance {
 // Standard returns the standard (Δ+1)-coloring instance: every node has
 // list {0..Δ} with zero defects.
 func Standard(g *graph.Graph) *Instance {
-	delta := g.MaxDegree()
-	colors := make([]int, delta+1)
-	for i := range colors {
-		colors[i] = i
-	}
-	in := &Instance{G: g, SpaceSize: delta + 1, Lists: make([]NodeList, g.N())}
+	k := g.MaxDegree() + 1
+	// Every node owns a segment of two flat arrays, capped so that an
+	// append to one list reallocates instead of overwriting the next.
+	colors, defects := make([]int, g.N()*k), make([]int, g.N()*k)
+	in := &Instance{G: g, SpaceSize: k, Lists: make([]NodeList, g.N())}
 	for v := range in.Lists {
-		in.Lists[v] = NodeList{Colors: append([]int(nil), colors...), Defect: make([]int, delta+1)}
+		c := colors[v*k : (v+1)*k : (v+1)*k]
+		for i := range c {
+			c[i] = i
+		}
+		in.Lists[v] = NodeList{Colors: c, Defect: defects[v*k : (v+1)*k : (v+1)*k]}
 	}
 	return in
 }

@@ -90,17 +90,29 @@ func CheckOLDCGap(o *graph.Oriented, lists []NodeList, phi Assignment, g int) er
 }
 
 // CheckArb validates a list arbdefective coloring: the coloring together
-// with the output orientation must be a valid OLDC.
+// with the output orientation must be a valid OLDC of the instance's graph.
 func CheckArb(in *Instance, phi Assignment, orient *graph.Oriented) error {
-	if orient.Graph() != in.G {
-		// Allow structurally equal graphs from subgraph workflows, but the
-		// orientation must at least agree on the vertex count.
-		if orient.N() != in.G.N() {
-			return fmt.Errorf("coloring: orientation over %d nodes, instance has %d", orient.N(), in.G.N())
-		}
+	g := orient.Graph()
+	if g != in.G && (g.N() != in.G.N() || g.M() != in.G.M()) {
+		return fmt.Errorf("coloring: orientation over %d nodes and %d edges, instance has %d and %d",
+			g.N(), g.M(), in.G.N(), in.G.M())
 	}
 	if err := orient.Validate(); err != nil {
 		return err
+	}
+	if g != in.G {
+		// A structurally equal graph from a subgraph workflow is allowed:
+		// Validate put every arc on an edge of g, so an arc on every edge
+		// of in.G, with the edge counts equal, makes the edge sets equal.
+		var err error
+		in.G.ForEachEdge(func(u, v int) {
+			if err == nil && !orient.HasArc(u, v) && !orient.HasArc(v, u) {
+				err = fmt.Errorf("coloring: instance edge {%d,%d} has no arc in the orientation", u, v)
+			}
+		})
+		if err != nil {
+			return err
+		}
 	}
 	return CheckOLDC(orient, in.Lists, phi)
 }

@@ -55,6 +55,34 @@ func TestCheckArbDirect(t *testing.T) {
 	}
 }
 
+// TestCheckArbRejectsForeignOrientation pins that an orientation of a
+// different graph cannot certify an instance: neither an edgeless graph nor
+// one with as many edges in other places, while a structurally equal copy
+// of the instance's graph still can.
+func TestCheckArbRejectsForeignOrientation(t *testing.T) {
+	g := graph.Path(3) // 0-1-2
+	in := &Instance{G: g, SpaceSize: 2, Lists: make([]NodeList, 3)}
+	for v := range in.Lists {
+		in.Lists[v] = NodeList{Colors: []int{0, 1}, Defect: []int{0, 0}}
+	}
+	mono := Assignment{0, 0, 0}
+	for _, other := range []*graph.Graph{
+		graph.NewBuilder(3).Build(),
+		graph.NewBuilder(3).AddEdge(0, 1).AddEdge(0, 2).Build(),
+	} {
+		if err := CheckArb(in, mono, graph.OrientByID(other)); err == nil {
+			t.Fatalf("orientation of a graph with edges %d accepted a monochromatic path", other.M())
+		}
+	}
+	same := graph.NewBuilder(3).AddEdge(1, 2).AddEdge(0, 1).Build()
+	if err := CheckArb(in, Assignment{0, 1, 0}, graph.OrientByID(same)); err != nil {
+		t.Fatalf("structurally equal graph: %v", err)
+	}
+	if err := CheckArb(in, mono, graph.OrientByID(same)); err == nil {
+		t.Fatal("structurally equal graph accepted a monochromatic path")
+	}
+}
+
 func TestCheckProperListDirect(t *testing.T) {
 	g := graph.Path(2)
 	in := &Instance{G: g, SpaceSize: 4, Lists: []NodeList{

@@ -28,11 +28,12 @@ import (
 // reduction is pinned on a field large enough for the exit to skip most
 // points.
 const (
-	digestDeltaGNP       = "5cd979a8a5ceb567"
-	digestDeltaPowerLaw  = "d499ee75b41052a8"
-	digestListDefects    = "f318899374b25d88"
-	digestViaDefective   = "464722fd6a9f7751"
-	digestFallbackDriver = "9aae377d434d46e7"
+	digestDeltaGNP          = "5cd979a8a5ceb567"
+	digestDeltaPowerLaw     = "d499ee75b41052a8"
+	digestListDefects       = "f318899374b25d88"
+	digestViaDefective      = "464722fd6a9f7751"
+	digestFallbackDriver    = "9aae377d434d46e7"
+	digestDriverOrientation = "b4211bdbcc176e0a"
 )
 
 // digest hashes the %#v rendering of each part (byte slices raw), so any
@@ -139,4 +140,30 @@ func TestGoldenFallbackDriver(t *testing.T) {
 		t.Fatal("the run never reached the fallback schedule")
 	}
 	checkDigest(t, "fallback driver", digest(res.Phi, outLists(res.Orient), res.Stats, res.Stages, res.Batches, buf.Bytes()), digestFallbackDriver)
+}
+
+// TestGoldenDriverOrientation pins the orientation the Theorem 1.3
+// driver's main path certifies its arbdefects with: later-colored →
+// earlier, same-batch edges along the batch orientation, the rest by id.
+// The Theorem 1.4 goldens hash congest.Result, which drops
+// arb.Result.Orient. A batch orientation is the stage bootstrap's, which
+// agrees with id order unless a row-shift node settled late. On this
+// graph, with class factor 4, 8 of the 1,086 same-batch edges disagree, so
+// the digest also sees the driver's record of batch arc directions.
+func TestGoldenDriverOrientation(t *testing.T) {
+	g := graph.GNP(2048, 96.0/2047, 3)
+	init, m := idBootstrap(t, g)
+	var buf bytes.Buffer
+	tr := obs.NewJSONL(&buf)
+	res, err := arb.SolveListArbdefective(g, coloring.Standard(g), init, m, oldc.Solve, arb.Config{ClassFactor: 4, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"arb/fallback"`)) {
+		t.Fatal("the run reached the fallback schedule")
+	}
+	checkDigest(t, "driver orientation", digest(res.Phi, outLists(res.Orient), res.Stats, res.Stages, res.Batches), digestDriverOrientation)
 }

@@ -1,7 +1,7 @@
 package cover
 
 import (
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -38,13 +38,15 @@ func NewCachedFamily(t Type) *CachedFamily {
 // deriveFamily fills f with the family of t. The set contents replay
 // Family(t) exactly — same seed, same partial Fisher–Yates draw order — so
 // the cached form is bit-identical to the reference derivation; the
-// compact membership index is built from the pre-sort positions as a side
+// compact membership index is built from the drawn positions as a side
 // product (via a reusable full-length scratch mask). Where Family refills
 // the whole index permutation for every set, this undoes each set's
 // SetSize swaps instead, which restores the identity permutation the next
-// set's draws start from. Backing storage is carved from the arena when
-// one is given (the caller must hold the cache lock) and freshly
-// allocated otherwise. f.List aliases t.List.
+// set's draws start from. Where Family sorts each set, this marks the
+// drawn positions in a bitmap and reads them back in position order: the
+// list ascends, so position order is color order. Backing storage is
+// carved from the arena when one is given (the caller must hold the cache
+// lock) and freshly allocated otherwise. f.List aliases t.List.
 func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 	setSize := t.SetSize
 	if setSize > len(t.List) {
@@ -66,10 +68,11 @@ func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 	for i := range idx {
 		idx[i] = i
 	}
+	drawn := a.bitmapScratch(len(t.List))
 	for s := range f.Sets {
 		// Partial Fisher–Yates: the first SetSize entries become a uniform
 		// subset (identical draws to Family). set[i] holds swap i's partner
-		// until the undo below replaces it with the drawn color.
+		// until the undo below.
 		set := a.ints(setSize)
 		for i := range set {
 			j := i + int(rng.next()%uint64(len(idx)-i))
@@ -79,15 +82,27 @@ func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 		// Undo the swaps last to first. Before swap i is undone the index
 		// is as swap i left it, and no later swap touches position i, so
 		// idx[i] is the drawn position.
+		lo, hi := len(drawn), 0
 		for i := setSize - 1; i >= 0; i-- {
-			j := set[i]
-			set[i] = t.List[idx[i]]
+			p := idx[i]
+			drawn[p>>6] |= 1 << uint(p&63)
+			lo, hi = min(lo, p>>6), max(hi, p>>6)
 			if useMask {
-				colMask[idx[i]] |= 1 << uint(s)
+				colMask[p] |= 1 << uint(s)
 			}
+			j := set[i]
 			idx[i], idx[j] = idx[j], idx[i]
 		}
-		sort.Ints(set)
+		// Read the drawn positions back in ascending order, clearing the
+		// bitmap for the next set.
+		k := 0
+		for wi := lo; wi <= hi; wi++ {
+			for wd := drawn[wi]; wd != 0; wd &= wd - 1 {
+				set[k] = t.List[wi<<6|bits.TrailingZeros64(wd)]
+				k++
+			}
+			drawn[wi] = 0
+		}
 		f.Sets[s] = set
 	}
 	if useMask {
@@ -121,6 +136,7 @@ type familyArena struct {
 	fams    []CachedFamily
 	idx     []int    // reusable Fisher–Yates scratch, not carved
 	mask    []uint64 // reusable per-position membership scratch, not carved
+	bitmap  []uint64 // reusable drawn-position bitmap, not carved, kept zeroed
 	bytes   int64    // total reserved chunk bytes, for observability
 }
 
@@ -210,6 +226,20 @@ func (a *familyArena) indexScratch(n int) []int {
 		a.bytes += int64(n) * 8
 	}
 	return a.idx[:n]
+}
+
+// bitmapScratch returns a reusable zeroed bitmap of n bits. Users must
+// leave it zeroed.
+func (a *familyArena) bitmapScratch(n int) []uint64 {
+	words := (n + 63) / 64
+	if a == nil {
+		return make([]uint64, words)
+	}
+	if cap(a.bitmap) < words {
+		a.bitmap = make([]uint64, words)
+		a.bytes += int64(words) * 8
+	}
+	return a.bitmap[:words]
 }
 
 // maskScratch returns a reusable zeroed length-n mask buffer (derivation

@@ -93,3 +93,26 @@ func BenchmarkFamilyCacheHit(b *testing.B) {
 		c.Get(ty)
 	}
 }
+
+// BenchmarkDeriveFamily times one cached-form derivation, the FamilyCache
+// miss path, through a shared arena: a Theorem 1.4 batch list of a Δ≈96
+// graph, a mid-size list, and the Δ=128 OLDC instance's shape (lists of
+// thousands of colors, 8 sets of 64).
+func BenchmarkDeriveFamily(b *testing.B) {
+	for _, c := range []struct {
+		name                   string
+		list, setSize, numSets int
+	}{{"list97", 97, 12, 16}, {"list256", 256, 32, 16}, {"list4000", 4000, 64, 8}} {
+		b.Run(c.name, func(b *testing.B) {
+			list := randSet(rand.New(rand.NewSource(5)), c.list, 1<<15)
+			var a familyArena
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%4096 == 0 {
+					a = familyArena{} // bound the arena's growth
+				}
+				deriveFamily(Type{InitColor: i, List: list, SetSize: c.setSize, NumSets: c.numSets}, a.family(), &a)
+			}
+		})
+	}
+}

@@ -1,0 +1,53 @@
+//go:build !race
+
+// The race detector makes sync.Pool drop items at random, so the pooled
+// index of the induced views would show up as allocations; these guards
+// run without it.
+
+package graph
+
+import "testing"
+
+// TestInducedViewAllocs pins that Orient, InducedSubgraph and
+// InducedOriented allocate a constant number of times, whatever the graph's
+// size: their lists are carved from flat arrays. With per-vertex appends,
+// a Builder and a per-list sort they made several allocations per vertex.
+func TestInducedViewAllocs(t *testing.T) {
+	for _, n := range []int{64, 2048} {
+		g := GNP(n, 16.0/float64(n-1), 3)
+		o := OrientByID(g)
+		sym := OrientSymmetric(g)
+		var half []int
+		for v := 0; v < n; v += 2 {
+			half = append(half, v)
+		}
+		for _, c := range []struct {
+			name   string
+			budget float64
+			run    func()
+		}{
+			// The result, its two list-header tables, the flat array and
+			// two fill cursors.
+			{"Orient", 6, func() { Orient(g, func(u, v int) bool { return u > v }) }},
+			// The result, the id map, the header table and the flat array.
+			{"InducedSubgraph", 4, func() { g.InducedSubgraph(half) }},
+			// Two results, the id map and three header tables and flat
+			// arrays.
+			{"InducedOriented", 9, func() {
+				if _, _, err := InducedOriented(sym, half); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"InducedOriented/by-id", 9, func() {
+				if _, _, err := InducedOriented(o, half); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			c.run() // warm the pooled index
+			if allocs := testing.AllocsPerRun(20, c.run); allocs > c.budget {
+				t.Errorf("%s on n=%d made %.1f allocations per call, budget %.0f", c.name, n, allocs, c.budget)
+			}
+		}
+	}
+}

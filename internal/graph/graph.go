@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -125,7 +126,8 @@ func (g *Graph) ForEachEdge(f func(u, v int)) {
 // contain duplicates — like the Builder's edge checks, a duplicate is a
 // programmer error and panics (it formerly corrupted the result
 // silently). The translation table is a pooled index slice shared with
-// InducedOriented rather than a per-call map.
+// InducedOriented rather than a per-call map, and the adjacency lists are
+// carved from one flat array (see filterLists).
 func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int) {
 	sc := acquireIndex(g.n)
 	defer sc.release(vs)
@@ -137,15 +139,50 @@ func (g *Graph) InducedSubgraph(vs []int) (*Graph, []int) {
 		sc.idx[v] = int32(i)
 		orig[i] = v
 	}
-	b := NewBuilder(len(vs))
+	adj, half := filterLists(g.adj, vs, sc.idx)
+	return &Graph{n: len(vs), adj: adj, m: half / 2}, orig
+}
+
+// filterLists returns, for each vertex vs[i], the list lists[vs[i]]
+// restricted to vertices with an index entry and renamed through idx,
+// together with the total entry count. The lists share one flat backing
+// array; each is capped at its own segment, so appending to one (the
+// Oriented mutation API inserts in place) reallocates it instead of
+// overwriting its neighbor's, and an empty list stays nil, as a Builder
+// or an append loop leaves it. Sorted input lists stay sorted when vs
+// ascends, since renaming then preserves order; otherwise each list is
+// sorted in place.
+func filterLists(lists [][]int32, vs []int, idx []int32) ([][]int32, int) {
+	// Both passes test membership without a branch (1 + idx>>31 is 1 for
+	// a member and 0 for the −1 of a non-member): whether a neighbor
+	// survives is a coin flip the branch predictor cannot learn. The fill
+	// pass writes every candidate and advances past members only, into one
+	// slot of slack.
+	total := 0
+	for _, v := range vs {
+		for _, w := range lists[v] {
+			total += int(1 + idx[w]>>31)
+		}
+	}
+	ascending := slices.IsSorted(vs)
+	flat := make([]int32, total+1)
+	out := make([][]int32, len(vs))
+	k := 0
 	for i, v := range vs {
-		for _, w := range g.adj[v] {
-			if j := sc.idx[int(w)]; j > int32(i) {
-				b.AddEdge(i, int(j))
+		start := k
+		for _, w := range lists[v] {
+			j := idx[w]
+			flat[k] = j
+			k += int(1 + j>>31)
+		}
+		if k > start {
+			out[i] = flat[start:k:k]
+			if !ascending {
+				slices.Sort(out[i])
 			}
 		}
 	}
-	return b.Build(), orig
+	return out, total
 }
 
 // LineGraph returns the line graph L(G): one vertex per edge of g, two

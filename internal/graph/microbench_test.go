@@ -42,3 +42,28 @@ func BenchmarkLineGraph(b *testing.B) {
 		g.LineGraph()
 	}
 }
+
+// BenchmarkInducedSubgraph times the induced view of a G(n,p) graph,
+// n=16384 and average degree 64, on every vertex and on a random third.
+func BenchmarkInducedSubgraph(b *testing.B) {
+	g := GNP(16384, 64.0/16383, 1)
+	all := make([]int, g.N())
+	var third []int
+	for v := range all {
+		all[v] = v
+		if v%3 == 0 {
+			third = append(third, v)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		vs   []int
+	}{{"all", all}, {"third", third}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.InducedSubgraph(c.vs)
+			}
+		})
+	}
+}

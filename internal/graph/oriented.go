@@ -3,6 +3,7 @@ package graph
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -19,23 +20,56 @@ type Oriented struct {
 // Orient orients g using dir: dir(u, v) must return true iff the edge
 // {u, v} is oriented u→v, and must be antisymmetric.
 //
-// The arc lists come out sorted without a sort: ForEachEdge visits edges
-// in (u, v) order over sorted adjacency, so every arc appended to vertex
-// x's lists while visiting some u < x names u itself (ascending in u), and
-// every arc appended while visiting x names some v > x (ascending in v).
-// Each list is therefore its below-x part followed by its above-x part,
-// both ascending.
+// Each edge yields exactly one arc, so a vertex's out- and in-degrees sum
+// to its degree: the arc lists are carved from one degree-sized flat
+// array, vertex x owning a segment of deg(x) slots that its out-arcs fill
+// from the left and its in-arcs from the right. Every list is capped at
+// its own part, so the mutation API's in-place inserts reallocate instead
+// of overwriting, and an empty list stays nil. The lists come out sorted
+// without a sort: edges are visited in (u, v) order over sorted adjacency,
+// so every arc added to x's lists while visiting some u < x names u itself
+// (ascending in u), and every arc added while visiting x names some v > x
+// (ascending in v). Each list is therefore its below-x part followed by
+// its above-x part, both ascending — reversed for the in-arcs, which fill
+// their part backwards.
 func Orient(g *Graph, dir func(u, v int) bool) *Oriented {
-	o := &Oriented{g: g, out: make([][]int32, g.N()), in: make([][]int32, g.N())}
-	g.ForEachEdge(func(u, v int) {
-		if dir(u, v) {
-			o.out[u] = append(o.out[u], int32(v))
-			o.in[v] = append(o.in[v], int32(u))
-		} else {
-			o.out[v] = append(o.out[v], int32(u))
-			o.in[u] = append(o.in[u], int32(v))
+	n := g.N()
+	o := &Oriented{g: g, out: make([][]int32, n), in: make([][]int32, n)}
+	outEnd := make([]int, n)  // one past x's last out-arc
+	inStart := make([]int, n) // x's first in-arc
+	deg := 0
+	for x := 0; x < n; x++ {
+		outEnd[x] = deg
+		deg += len(g.adj[x])
+		inStart[x] = deg
+	}
+	flat := make([]int32, deg)
+	for u := 0; u < n; u++ {
+		for _, w := range g.adj[u] {
+			if v := int(w); v > u {
+				from, to := u, v
+				if !dir(u, v) {
+					from, to = v, u
+				}
+				flat[outEnd[from]] = int32(to)
+				outEnd[from]++
+				inStart[to]--
+				flat[inStart[to]] = int32(from)
+			}
 		}
-	})
+	}
+	start := 0
+	for x := 0; x < n; x++ {
+		end := start + len(g.adj[x])
+		if mid := outEnd[x]; mid > start {
+			o.out[x] = flat[start:mid:mid]
+		}
+		if mid := inStart[x]; end > mid {
+			o.in[x] = flat[mid:end:end]
+			slices.Reverse(o.in[x])
+		}
+		start = end
+	}
 	return o
 }
 
@@ -119,8 +153,10 @@ func degeneracyOrder(g *Graph) []int {
 // wrapped ErrDuplicateVertex (it formerly produced a silently corrupt
 // subgraph). Out-of-range vertices are reported as ErrVertexRange. The
 // translation table is a pooled index slice rather than a per-call map —
-// this function runs on every repair retry of SolveRobust and on every
-// mutation batch of the recoloring service.
+// this function runs on every batch of the Theorem 1.3 driver, on every
+// repair retry of SolveRobust and on every mutation batch of the
+// recoloring service — and the adjacency, out- and in-lists are each
+// carved from one flat array (see filterLists).
 func InducedOriented(o *Oriented, vs []int) (*Oriented, []int, error) {
 	n := o.N()
 	sc := acquireIndex(n)
@@ -136,26 +172,13 @@ func InducedOriented(o *Oriented, vs []int) (*Oriented, []int, error) {
 		sc.idx[v] = int32(i)
 		orig[i] = v
 	}
-	// Every underlying edge carries at least one arc (Validate pins this),
-	// so the surviving arcs determine the induced subgraph's edges; the
-	// Builder dedupes the symmetric case where both directions survive.
-	b := NewBuilder(len(vs))
-	res := &Oriented{out: make([][]int32, len(vs)), in: make([][]int32, len(vs))}
-	for i, v := range vs {
-		for _, w := range o.out[v] {
-			if j := sc.idx[int(w)]; j >= 0 {
-				res.out[i] = append(res.out[i], j)
-				res.in[j] = append(res.in[j], int32(i))
-				b.AddEdge(i, int(j))
-			}
-		}
-	}
-	res.g = b.Build()
-	for v := range res.out {
-		sort.Slice(res.out[v], func(i, j int) bool { return res.out[v][i] < res.out[v][j] })
-		sort.Slice(res.in[v], func(i, j int) bool { return res.in[v][i] < res.in[v][j] })
-	}
-	return res, orig, nil
+	// Every underlying edge carries at least one arc and every arc lies on
+	// an edge (Validate pins both), so the induced subgraph's edges are the
+	// parent's edges between survivors.
+	adj, half := filterLists(o.g.adj, vs, sc.idx)
+	out, _ := filterLists(o.out, vs, sc.idx)
+	in, _ := filterLists(o.in, vs, sc.idx)
+	return &Oriented{g: &Graph{n: len(vs), adj: adj, m: half / 2}, out: out, in: in}, orig, nil
 }
 
 // Graph returns the underlying undirected graph.
@@ -202,22 +225,40 @@ func (o *Oriented) HasArc(u, v int) bool {
 // Validate checks that the orientation covers each underlying edge at least
 // once (OrientSymmetric covers both directions) and introduces no foreign
 // arcs.
+//
+// Both checks are merge walks over the sorted lists, with no search. Edges
+// {u, v}, u < v, are visited by ascending u, so the cursor into out[v]
+// that looks for the arc v→u only ever moves forward.
 func (o *Oriented) Validate() error {
-	var err error
-	o.g.ForEachEdge(func(u, v int) {
-		if err != nil {
-			return
+	n := o.N()
+	back := make([]int, n) // back[v]: cursor into out[v]
+	for u := 0; u < n; u++ {
+		out, k := o.out[u], 0
+		for _, w := range o.g.adj[u] {
+			v := int(w)
+			if v <= u {
+				continue
+			}
+			for k < len(out) && out[k] < w {
+				k++
+			}
+			ov, j := o.out[v], back[v]
+			for j < len(ov) && int(ov[j]) < u {
+				j++
+			}
+			back[v] = j
+			if (k == len(out) || out[k] != w) && (j == len(ov) || int(ov[j]) != u) {
+				return fmt.Errorf("oriented: edge {%d,%d} has no arc", u, v)
+			}
 		}
-		if !o.HasArc(u, v) && !o.HasArc(v, u) {
-			err = fmt.Errorf("oriented: edge {%d,%d} has no arc", u, v)
-		}
-	})
-	if err != nil {
-		return err
 	}
-	for u := 0; u < o.N(); u++ {
+	for u := 0; u < n; u++ {
+		adj, i := o.g.adj[u], 0
 		for _, v := range o.out[u] {
-			if !o.g.HasEdge(u, int(v)) {
+			for i < len(adj) && adj[i] < v {
+				i++
+			}
+			if i == len(adj) || adj[i] != v {
 				return fmt.Errorf("oriented: arc %d->%d has no underlying edge", u, v)
 			}
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -208,5 +209,62 @@ func TestOrientListsSorted(t *testing.T) {
 			t.Fatalf("seed %d: mutated graph: %v", seed, err)
 		}
 		check("mutated")
+	}
+}
+
+// refValidate is the search-based check Validate's merge walks replaced.
+func refValidate(o *Oriented) error {
+	var err error
+	o.g.ForEachEdge(func(u, v int) {
+		if err == nil && !o.HasArc(u, v) && !o.HasArc(v, u) {
+			err = fmt.Errorf("oriented: edge {%d,%d} has no arc", u, v)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for u := 0; u < o.N(); u++ {
+		for _, v := range o.out[u] {
+			if !o.g.HasEdge(u, int(v)) {
+				return fmt.Errorf("oriented: arc %d->%d has no underlying edge", u, v)
+			}
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesReference corrupts random orientations — an arc
+// dropped, a foreign arc added, or both — and checks that Validate reports
+// exactly what the search-based reference reports.
+func TestValidateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 400; iter++ {
+		n := 2 + rng.Intn(30)
+		g := GNP(n, rng.Float64()*0.5, int64(iter))
+		var o *Oriented
+		switch iter % 3 {
+		case 0:
+			o = OrientByID(g)
+		case 1:
+			o = OrientDegeneracy(g)
+		default:
+			o = OrientSymmetric(g)
+			o = &Oriented{g: g, out: slices.Clone(o.out), in: o.in}
+		}
+		u := rng.Intn(n)
+		if iter%4 != 1 && len(o.out[u]) > 0 { // drop an arc
+			i := rng.Intn(len(o.out[u]))
+			o.out[u] = slices.Delete(slices.Clone(o.out[u]), i, i+1)
+		}
+		if iter%4 != 0 { // add an arc, foreign unless it lands on an edge
+			v := int32(rng.Intn(n))
+			if i, found := slices.BinarySearch(o.out[u], v); !found && int(v) != u {
+				o.out[u] = slices.Insert(slices.Clone(o.out[u]), i, v)
+			}
+		}
+		got, want := o.Validate(), refValidate(o)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("iter %d: Validate %v, reference %v", iter, got, want)
+		}
 	}
 }

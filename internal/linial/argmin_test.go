@@ -12,10 +12,14 @@ import (
 
 // argminSteps are the steps FuzzReduceArgmin draws from: the tiny fields of
 // a schedule's last steps up to the GF(127) proper step that a Δ≈96
-// graph's second stage runs.
+// graph's second stage runs, then the defective steps the Theorem 1.4
+// pipeline runs on G(16384, 64/16383): (7,4) is stage 1's only step, the
+// others come from later stages.
 var argminSteps = []stepParams{
 	{q: 2, deg: 1}, {q: 2, deg: 4}, {q: 3, deg: 2}, {q: 5, deg: 4}, {q: 7, deg: 3},
 	{q: 11, deg: 2}, {q: 31, deg: 2}, {q: 47, deg: 2}, {q: 127, deg: 2},
+	{q: 7, deg: 4}, {q: 7, deg: 5}, {q: 7, deg: 6}, {q: 5, deg: 5}, {q: 13, deg: 4},
+	{q: 3, deg: 4}, {q: 2, deg: 3},
 }
 
 // Flags of an opponent record in FuzzReduceArgmin's encoding: every leaf of
@@ -134,6 +138,12 @@ func FuzzReduceArgmin(f *testing.F) {
 	}
 	f.Add(uint8(8), uint8(0), uint32(5000), true, recs)
 	f.Add(uint8(4), uint8(16), uint32(77), false, recs)
+	// GF(7), degree 4: the defective step stage 1 runs, where 64 leaves
+	// leave no point collision-free and the scan never exits early.
+	for i := 0; i < 24; i++ {
+		recs = append(recs, oppRecord(uint16(rng.Intn(1<<16)), 0)...)
+	}
+	f.Add(uint8(9), uint8(3), uint32(9000), false, recs)
 	f.Fuzz(func(t *testing.T, pick, budget uint8, own uint32, classOn bool, recs []byte) {
 		checkReduceArgmin(t, pick, budget, own, classOn, recs)
 	})

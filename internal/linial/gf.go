@@ -16,6 +16,7 @@ package linial
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // SmallestPrimeAtLeast returns the smallest prime >= n (n >= 2).
@@ -65,23 +66,25 @@ func polyEval(c, x, q, deg int) int {
 	return acc
 }
 
-// gfStep is a reusable fast evaluator for one reduction step's field GF(q):
-// it caches the Barrett reciprocal for mod-q arithmetic and the base-q digit
-// expansion of one loaded color, so a round's many digit expansions and
-// polynomial evaluations run without integer division or allocation.
-// Outputs are bit-identical to the naive polyEval — the equivalence test
-// and fuzz target in gf_test.go pin this.
+// gfStep is the field arithmetic of one reduction step over GF(q): the
+// Barrett reciprocal for mod-q reduction without a hardware divide, and
+// optionally the step's power table, so that evaluating a polynomial at a
+// point costs deg+1 multiply-adds and a single reduction. Outputs are
+// bit-identical to the naive polyEval — the equivalence tests and fuzz
+// target in gf_test.go pin this.
 type gfStep struct {
-	q      uint64
-	mhi    uint64 // ⌊2^63 / q⌋, the Barrett reciprocal
-	deg    int
-	digits []uint64 // base-q digits of the loaded color, ascending
+	q   uint64
+	mhi uint64 // ⌊2^63 / q⌋, the Barrett reciprocal
+	deg int
+	// pow[x*(deg+1)+i] = x^i mod q for every point x < q, filled by table.
+	// Built once per step and shared read-only by concurrent callbacks.
+	pow []uint64
 }
 
-// init (re)configures the evaluator for a step, reusing the digit buffer.
-// q must fit in 31 bits so every Horner accumulator stays below 2^63, the
-// reduce precondition; chooseStep's fields are tiny, so the guard is a
-// correctness backstop, not a practical limit.
+// init (re)configures the field for a step, dropping any power table. q
+// must fit in 31 bits so every product of two residues stays below 2^62,
+// which dot's overflow guard relies on; chooseStep's fields are tiny, so
+// the check is a correctness backstop, not a practical limit.
 func (s *gfStep) init(sp stepParams) {
 	if sp.q < 2 || sp.q >= 1<<31 {
 		panic(fmt.Sprintf("linial: field size %d outside [2, 2^31)", sp.q))
@@ -89,10 +92,7 @@ func (s *gfStep) init(sp stepParams) {
 	s.q = uint64(sp.q)
 	s.mhi = (uint64(1) << 63) / s.q
 	s.deg = sp.deg
-	if cap(s.digits) < sp.deg+1 {
-		s.digits = make([]uint64, sp.deg+1)
-	}
-	s.digits = s.digits[:sp.deg+1]
+	s.pow = s.pow[:0]
 }
 
 // divmod returns ⌊v/q⌋ and v mod q via Barrett reduction: the estimate
@@ -128,22 +128,62 @@ func (s *gfStep) expand(c int, dst []uint64) {
 	}
 }
 
-// load expands color c into the evaluator's own digit buffer.
-func (s *gfStep) load(c int) { s.expand(c, s.digits) }
-
-// horner evaluates the polynomial with the given ascending digits at x —
-// the same highest-digit-first recurrence as polyEval, with the modulus
-// taken by reduce. Requires x < q.
-func (s *gfStep) horner(digits []uint64, x uint64) uint64 {
-	acc := uint64(0)
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc = s.reduce(acc*x + digits[i])
+// powers writes x^i mod q into dst[i] for i < len(dst). Requires x < q.
+func (s *gfStep) powers(x uint64, dst []uint64) {
+	p := uint64(1)
+	for i := range dst {
+		dst[i] = p
+		p = s.reduce(p * x)
 	}
-	return acc
 }
 
-// evalAt returns the loaded polynomial's value at x.
-func (s *gfStep) evalAt(x uint64) uint64 { return s.horner(s.digits, x) }
+// table fills the power table for every point of the field.
+func (s *gfStep) table() {
+	w := uint64(s.deg + 1)
+	s.pow = slices.Grow(s.pow[:0], int(s.q*w))[:s.q*w]
+	for x := uint64(0); x < s.q; x++ {
+		s.powers(x, s.pow[x*w:(x+1)*w])
+	}
+}
+
+// row returns the table's powers of point x.
+func (s *gfStep) row(x uint64) []uint64 {
+	w := uint64(s.deg + 1)
+	return s.pow[x*w : (x+1)*w]
+}
+
+// dot returns Σ digits[i]·pw[i] mod q: with pw the powers of x, the value
+// at x of the polynomial whose ascending coefficients are digits — the
+// same residue as polyEval's Horner recurrence. Every term is below
+// q² < 2^62, so reducing the running sum whenever it reaches 2^63 keeps it
+// from overflowing. The guard fires only on digit vectors with several
+// digits near 2^31; no 64-bit color expands to one, so a color's
+// evaluation costs one reduction.
+func (s *gfStep) dot(digits, pw []uint64) uint64 {
+	pw = pw[:len(digits)]
+	sum := uint64(0)
+	for i, d := range digits {
+		sum += d * pw[i]
+		if sum >= 1<<63 {
+			sum = s.reduce(sum)
+		}
+	}
+	return s.reduce(sum)
+}
+
+// collisions counts the polynomials in opps — deg+1 ascending digits each,
+// back to back — that take the value fx at the point whose powers are pw,
+// stopping once the count reaches limit.
+func (s *gfStep) collisions(opps, pw []uint64, fx uint64, limit int) int {
+	w := len(pw)
+	cnt := 0
+	for i := 0; i+w <= len(opps) && cnt < limit; i += w {
+		if s.dot(opps[i:i+w:i+w], pw) == fx {
+			cnt++
+		}
+	}
+	return cnt
+}
 
 // stepParams holds the parameters of one polynomial reduction step.
 type stepParams struct {

@@ -68,13 +68,19 @@ type reduceAlg struct {
 	next     []int
 	m        int // current color bound
 	step     int
+	gf       gfStep // the current step's field and power table, read-only in rounds
 	started  bool
 	finished bool
 }
 
 func newReduceAlg(o *graph.Oriented, init []int, m int, sched Schedule) *reduceAlg {
 	colors := append([]int(nil), init...)
-	return &reduceAlg{o: o, sched: sched, colors: colors, next: make([]int, len(init)), m: m}
+	a := &reduceAlg{o: o, sched: sched, colors: colors, next: make([]int, len(init)), m: m}
+	if len(sched.Steps) > 0 {
+		a.gf.init(sched.Steps[0])
+		a.gf.table()
+	}
+	return a
 }
 
 func (a *reduceAlg) Outbox(v int, out *sim.Outbox) {
@@ -82,34 +88,42 @@ func (a *reduceAlg) Outbox(v int, out *sim.Outbox) {
 }
 
 // reduceScratch is the per-callback scratch of one Inbox evaluation: the
-// fast field evaluator plus the base-q digit expansions of the opponent
-// colors. Callbacks for different nodes run concurrently, so scratch is
-// pooled, never stored on the algorithm.
+// base-q digit expansions of the node's own color and of its opponents'.
+// Callbacks for different nodes run concurrently, so scratch is pooled,
+// never stored on the algorithm.
 type reduceScratch struct {
-	gf     gfStep
+	own    []uint64 // deg+1 base-q digits of the node's color, lowest first
 	digits []uint64 // deg+1 base-q digits per opponent, lowest first
 }
 
 var reduceScratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}
 
 func (a *reduceAlg) Inbox(v int, in []sim.Received) {
-	sp := a.sched.Steps[a.step]
+	gf := &a.gf
 	sc := reduceScratchPool.Get().(*reduceScratch)
-	sc.gf.init(sp)
 	c := a.colors[v]
 	// Expand the opponents' digits once: out-neighbors (messages arrive
 	// from all neighbors), restricted to the node's class when one is set.
-	// An equal color shares the whole polynomial and collides at every
-	// point; it carries defect from an earlier defective step and cannot
-	// change the argmin, so it is dropped here. A payload that is not a
-	// clean UintPayload — e.g. corrupted in transit — is skipped: a missing
-	// opponent can only make the argmin pick a point with an unnoticed
-	// collision, which the validation after the run catches; it can never
-	// panic the reduction.
-	w := sp.deg + 1
+	// The inbox is sorted by sender and the out-list by target, so one
+	// merge walk picks the out-neighbors. An equal color shares the whole
+	// polynomial and collides at every point; it carries defect from an
+	// earlier defective step and cannot change the argmin, so it is dropped
+	// here. A payload that is not a clean UintPayload — e.g. corrupted in
+	// transit — is skipped: a missing opponent can only make the argmin
+	// pick a point with an unnoticed collision, which the validation after
+	// the run catches; it can never panic the reduction.
+	w := gf.deg + 1
 	sc.digits = sc.digits[:0]
+	out := a.o.Out(v)
+	j := 0
 	for _, msg := range in {
-		if !a.o.HasArc(v, msg.From) {
+		for j < len(out) && int(out[j]) < msg.From {
+			j++
+		}
+		if j == len(out) {
+			break
+		}
+		if int(out[j]) != msg.From {
 			continue
 		}
 		if a.class != nil && a.class[msg.From] != a.class[v] {
@@ -118,30 +132,25 @@ func (a *reduceAlg) Inbox(v int, in []sim.Received) {
 		if pay, ok := msg.Payload.(sim.UintPayload); ok && int(pay.Value) != c {
 			n := len(sc.digits)
 			sc.digits = slices.Grow(sc.digits, w)[:n+w]
-			sc.gf.expand(int(pay.Value), sc.digits[n:])
+			gf.expand(int(pay.Value), sc.digits[n:])
 		}
 	}
-	sc.gf.load(c)
+	sc.own = slices.Grow(sc.own[:0], w)[:w]
+	gf.expand(c, sc.own)
 	// The new color is (x, f_c(x)) for the smallest point x with the fewest
 	// colliding opponents. Walk the points in order and stop counting a
 	// point once it ties the best so far: it can no longer win, since only
 	// a strictly smaller count replaces the best. Counts are never
 	// negative, so the first collision-free point ends the scan.
-	q := uint64(sp.q)
 	best, bestVal, bestCnt := uint64(0), uint64(0), math.MaxInt
-	for x := uint64(0); x < q && bestCnt > 0; x++ {
-		fx := sc.gf.evalAt(x)
-		cnt := 0
-		for i := 0; i < len(sc.digits) && cnt < bestCnt; i += w {
-			if sc.gf.horner(sc.digits[i:i+w], x) == fx {
-				cnt++
-			}
-		}
-		if cnt < bestCnt {
+	for x := uint64(0); x < gf.q && bestCnt > 0; x++ {
+		pw := gf.row(x)
+		fx := gf.dot(sc.own, pw)
+		if cnt := gf.collisions(sc.digits, pw, fx, bestCnt); cnt < bestCnt {
 			best, bestVal, bestCnt = x, fx, cnt
 		}
 	}
-	a.next[v] = int(best*q + bestVal)
+	a.next[v] = int(best*gf.q + bestVal)
 	reduceScratchPool.Put(sc)
 }
 
@@ -157,6 +166,9 @@ func (a *reduceAlg) Done() bool {
 	a.step++
 	if a.step >= len(a.sched.Steps) {
 		a.finished = true
+	} else {
+		a.gf.init(a.sched.Steps[a.step])
+		a.gf.table()
 	}
 	return a.finished
 }

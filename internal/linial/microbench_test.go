@@ -60,3 +60,29 @@ func BenchmarkArbdefectiveBootstrap(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReduceInbox times one reduceAlg.Inbox call at the center of a
+// 64-leaf star on a symmetric orientation, at the defective GF(7)
+// degree-4 step that is stage 1's only step on G(16384, 64/16383): no
+// point is collision-free there, so the argmin scans the whole field.
+func BenchmarkReduceInbox(b *testing.B) {
+	const leaves = 64
+	sp := stepParams{q: 7, deg: 4}
+	bld := graph.NewBuilder(leaves + 1)
+	for i := 1; i <= leaves; i++ {
+		bld.AddEdge(0, i)
+	}
+	o := graph.OrientSymmetric(bld.Build())
+	colors := make([]int, leaves+1)
+	in := make([]sim.Received, leaves)
+	for i := range in {
+		colors[i+1] = (7919*(i+1) + 13) % 16807
+		in[i] = sim.Received{From: i + 1, Payload: sim.UintPayload{Value: uint64(colors[i+1]), Width: 15}}
+	}
+	colors[0] = 4242
+	a := newReduceAlg(o, colors, 16807, Schedule{Steps: []stepParams{sp}, Budgets: []int{8}, Final: sp.q * sp.q})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.Inbox(0, in)
+	}
+}
