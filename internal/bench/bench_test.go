@@ -1,81 +1,83 @@
 package bench
 
 import (
-	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/coloring"
+	"repro/internal/oldc"
+	"repro/internal/sim"
 )
 
-func TestTableRender(t *testing.T) {
-	tb := &Table{
-		ID:     "T0",
-		Title:  "demo",
-		Claim:  "demo claim",
-		Header: []string{"a", "bee"},
-	}
-	tb.AddRow(1, 2.5)
-	tb.AddRow("xyz", true)
-	tb.Notes = append(tb.Notes, "a note")
-	var buf bytes.Buffer
-	tb.Render(&buf)
-	out := buf.String()
-	for _, want := range []string{"T0 — demo", "demo claim", "bee", "2.50", "xyz", "note: a note"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestTableRenderCSV(t *testing.T) {
-	tb := &Table{ID: "T1", Title: "t", Claim: "c", Header: []string{"x", "y"}}
-	tb.AddRow(1, "a,b")
-	var buf bytes.Buffer
-	if err := tb.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "x,y") || !strings.Contains(out, `"a,b"`) {
-		t.Fatalf("csv output wrong:\n%s", out)
-	}
-}
-
-func TestSuitePick(t *testing.T) {
-	s := Suite{Quick: true}
-	if got := s.pick([]int{1}, []int{1, 2}); len(got) != 1 {
-		t.Fatal("quick pick wrong")
-	}
-	s.Quick = false
-	if got := s.pick([]int{1}, []int{1, 2}); len(got) != 2 {
-		t.Fatal("full pick wrong")
-	}
-}
-
-// Each experiment must complete and produce at least one row in quick mode.
+// TestExperimentsQuick checks the claims case table per experiment: each
+// E<k> has rows at both sizes, every -quick row is a full-size row (so the
+// smoke run exercises recorded points), and no two rows share a name,
+// which also names their ldc-verify documents. TestSuitesQuick/claims
+// runs the rows.
 func TestExperimentsQuick(t *testing.T) {
-	s := Suite{Quick: true}
-	for _, tc := range []struct {
-		name string
-		run  func() (*Table, error)
-	}{
-		{"E1", s.E1}, {"E2", s.E2}, {"E3", s.E3}, {"E4", s.E4}, {"E5", s.E5},
-		{"E6", s.E6}, {"E7", s.E7}, {"E8", s.E8}, {"E9", s.E9}, {"E10", s.E10}, {"E11", s.E11}, {"E12", s.E12}, {"E13", s.E13},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tb, err := tc.run()
-			if err != nil {
-				t.Fatal(err)
+	names := func(quick bool) map[string]bool {
+		seen := map[string]bool{}
+		for _, c := range claimsCases(quick) {
+			if seen[c.name] || len(c.params) == 0 {
+				t.Errorf("quick=%t: row %s is duplicated or has no params", quick, c.name)
 			}
-			if len(tb.Rows) == 0 {
-				t.Fatal("no rows")
+			seen[c.name] = true
+		}
+		return seen
+	}
+	full, quick := names(false), names(true)
+	for k := 1; k <= 13; k++ {
+		exp := fmt.Sprintf("E%d", k)
+		t.Run(exp, func(t *testing.T) {
+			nFull, nQuick := 0, 0
+			for name := range full {
+				if strings.HasPrefix(name, exp+"/") {
+					nFull++
+				}
 			}
-			var buf bytes.Buffer
-			tb.Render(&buf)
-			if buf.Len() == 0 {
-				t.Fatal("empty render")
+			for name := range quick {
+				if strings.HasPrefix(name, exp+"/") {
+					nQuick++
+					if !full[name] {
+						t.Errorf("quick row %s is not a full-size row", name)
+					}
+				}
+			}
+			if nFull == 0 || nQuick == 0 {
+				t.Errorf("%d full-size and %d quick rows", nFull, nQuick)
 			}
 		})
+	}
+}
+
+// TestClaimVerdictsBite runs claims rows whose bound fails or whose output
+// breaks the OLDC condition: the runner must report them invalid, with
+// the bound recorded, rather than drop or abort them.
+func TestClaimVerdictsBite(t *testing.T) {
+	w := workload{4, 32, 1 << 13, 5.0, 1, 3, 4}
+	offByOne := oldcRow{name: "bound", w: w, solve: oldc.Solve,
+		check: func(_ oldc.Input, st sim.Stats, counts map[string]any) bool {
+			counts["rounds_bound"] = st.Rounds + 1
+			return st.Rounds == st.Rounds+1
+		}}
+	allZero := oldcRow{name: "output", w: w,
+		solve: func(_ *sim.Engine, in oldc.Input, _ oldc.Options) (coloring.Assignment, sim.Stats, error) {
+			return make(coloring.Assignment, in.O.N()), sim.Stats{}, nil
+		}}
+	rep, err := runCases("claims", []benchCase{offByOne.benchCase(), allZero.benchCase()}, true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rep.Rows {
+		if row.Valid {
+			t.Errorf("%s: false verdict reported valid: %v", row.Case, row.Counts)
+		}
+	}
+	if rep.Rows[0].Counts["rounds_bound"] == nil || rep.Rows[1].Counts["violations"] == 0 {
+		t.Errorf("bound or violations not recorded: %v, %v", rep.Rows[0].Counts, rep.Rows[1].Counts)
 	}
 }
 

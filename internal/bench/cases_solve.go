@@ -212,7 +212,7 @@ func matrixCases(quick bool) []benchCase {
 						r := result{counts: solveCounts(st, phi), timings: map[string]time.Duration{"solve": el}}
 						if s.problem == "oldc" {
 							r.valid = coloring.CheckOLDC(in.O, in.Lists, phi) == nil
-							r.doc = func() verifyDoc { return oldcDoc(g, in.SpaceSize, in.Lists, phi) }
+							r.doc = func() verifyDoc { return listDoc("oldc-by-id", g, in.SpaceSize, in.Lists, phi) }
 						} else {
 							r.valid = coloring.CheckProper(g, phi, bound) == nil
 							r.doc = func() verifyDoc { return properDoc(g, bound, phi) }

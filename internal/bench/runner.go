@@ -1,3 +1,9 @@
+// Package bench is the benchmark harness: one runner repeats every case
+// of a suite under one policy and records the suite as an ldc-bench/v2
+// report (BENCH_<suite>.json). The claims suite turns the paper's theorem
+// statements into the experiments E1–E13 of DESIGN.md §4; the others
+// measure the engine, the solvers, fault repair, the churn service,
+// recovery, shard scaling and the cross-family matrix.
 package bench
 
 import (
@@ -30,7 +36,7 @@ const (
 
 // Suites names the benchmark suites in the order ldc-bench runs them; a
 // suite's report is recorded as BENCH_<name>.json.
-var Suites = []string{"sim", "oldc", "chaos", "serve", "recover", "shard", "matrix"}
+var Suites = []string{"sim", "oldc", "chaos", "serve", "recover", "shard", "matrix", "claims"}
 
 // suiteCases maps a suite name to its case table.
 var suiteCases = map[string]func(quick bool) []benchCase{
@@ -41,6 +47,7 @@ var suiteCases = map[string]func(quick bool) []benchCase{
 	"recover": recoverCases,
 	"shard":   shardCases,
 	"matrix":  matrixCases,
+	"claims":  claimsCases,
 }
 
 // benchCase is one row of a suite: build constructs the instance once and
@@ -87,8 +94,10 @@ type Header struct {
 }
 
 // Row is one case's outcome: its input parameters, the deterministic
-// counts every repetition agreed on, the timings, the validity verdict,
-// and the file name of its ldc-verify document when one was written.
+// counts every repetition agreed on, the timings, the verdict, and the
+// file name of its ldc-verify document when one was written. Valid holds
+// when the case's output validates and every theorem bound the row
+// checks, recorded as a <metric>_bound count, holds.
 type Row struct {
 	Suite   string            `json:"suite"`
 	Case    string            `json:"case"`
@@ -257,11 +266,11 @@ func properDoc(g *graph.Graph, space int, phi coloring.Assignment) verifyDoc {
 	return d
 }
 
-// oldcDoc is the document of an OLDC coloring checked under the by-ID
-// orientation of g.
-func oldcDoc(g *graph.Graph, space int, lists []coloring.NodeList, phi coloring.Assignment) verifyDoc {
+// listDoc is the document of a list coloring of g checked as variant:
+// "ldc", or "oldc-by-id" under the by-ID orientation of g.
+func listDoc(variant string, g *graph.Graph, space int, lists []coloring.NodeList, phi coloring.Assignment) verifyDoc {
 	d := properDoc(g, space, phi)
-	d.Variant = "oldc-by-id"
+	d.Variant = variant
 	d.Lists = make([]verifyList, len(lists))
 	for v, l := range lists {
 		d.Lists[v] = verifyList{Colors: l.Colors, Defects: l.Defect}
