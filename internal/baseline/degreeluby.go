@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 
+	"repro/internal/bitio"
 	"repro/internal/ckpt"
 	"repro/internal/coloring"
 	"repro/internal/graph"
@@ -47,6 +48,8 @@ func DegreeLubyMaxRounds(n int) int { return 64*(intLog2(n)+2) + 64 }
 // this round (a competing proposal or a decision announcement) carries the
 // same color. Decided nodes broadcast (decided=1, color) once and then
 // send nothing, so the run quiesces when the last announcement lands.
+// Every message is one lubyMsg: a decided flag bit, then the color as a
+// varint.
 //
 // Randomness comes from one splitmix64 stream per node seeded by
 // (seed, v), so the complete inter-round state is a few plain slices —
@@ -101,7 +104,7 @@ func (a *DegreeLubyAlg) Outbox(v int, out *sim.Outbox) {
 	if a.color[v] >= 0 {
 		if !a.announced[v] {
 			a.announced[v] = true
-			out.Broadcast(sim.Composite{sim.UintPayload{Value: 1, Width: 1}, sim.VarintPayload{Value: uint64(a.color[v])}})
+			out.Broadcast(lubyMsg(a.color[v])<<1 | 1)
 		}
 		return
 	}
@@ -126,7 +129,19 @@ func (a *DegreeLubyAlg) Outbox(v int, out *sim.Outbox) {
 		}
 		pick--
 	}
-	out.Broadcast(sim.Composite{sim.UintPayload{Value: 0, Width: 1}, sim.VarintPayload{Value: uint64(a.proposal[v])}})
+	out.Broadcast(lubyMsg(a.proposal[v]) << 1)
+}
+
+// lubyMsg is DegreeLuby's one message, color<<1 | decided, in a single
+// word: boxing a small one allocates nothing, and reading it back is one
+// type check. It encodes as the decided flag bit, then the color as a
+// varint.
+type lubyMsg uint64
+
+// EncodeBits implements sim.Payload.
+func (m lubyMsg) EncodeBits(w *bitio.Writer) {
+	w.WriteUint(uint64(m&1), 1)
+	w.WriteVarint(uint64(m >> 1))
 }
 
 // Inbox implements sim.Algorithm.
@@ -137,12 +152,12 @@ func (a *DegreeLubyAlg) Inbox(v int, in []sim.Received) {
 	taken := a.taken[v]
 	ok := true
 	for _, msg := range in {
-		c := msg.Payload.(sim.Composite)
-		val := int(c[1].(sim.VarintPayload).Value)
+		m := msg.Payload.(lubyMsg)
+		val := int(m >> 1)
 		if val == a.proposal[v] {
 			ok = false
 		}
-		if c[0].(sim.UintPayload).Value == 1 && val < len(taken) {
+		if m&1 == 1 && val < len(taken) {
 			taken[val] = true
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -101,7 +102,6 @@ func (a *strayAlg) Done() bool                 { d := a.done; a.done = true; ret
 func TestValidateCatchesNonNeighborSend(t *testing.T) {
 	g := graph.Path(5) // 0-1-2-3-4: node 0 is not adjacent to 3
 	e := NewEngine(g)
-	e.Validate = true
 	_, err := e.Run(&strayAlg{target: 3}, 10)
 	if err == nil || !strings.Contains(err.Error(), "non-neighbor") {
 		t.Fatalf("want non-neighbor validation error, got %v", err)
@@ -111,7 +111,6 @@ func TestValidateCatchesNonNeighborSend(t *testing.T) {
 func TestValidateCatchesOutOfRangeSend(t *testing.T) {
 	g := graph.Path(5)
 	e := NewEngine(g)
-	e.Validate = true
 	_, err := e.Run(&strayAlg{target: 99}, 10)
 	if err == nil || !strings.Contains(err.Error(), "out-of-range") {
 		t.Fatalf("want out-of-range validation error, got %v", err)
@@ -121,7 +120,6 @@ func TestValidateCatchesOutOfRangeSend(t *testing.T) {
 func TestValidateAcceptsLegalTraffic(t *testing.T) {
 	g := graph.GNP(60, 0.1, 5)
 	e := NewEngine(g)
-	e.Validate = true
 	if _, err := e.Run(newFlood(g.N()), 100); err != nil {
 		t.Fatalf("legal broadcast traffic rejected: %v", err)
 	}
@@ -307,8 +305,7 @@ func (p tallyPayload) EncodeBits(w *bitio.Writer) {
 }
 
 // panicAt panics in node 0's Outbox of the given round; node 0 belongs to
-// shard 0, which the goroutine calling Run executes, so the panic unwinds
-// Run while the other shards are still in the collect phase.
+// shard 0, which the goroutine calling Run executes itself.
 type panicAt struct {
 	floodAlg
 	round, at int
@@ -368,5 +365,69 @@ func TestRunAfterPanic(t *testing.T) {
 			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// inboxPanic panics in the Inbox of every node from `from` on.
+type inboxPanic struct {
+	floodAlg
+	from int
+}
+
+func (a *inboxPanic) Inbox(v int, in []Received) {
+	if v >= a.from {
+		panic(fmt.Sprintf("inbox %d", v))
+	}
+	a.floodAlg.Inbox(v, in)
+}
+
+// TestWorkerPanicRecoverable pins that a callback panic on a worker
+// shard, whose goroutine is not the caller's, reaches the caller of Run as
+// the first panic in shard order, where it can be recovered, and that the
+// engine then runs to the same Stats as a fresh one with no goroutine left
+// behind. Node 63 of the ring lives on the last shard at every worker
+// count; panicking from node 40 on makes several shards panic at once.
+func TestWorkerPanicRecoverable(t *testing.T) {
+	g := graph.Ring(64)
+	for _, workers := range []int{1, 2, 4, 7} {
+		want, err := NewEngineWith(g, Options{Workers: workers}).Run(newFlood(g.N()), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		eng := NewEngineWith(g, Options{Workers: workers})
+		var got Stats
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, from := range []int{63, 40} {
+				func() {
+					defer func() {
+						if r, want := recover(), fmt.Sprintf("inbox %d", from); r != want {
+							t.Errorf("workers=%d: recovered %v, want %q", workers, r, want)
+						}
+					}()
+					eng.Run(&inboxPanic{floodAlg: *newFlood(g.N()), from: from}, 100)
+				}()
+			}
+			got, err = eng.Run(newFlood(g.N()), 100)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: engine deadlocked after a worker panic", workers)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: run after panics diverges:\n want %+v\n  got %+v", workers, want, got)
+		}
+		for i := 0; runtime.NumGoroutine() > before; i++ {
+			if i == 100 {
+				t.Fatalf("workers=%d: %d goroutines after the runs, %d before", workers, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }

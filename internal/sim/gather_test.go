@@ -1,0 +1,151 @@
+package sim_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/bitio"
+	"repro/internal/graph"
+	"repro/internal/sim"
+)
+
+// noFaults is a structured fault model that delivers every wire untouched.
+// Installing it sends an engine down the block path, which settles wires
+// one by one, without changing what any inbox receives.
+type noFaults struct{}
+
+func (noFaults) Wire(round, from, to int) (sim.FaultOutcome, uint64) { return sim.FaultNone, 0 }
+
+// inboxDigest sends every slot shape the gather path distinguishes: silent
+// nodes, lone broadcasts, several broadcasts, SendTo alone, and SendTo
+// mixed with broadcasts, including two sends to one neighbor. Each node
+// folds every message it receives, (v, from, encoded payload), into its
+// own FNV-1a hash, so any change of content or order changes the digest.
+type inboxDigest struct {
+	g     *graph.Graph
+	round int
+	h     []uint64
+}
+
+func newInboxDigest(g *graph.Graph) *inboxDigest {
+	a := &inboxDigest{g: g, h: make([]uint64, g.N())}
+	for v := range a.h {
+		a.h[v] = 14695981039346656037
+	}
+	return a
+}
+
+func (a *inboxDigest) Outbox(v int, out *sim.Outbox) {
+	nbr := a.g.Neighbors(v)
+	switch (v + a.round) % 6 {
+	case 0: // silent
+	case 1:
+		out.Broadcast(sim.VarintPayload{Value: uint64(v*a.round + 1)})
+	case 2:
+		out.Broadcast(sim.VarintPayload{Value: uint64(v)})
+		out.Broadcast(sim.BitsetPayload{Set: []int{v % 5, 6}, Universe: 7})
+	case 3:
+		if len(nbr) > 0 {
+			out.SendTo(int(nbr[len(nbr)-1]), sim.UintPayload{Value: uint64(v % 64), Width: 6})
+		}
+	case 4:
+		if len(nbr) > 0 {
+			out.SendTo(int(nbr[0]), sim.UintPayload{Value: 1, Width: 3})
+		}
+		out.Broadcast(sim.ListPayload{Values: []int{v, a.round}, Width: 12})
+		if len(nbr) > 0 {
+			out.SendTo(int(nbr[0]), sim.UintPayload{Value: 2, Width: 3})
+			out.SendTo(int(nbr[len(nbr)/2]), sim.VarintPayload{Value: uint64(a.round)})
+		}
+	case 5:
+		out.Broadcast(sim.UintPayload{Value: uint64(v % 8), Width: 3})
+	}
+}
+
+func (a *inboxDigest) Inbox(v int, in []sim.Received) {
+	w := bitio.NewWriter()
+	mix := func(x uint64) {
+		for i := 0; i < 8; i++ {
+			a.h[v] ^= x & 0xff
+			a.h[v] *= 1099511628211
+			x >>= 8
+		}
+	}
+	for _, m := range in {
+		w.Reset()
+		m.Payload.EncodeBits(w)
+		mix(uint64(v))
+		mix(uint64(m.From))
+		mix(uint64(w.Len()))
+		for _, b := range w.Bytes() {
+			mix(uint64(b))
+		}
+	}
+}
+
+func (a *inboxDigest) Done() bool {
+	a.round++
+	return a.round > 9
+}
+
+// TestGatherMatchesBlockPath runs mixed traffic and DegreeLuby once on the
+// fault-free gather path and once with a fault model that faults nothing,
+// which forces the block path, at every golden worker count. Every inbox,
+// every coloring and the Stats apart from the fault ledger must agree —
+// with each other and with the one-worker gather run.
+func TestGatherMatchesBlockPath(t *testing.T) {
+	g := graph.GNP(240, 0.05, 13)
+	luby := graph.PreferentialAttachment(300, 3, 21)
+	var wantInbox []uint64
+	var wantMixed sim.Stats
+	var wantColors []int
+	var wantLuby sim.Stats
+	for _, w := range goldenWorkers {
+		for _, faults := range []sim.FaultModel{nil, noFaults{}} {
+			tag := fmt.Sprintf("workers=%d block=%v", w, faults != nil)
+			alg := newInboxDigest(g)
+			stats, err := sim.NewEngineWith(g, sim.Options{Workers: w, Faults: faults}).Run(alg, 12)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			stats = withoutLedger(t, tag, stats, faults != nil)
+			phi, lstats, err := baseline.DegreeLuby(sim.NewEngineWith(luby, sim.Options{Workers: w, Faults: faults}), luby, 5)
+			if err != nil {
+				t.Fatalf("%s: DegreeLuby: %v", tag, err)
+			}
+			lstats = withoutLedger(t, tag, lstats, faults != nil)
+			if wantInbox == nil {
+				wantInbox, wantMixed, wantColors, wantLuby = alg.h, stats, []int(phi), lstats
+				continue
+			}
+			if !reflect.DeepEqual(alg.h, wantInbox) {
+				t.Errorf("%s: inbox digests differ from the one-worker gather run", tag)
+			}
+			if !reflect.DeepEqual(stats, wantMixed) {
+				t.Errorf("%s: mixed Stats differ:\n got %+v\nwant %+v", tag, stats, wantMixed)
+			}
+			if !reflect.DeepEqual([]int(phi), wantColors) {
+				t.Errorf("%s: DegreeLuby coloring differs", tag)
+			}
+			if !reflect.DeepEqual(lstats, wantLuby) {
+				t.Errorf("%s: DegreeLuby Stats differ:\n got %+v\nwant %+v", tag, lstats, wantLuby)
+			}
+		}
+	}
+}
+
+// withoutLedger checks that a block-path run faulted nothing and returns
+// its Stats without the ledger, which only a fault model turns on.
+func withoutLedger(t *testing.T, tag string, s sim.Stats, block bool) sim.Stats {
+	t.Helper()
+	if !block {
+		return s
+	}
+	if len(s.Faults) != s.Rounds || s.TotalFaults() != (sim.RoundFaults{}) {
+		t.Errorf("%s: ledger %+v over %d rounds, want %d empty entries", tag, s.Faults, s.Rounds, s.Rounds)
+	}
+	s.Faults = nil
+	return s
+}

@@ -35,29 +35,34 @@ var writerPool = sync.Pool{New: func() any { return bitio.NewWriter() }}
 type phase uint8
 
 const (
-	phaseCollect phase = iota // run Outbox callbacks, validate
-	phaseRoute                // encode, account, apply faults, enqueue blocks
-	phaseDeliver              // counting-sort inbound blocks, run Inbox callbacks
+	phaseCollect phase = iota // run Outbox callbacks, check targets, fill slots
+	phaseRoute                // encode, account; under fault hooks also settle wires into blocks
+	phaseDeliver              // build inboxes, run Inbox callbacks
 	phaseExit                 // end the shard goroutine
 )
 
-// block is one routing-queue entry: one sender's payload for a run of
-// receivers on the destination shard, with fault decisions already applied
-// (drops are never enqueued; a corrupted wire gets a block of its own).
-// Because neighbor lists are sorted and shards are contiguous, a
-// broadcast's receivers on one shard are a contiguous subrange of the
-// sender's neighbor list, so a fault-free broadcast costs one block per
-// destination shard however many wires it fans out over.
+// sendList is the slot of a sender whose round is anything but one
+// Broadcast of a non-nil payload — several sends, a SendTo, a nil payload:
+// its receivers walk the sender's send entries instead (appendSends).
+type sendList struct{}
+
+// EncodeBits implements Payload; a sendList never reaches a wire.
+func (sendList) EncodeBits(*bitio.Writer) {}
+
+// block is one routing-queue entry of a round under fault hooks: one
+// sender's payload for a run of receivers on the destination shard, with
+// fault decisions already applied (drops are never enqueued; a corrupted
+// wire gets a block of its own).
 type block struct {
 	from int32 // sender
 	send int32 // payload: index into the source shard's sends, or ^i into its corrupt list
-	off  int32 // first receiver: offset into the sender's neighbor list, or into the source shard's tgt when n < 0
-	n    int32 // receiver count, negated when the receivers live in tgt
+	off  int32 // first receiver: offset into the source shard's tgt
+	n    int32 // receiver count
 }
 
 // shard is one worker: a contiguous node range and all the routing state
 // its goroutine owns. Exactly one goroutine touches a shard's mutable state
-// in a phase; other shards read its queues, sends, tgt and corrupt lists
+// in a phase; other shards read its sends, queues, tgt and corrupt lists
 // only in the deliver phase, after the route barrier.
 type shard struct {
 	id     int
@@ -67,16 +72,16 @@ type shard struct {
 	sends   []send  // this round's send entries of all local nodes, in node order
 	sendOff []int32 // node lo+i's entries are sends[sendOff[i]:sendOff[i+1]]
 	w       *bitio.Writer
+	one     [1]int32   // receiver list of a targeted send
+	inbox   []Received // gather delivery: one node's inbox, reused for the next
 
+	// Block path, used only while a fault hook is installed.
 	out     [][]block // out[d]: this round's blocks bound for shard d
-	need    []int     // per-destination block bound, for sizing out
-	tgt     []int32   // explicit receiver lists (targeted sends, faulted runs)
+	tgt     []int32   // receiver lists of the blocks
 	corrupt []Payload // damaged copies of corrupted wires
-	one     [1]int32  // receiver list of a targeted send under faults
-
-	next  []int32 // per-local-receiver count, then write cursor
-	start []int32 // inbox offsets into arena, len hi-lo+1
-	arena []Received
+	next    []int32   // per-local-receiver count, then write cursor
+	start   []int32   // inbox offsets into arena, len hi-lo+1
+	arena   []Received
 
 	// Per-round accounting, merged by the coordinator with sums and maxes
 	// only, so merged Stats are bit-identical for every shard count.
@@ -85,10 +90,11 @@ type shard struct {
 	roundMax  int
 	dropped   int64
 	corrupted int64
-	boundary  int64 // wires routed to other shards
+	boundary  int64 // wires to other shards; only metrics read it, so gathering rounds count it only for them
 	active    int   // local nodes that sent something this round
 	bwErr     *ErrBandwidth
-	valErr    error
+	sendErr   error // first invalid SendTo target of the round
+	panicked  any   // value of a panic recovered in the last phase, re-raised by Engine.phase
 
 	cmd chan phase
 }
@@ -106,10 +112,11 @@ func partition(n, workers int) (chunk, count int) {
 	return chunk, (n + chunk - 1) / chunk
 }
 
-// prepare builds the per-shard state on the first run and keeps it for
-// later runs, re-partitioning only when the node count or the worker count
-// has changed since it was built. Buffers sized by traffic (sends, queues,
-// arenas) grow on demand and are reused from then on.
+// prepare builds the slot table and the per-shard state on the first run
+// and keeps them for later runs, re-partitioning only when the node count
+// or the worker count has changed since they were built. Buffers sized by
+// traffic (sends, inboxes, queues, arenas) grow on demand and are reused
+// from then on.
 func (e *Engine) prepare() {
 	n := e.g.N()
 	if e.shards != nil && e.builtN == n && e.builtFor == e.workers {
@@ -117,6 +124,7 @@ func (e *Engine) prepare() {
 	}
 	chunk, count := partition(n, e.workers)
 	e.chunk, e.builtN, e.builtFor = chunk, n, e.workers
+	e.slots = make([]Payload, n)
 	e.shards = make([]*shard, count)
 	for i := range e.shards {
 		lo := min(i*chunk, n)
@@ -127,7 +135,6 @@ func (e *Engine) prepare() {
 			hi:      hi,
 			sendOff: make([]int32, hi-lo+1),
 			out:     make([][]block, count),
-			need:    make([]int, count),
 			next:    make([]int32, hi-lo),
 			start:   make([]int32, hi-lo+1),
 			cmd:     make(chan phase),
@@ -135,6 +142,11 @@ func (e *Engine) prepare() {
 	}
 	e.done = make(chan struct{}, count)
 }
+
+// faulted reports whether a fault hook is installed. Only the block path
+// can apply per-wire drops and corruptions, so such rounds take it; all
+// other rounds gather.
+func (e *Engine) faulted() bool { return e.Fault != nil || e.Faults != nil }
 
 // Census returns the partition census of the engine's graph under its
 // current worker count: ghostNodes sums, over the shards, the distinct
@@ -179,18 +191,29 @@ func (sh *shard) loop(e *Engine) {
 	}
 }
 
+// run executes one phase for the shard's nodes. A panic in it (a callback's,
+// typically) is recovered into sh.panicked for Engine.phase to re-raise, so
+// it never takes down a worker goroutine and with it the process.
 func (sh *shard) run(e *Engine, p phase) {
+	defer func() { sh.panicked = recover() }()
 	switch p {
 	case phaseCollect:
 		sh.collect(e)
 	case phaseRoute:
 		sh.route(e)
 	case phaseDeliver:
-		sh.deliver(e)
+		if e.faulted() {
+			sh.deliverBlocks(e)
+		} else {
+			sh.gather(e)
+		}
 	}
 }
 
 // phase runs one phase on every shard and returns once all have finished.
+// It then re-raises the first recovered panic in shard order on the
+// caller's goroutine, where Run's caller can recover it; the barrier is
+// complete by then, so the engine runs normally afterwards.
 func (e *Engine) phase(p phase) {
 	for _, sh := range e.shards[1:] {
 		sh.cmd <- p
@@ -199,14 +222,22 @@ func (e *Engine) phase(p phase) {
 	for range e.shards[1:] {
 		<-e.done
 	}
+	for _, sh := range e.shards {
+		if r := sh.panicked; r != nil {
+			panic(r)
+		}
+	}
 }
 
 // collect runs the Outbox callback for every local node, appending all
-// their sends to the shard's one sends buffer, then (when Validate is on)
-// records the shard's first invalid send in node order.
+// their sends to the shard's one sends buffer, and sets each node's slot:
+// nil when it sent nothing, the payload of a lone Broadcast, and sendList
+// otherwise. Only sendList nodes can have targeted sends; their targets
+// are checked against the sorted neighbor list, and the shard records its
+// first violation in node order.
 func (sh *shard) collect(e *Engine) {
 	alg := e.alg
-	sh.valErr = nil
+	sh.sendErr = nil
 	sh.active = 0
 	sh.sends = sh.sends[:0]
 	ob := &sh.ob
@@ -221,20 +252,21 @@ func (sh *shard) collect(e *Engine) {
 		alg.Outbox(v, ob)
 		sh.sends = ob.sends
 		sh.sendOff[v-sh.lo+1] = int32(len(sh.sends))
-		if len(sh.sends) > before {
-			sh.active++
-		}
-	}
-	ob.neighbors, ob.sends = nil, nil
-	if e.Validate {
-		n := e.g.N()
-		for v := sh.lo; v < sh.hi; v++ {
-			if err := checkSends(e.round, n, v, e.g.Neighbors(v), sh.nodeSends(v)); err != nil {
-				sh.valErr = err
-				return
+		var slot Payload
+		if s := sh.sends[before:]; len(s) == 1 && s[0].to == broadcastTo && s[0].payload != nil {
+			slot = s[0].payload
+		} else if len(s) > 0 {
+			slot = sendList{}
+			if err := checkSends(e.round, e.g.N(), v, ob.neighbors, s); err != nil && sh.sendErr == nil {
+				sh.sendErr = err
 			}
 		}
+		if slot != nil {
+			sh.active++
+		}
+		e.slots[v] = slot
 	}
+	ob.neighbors, ob.sends = nil, nil
 }
 
 // nodeSends returns local node v's send entries of the current round.
@@ -260,12 +292,13 @@ func checkSends(round, n, v int, nbr []int32, sends []send) error {
 	return nil
 }
 
-// route encodes, accounts, and enqueues the shard's outgoing messages.
-// Each send entry is encoded exactly once (a broadcast costs one
-// EncodeBits regardless of degree) while accounting charges every wire.
-// Fault-free sends enqueue per-destination blocks; with fault hooks
-// installed every wire needs its own verdict, consulted exactly once, so
-// faultWires walks the receivers one by one.
+// route encodes and accounts the shard's outgoing messages. Each send
+// entry is encoded exactly once (a broadcast costs one EncodeBits
+// regardless of degree) while accounting charges every wire. A fault-free
+// round routes nothing further: receivers gather from the slot table.
+// With fault hooks installed every wire needs its own verdict, consulted
+// exactly once, so faultWires walks the receivers one by one and enqueues
+// the survivors as blocks.
 func (sh *shard) route(e *Engine) {
 	round := e.round
 	for d := range sh.out {
@@ -279,10 +312,7 @@ func (sh *shard) route(e *Engine) {
 	// Corruption flips bits of the real encoding, so a structured fault
 	// model forces encoding even when bit accounting is off.
 	needEncode := e.CountBits || e.Faults != nil
-	useFault := e.Fault != nil || e.Faults != nil
-	if !useFault {
-		sh.reserve(e)
-	}
+	faulted := e.faulted()
 	w := sh.w
 	for v := sh.lo; v < sh.hi; v++ {
 		nbr := e.g.Neighbors(v)
@@ -294,60 +324,34 @@ func (sh *shard) route(e *Engine) {
 				sd.payload.EncodeBits(w)
 				bits = w.Len()
 			}
-			switch {
-			case useFault && sd.to == broadcastTo:
-				sh.faultWires(e, round, v, i, nbr, bits)
-			case useFault:
-				sh.one[0] = sd.to
-				sh.faultWires(e, round, v, i, sh.one[:], bits)
-			case sd.to == broadcastTo:
-				sh.broadcast(e, round, v, i, nbr, bits)
-			default:
-				sh.targeted(e, round, v, i, int(sd.to), bits)
-			}
-		}
-	}
-}
-
-// reserve sizes the fault-free queues for this round from the collected
-// sends, so an engine built per run allocates each queue once instead of
-// growing it: a broadcast adds at most one block to every shard its
-// neighbor range spans, a targeted send one block and one tgt entry.
-func (sh *shard) reserve(e *Engine) {
-	clear(sh.need)
-	targeted := 0
-	for v := sh.lo; v < sh.hi; v++ {
-		nbr := e.g.Neighbors(v)
-		for _, sd := range sh.nodeSends(v) {
+			targets := nbr
 			if sd.to != broadcastTo {
-				sh.need[int(sd.to)/e.chunk]++
-				targeted++
+				sh.one[0] = sd.to
+				targets = sh.one[:]
+			}
+			if faulted {
+				sh.faultWires(e, round, v, i, targets, bits)
 				continue
 			}
-			if len(nbr) == 0 {
-				continue
-			}
-			for d := int(nbr[0]) / e.chunk; d <= int(nbr[len(nbr)-1])/e.chunk; d++ {
-				sh.need[d]++
+			sh.account(e, round, v, int(targets[0]), len(targets), bits)
+			if e.metrics != nil {
+				// targets is ascending, so the wires that stay on this
+				// shard are one run of it.
+				lo, _ := slices.BinarySearch(targets, int32(sh.lo))
+				hi, _ := slices.BinarySearch(targets, int32(sh.hi))
+				sh.boundary += int64(len(targets) - (hi - lo))
 			}
 		}
-	}
-	for d, k := range sh.need {
-		if cap(sh.out[d]) < k {
-			sh.out[d] = make([]block, 0, k)
-		}
-	}
-	if cap(sh.tgt) < targeted {
-		sh.tgt = make([]int32, 0, targeted)
 	}
 }
 
-// accountWire charges one wire against the shard's round accounting:
-// message count, bit totals, and the bandwidth assertion.
-func (sh *shard) accountWire(e *Engine, round, v, u, bits int) {
-	sh.messages++
+// account charges cnt wires of one bits-long send from v against the
+// shard's round accounting: message count, bit totals, and the bandwidth
+// assertion, which names the first of the wires, the one to u.
+func (sh *shard) account(e *Engine, round, v, u, cnt, bits int) {
+	sh.messages += int64(cnt)
 	if e.CountBits {
-		sh.totalBits += int64(bits)
+		sh.totalBits += int64(bits) * int64(cnt)
 		if bits > sh.roundMax {
 			sh.roundMax = bits
 		}
@@ -355,50 +359,6 @@ func (sh *shard) accountWire(e *Engine, round, v, u, bits int) {
 			sh.bwErr = &ErrBandwidth{Round: round, From: v, To: u, Bits: bits, Limit: e.Bandwidth}
 		}
 	}
-}
-
-// broadcast routes one fault-free broadcast: the sorted neighbor list
-// splits into one run per destination shard, and each run becomes a block
-// that addresses the neighbor list in place. Accounting is batched per
-// run; the bandwidth check still reports the first wire of the first run,
-// which is the first violating wire of this send.
-func (sh *shard) broadcast(e *Engine, round, v int, send int32, nbr []int32, bits int) {
-	last := len(e.shards) - 1
-	for j := 0; j < len(nbr); {
-		d := int(nbr[j]) / e.chunk
-		k := len(nbr)
-		if d < last {
-			pos, _ := slices.BinarySearch(nbr[j:], int32((d+1)*e.chunk))
-			k = j + pos
-		}
-		cnt := k - j
-		sh.messages += int64(cnt)
-		if e.CountBits {
-			sh.totalBits += int64(bits) * int64(cnt)
-			if bits > sh.roundMax {
-				sh.roundMax = bits
-			}
-			if e.Bandwidth > 0 && bits > e.Bandwidth && sh.bwErr == nil {
-				sh.bwErr = &ErrBandwidth{Round: round, From: v, To: int(nbr[j]), Bits: bits, Limit: e.Bandwidth}
-			}
-		}
-		if d != sh.id {
-			sh.boundary += int64(cnt)
-		}
-		sh.out[d] = append(sh.out[d], block{from: int32(v), send: send, off: int32(j), n: int32(cnt)})
-		j = k
-	}
-}
-
-// targeted routes one fault-free SendTo wire as a one-receiver tgt block.
-func (sh *shard) targeted(e *Engine, round, v int, send int32, u, bits int) {
-	sh.accountWire(e, round, v, u, bits)
-	d := u / e.chunk
-	if d != sh.id {
-		sh.boundary++
-	}
-	sh.tgt = append(sh.tgt, int32(u))
-	sh.out[d] = append(sh.out[d], block{from: int32(v), send: send, off: int32(len(sh.tgt) - 1), n: -1})
 }
 
 // faultWires settles one send entry wire by wire when fault hooks are
@@ -429,7 +389,7 @@ func (sh *shard) faultWires(e *Engine, round, v int, send int32, targets []int32
 				pl = ^int32(len(sh.corrupt) - 1)
 			}
 		}
-		sh.accountWire(e, round, v, u, bits)
+		sh.account(e, round, v, u, 1, bits)
 		d := u / e.chunk
 		if d != sh.id {
 			sh.boundary++
@@ -440,7 +400,7 @@ func (sh *shard) faultWires(e *Engine, round, v int, send int32, targets []int32
 		}
 		sh.tgt = append(sh.tgt, ut)
 		if pl != send {
-			sh.out[d] = append(sh.out[d], block{from: int32(v), send: pl, off: int32(runStart), n: -1})
+			sh.out[d] = append(sh.out[d], block{from: int32(v), send: pl, off: int32(runStart), n: 1})
 			runStart = len(sh.tgt)
 		}
 	}
@@ -450,7 +410,7 @@ func (sh *shard) faultWires(e *Engine, round, v int, send int32, targets []int32
 // flushRun enqueues the receivers tgt[start:] as one block for shard d.
 func (sh *shard) flushRun(v int, send int32, d, start int) {
 	if cnt := len(sh.tgt) - start; cnt > 0 {
-		sh.out[d] = append(sh.out[d], block{from: int32(v), send: send, off: int32(start), n: -int32(cnt)})
+		sh.out[d] = append(sh.out[d], block{from: int32(v), send: send, off: int32(start), n: int32(cnt)})
 	}
 }
 
@@ -467,12 +427,42 @@ func corruptBits(w *bitio.Writer, salt uint64) CorruptPayload {
 	return CorruptPayload{Bits: bits, NBit: nbit}
 }
 
-// receivers resolves a block of source shard src to its receiver list.
-func (e *Engine) receivers(src *shard, b block) []int32 {
-	if b.n < 0 {
-		return src.tgt[b.off : b.off-b.n]
+// gather builds each local node's inbox in the shard's reused inbox buffer
+// and runs the node's Inbox callback. It walks the node's sorted neighbor
+// list over the slot table: a silent sender adds nothing, a lone broadcast
+// its payload, and a sendList slot the sender's messages to this node in
+// send-call order. So every inbox is sorted by sender id, same-sender
+// messages in send-call order, exactly as the block path delivers them.
+// Delivery runs along edges only, which is why collect checks every
+// SendTo target.
+func (sh *shard) gather(e *Engine) {
+	alg, slots := e.alg, e.slots
+	for v := sh.lo; v < sh.hi; v++ {
+		in := sh.inbox[:0]
+		for _, u := range e.g.Neighbors(v) {
+			switch p := slots[u]; p.(type) {
+			case nil:
+			case sendList:
+				in = e.appendSends(in, int(u), v)
+			default:
+				in = append(in, Received{From: int(u), Payload: p})
+			}
+		}
+		sh.inbox = in
+		alg.Inbox(v, in)
 	}
-	return e.g.Neighbors(int(b.from))[b.off : b.off+b.n]
+}
+
+// appendSends appends what sender u sent to its neighbor v this round — its
+// broadcasts and its SendTo calls at v, in call order — read from u's
+// shard, which wrote them in the collect phase.
+func (e *Engine) appendSends(in []Received, u, v int) []Received {
+	for _, sd := range e.shards[u/e.chunk].nodeSends(u) {
+		if sd.to == broadcastTo || int(sd.to) == v {
+			in = append(in, Received{From: u, Payload: sd.payload})
+		}
+	}
+	return in
 }
 
 // payload resolves a block of source shard src to its payload.
@@ -483,18 +473,17 @@ func (src *shard) payload(b block) Payload {
 	return src.sends[b.send].payload
 }
 
-// deliver counting-sorts the blocks bound for this shard into its inbox
-// arena and runs the Inbox callback for every local node. Source shards
-// are drained in shard order and cover increasing sender ranges, each
-// queue is in (sender, send-call) order, and a block's receivers are
+// deliverBlocks counting-sorts the blocks bound for this shard into its
+// inbox arena and runs the Inbox callback for every local node. Source
+// shards are drained in shard order and cover increasing sender ranges,
+// each queue is in (sender, send-call) order, and a block's receivers are
 // distinct, so every inbox comes out sorted by sender id with same-sender
-// messages in send-call order. Both passes write only this shard's
-// arrays.
-func (sh *shard) deliver(e *Engine) {
+// messages in send-call order. Both passes write only this shard's arrays.
+func (sh *shard) deliverBlocks(e *Engine) {
 	clear(sh.next)
 	for _, src := range e.shards {
 		for _, b := range src.out[sh.id] {
-			for _, t := range e.receivers(src, b) {
+			for _, t := range src.tgt[b.off : b.off+b.n] {
 				sh.next[int(t)-sh.lo]++
 			}
 		}
@@ -514,7 +503,7 @@ func (sh *shard) deliver(e *Engine) {
 	for _, src := range e.shards {
 		for _, b := range src.out[sh.id] {
 			m := Received{From: int(b.from), Payload: src.payload(b)}
-			for _, t := range e.receivers(src, b) {
+			for _, t := range src.tgt[b.off : b.off+b.n] {
 				i := int(t) - sh.lo
 				sh.arena[sh.next[i]] = m
 				sh.next[i]++
@@ -584,8 +573,10 @@ func (e *Engine) Run(alg Algorithm, maxRounds int) (Stats, error) {
 // worker count resumes at any other.
 //
 // Shard accounting merges with sums and maxes only; bandwidth and
-// validation errors surface the first violating wire in (sender,
-// send-call) order, because shards cover increasing sender ranges.
+// SendTo target errors surface the first violating wire in (sender,
+// send-call) order, because shards cover increasing sender ranges. A
+// callback panic on any shard is re-raised on the caller's goroutine (see
+// Engine.phase).
 func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) (Stats, error) {
 	e.prepare()
 	stats := prior
@@ -604,7 +595,8 @@ func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) 
 	defer func() {
 		// cmd is unbuffered, so every goroutine has finished its phase
 		// (and posted to done) once its exit is received; draining done
-		// then leaves the barrier clean even after a panic unwound a phase.
+		// then leaves the barrier clean even if shard 0 left a phase
+		// early (runtime.Goexit; panics are recovered at the barrier).
 		for _, sh := range e.shards[1:] {
 			sh.cmd <- phaseExit
 		}
@@ -615,6 +607,8 @@ func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) 
 			writerPool.Put(sh.w)
 			sh.w = nil
 		}
+		// The slots must not keep the run's payloads alive.
+		clear(e.slots)
 		e.alg = nil
 	}()
 	if e.metrics != nil {
@@ -629,11 +623,9 @@ func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) 
 		}
 		e.round = round
 		e.phase(phaseCollect)
-		if e.Validate {
-			for _, sh := range e.shards {
-				if sh.valErr != nil {
-					return stats, sh.valErr
-				}
+		for _, sh := range e.shards {
+			if sh.sendErr != nil {
+				return stats, sh.sendErr
 			}
 		}
 		bitsBefore := stats.TotalBits

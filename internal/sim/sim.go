@@ -12,13 +12,14 @@
 // The node space is split into one contiguous range per worker (a shard),
 // and each shard runs all three phases for its own nodes on one goroutine,
 // with barriers between the phases. A broadcast is encoded once per sender
-// per round and routed as one block per destination shard — the sender's
-// payload plus its receivers there, a subrange of the sender's neighbor
-// list — while bit totals still count every wire. Each shard counting-sorts
-// its inbound blocks into its own inbox arena, so every inbox is sorted by
-// sender id and the Stats, traces and fault ledgers are bit-identical for
-// every worker count. See docs/SIMULATOR.md for the full concurrency
-// contract.
+// per round while bit totals still count every wire. Without fault hooks a
+// shard then gathers each of its nodes' inboxes by walking the node's own
+// sorted neighbor list over a per-node table of what every sender sent;
+// with fault hooks, whose verdicts are per wire, it counting-sorts the
+// wires that survive into its own inbox arena. Either way every inbox is
+// sorted by sender id and the Stats, traces and fault ledgers are
+// bit-identical for every worker count. See docs/SIMULATOR.md for the full
+// concurrency contract.
 //
 // The per-node callbacks of an Algorithm must only touch the state of the
 // node they are invoked for (plus read-only shared configuration); the
@@ -55,7 +56,8 @@ type Algorithm interface {
 	// node v sends this round.
 	Outbox(v int, out *Outbox)
 	// Inbox is called once per node per round with the messages delivered
-	// to v, sorted by sender id.
+	// to v, sorted by sender id. in is valid only during the call: the
+	// engine reuses its storage for the next node.
 	Inbox(v int, in []Received)
 	// Done reports global termination; checked between rounds. It must be
 	// safe to call while no Outbox/Inbox call is in flight.
@@ -101,10 +103,9 @@ func (o *Outbox) Broadcast(p Payload) {
 	o.sends = append(o.sends, send{to: broadcastTo, payload: p})
 }
 
-// SendTo sends p to the specific neighbor u; u must be adjacent to the
-// node. The fast path does not check adjacency; set Engine.Validate to make
-// the engine verify every targeted send against the graph and fail the run
-// with a descriptive error on a violation.
+// SendTo sends p to the specific neighbor u. The engine checks every
+// target after the Outbox phase and fails the run with a descriptive error
+// if u is out of range or not adjacent to the node.
 func (o *Outbox) SendTo(u int, p Payload) {
 	o.sends = append(o.sends, send{to: int32(u), payload: p})
 }
@@ -214,11 +215,6 @@ type Engine struct {
 	// CountBits disables encoding-based accounting when false (useful for
 	// micro-benchmarks where encoding dominates).
 	CountBits bool
-	// Validate, when true, makes the engine check every SendTo target
-	// against the graph's adjacency before routing and fail the run on a
-	// violation. The check runs outside the Outbox fast path, so leaving
-	// it off costs nothing per send.
-	Validate bool
 	// Fault is the legacy ad-hoc drop hook, kept for backward
 	// compatibility: a message from `from` to `to` in `round` is discarded
 	// when Fault returns true. It is invoked exactly once per wire per
@@ -253,12 +249,14 @@ type Engine struct {
 	// first run and kept for later ones until the node count or the worker
 	// count changes (builtN, builtFor record both at build time). chunk is
 	// the shard width: node v belongs to shards[v/chunk]. done collects
-	// the shard goroutines' phase completions.
+	// the shard goroutines' phase completions. slots[v] says what node v
+	// sent this round, for gather delivery (see shard.collect).
 	shards   []*shard
 	chunk    int
 	builtN   int
 	builtFor int
 	done     chan struct{}
+	slots    []Payload
 
 	// Per-run state, written by the coordinator between phase barriers.
 	alg   Algorithm
@@ -270,7 +268,6 @@ type Options struct {
 	Workers     int  // shard count: contiguous node ranges, one goroutine each (0 = GOMAXPROCS)
 	Bandwidth   int  // per-message bit budget (0 = unlimited)
 	NoCountBits bool // disable encoding-based bit accounting
-	Validate    bool // check SendTo targets against the graph
 	// Faults installs a structured fault schedule (see FaultModel and
 	// internal/chaos) and activates the Stats.Faults ledger.
 	Faults FaultModel
@@ -297,7 +294,6 @@ func NewEngineWith(g *graph.Graph, opts Options) *Engine {
 	}
 	e.Bandwidth = opts.Bandwidth
 	e.CountBits = !opts.NoCountBits
-	e.Validate = opts.Validate
 	e.Faults = opts.Faults
 	e.Fault = opts.Fault
 	e.tracer = opts.Tracer

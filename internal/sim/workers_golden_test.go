@@ -216,12 +216,13 @@ func (a *badSender) Outbox(v int, out *sim.Outbox) {
 func (a *badSender) Inbox(int, []sim.Received) {}
 func (a *badSender) Done() bool                { a.round++; return a.round > 4 }
 
-// TestGoldenValidateError pins the Validate error path: the same message,
-// and the failing round's routing never reaches Stats.
+// TestGoldenValidateError pins the SendTo target check, which is always
+// on: the same message, and the failing round's routing never reaches
+// Stats.
 func TestGoldenValidateError(t *testing.T) {
 	g := graph.Ring(12)
 	for _, w := range goldenWorkers {
-		stats, err := sim.NewEngineWith(g, sim.Options{Workers: w, Validate: true}).Run(&badSender{}, 8)
+		stats, err := sim.NewEngineWith(g, sim.Options{Workers: w}).Run(&badSender{}, 8)
 		if err == nil || err.Error() != errValidate {
 			t.Errorf("workers=%d: error %v, want %q", w, err, errValidate)
 		}
