@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/coloring"
+	"repro/internal/graph"
 	"repro/internal/oldc"
 	"repro/internal/sim"
 )
@@ -78,6 +79,32 @@ func TestClaimVerdictsBite(t *testing.T) {
 	}
 	if rep.Rows[0].Counts["rounds_bound"] == nil || rep.Rows[1].Counts["violations"] == 0 {
 		t.Errorf("bound or violations not recorded: %v, %v", rep.Rows[0].Counts, rep.Rows[1].Counts)
+	}
+}
+
+// TestMatrixBoundsBite checks the matrix rows' theorem bounds: each records
+// its <metric>_bound and fails a metric beyond it.
+func TestMatrixBoundsBite(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	g := b.Build()
+	in := oldc.Input{M: 18}
+	for _, c := range []struct {
+		bound  rowBound
+		counts map[string]any
+		key    string
+		want   int
+		ok     bool
+	}{
+		{colorsDelta1, map[string]any{"colors": 3}, "colors_bound", 3, true},
+		{colorsDelta1, map[string]any{"colors": 4}, "colors_bound", 3, false},
+		{fk24Rounds(func(in oldc.Input) int { return in.M }), map[string]any{"rounds": 20}, "rounds_bound", 20, true},
+		{fk24Rounds(func(in oldc.Input) int { return in.M }), map[string]any{"rounds": 21}, "rounds_bound", 20, false},
+	} {
+		if ok := c.bound(g, in, c.counts); ok != c.ok || c.counts[c.key] != c.want {
+			t.Errorf("counts %v: verdict %t, want %t with %s = %d", c.counts, ok, c.ok, c.key, c.want)
+		}
 	}
 }
 

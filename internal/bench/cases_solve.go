@@ -137,11 +137,35 @@ func chaosCases(quick bool) []benchCase {
 
 // matrixSolver is one contender of the who-wins matrix. It solves its
 // problem ("oldc" on the shared instance, or "proper") and returns the
-// palette bound a proper coloring is checked against.
+// palette bound a proper coloring is checked against. A contender with a
+// theorem bound checks it with bound.
 type matrixSolver struct {
 	family, knob, problem string
 	run                   func(g *graph.Graph, in oldc.Input) (coloring.Assignment, sim.Stats, int, error)
+	bound                 rowBound
 }
+
+// rowBound records a row's theorem bound as the count <metric>_bound and
+// reports whether the metric stays within it.
+type rowBound func(g *graph.Graph, in oldc.Input, counts map[string]any) bool
+
+// atMost returns the rowBound metric ≤ bound(g, in).
+func atMost(metric string, bound func(g *graph.Graph, in oldc.Input) int) rowBound {
+	return func(g *graph.Graph, in oldc.Input, counts map[string]any) bool {
+		b := bound(g, in)
+		counts[metric+"_bound"] = b
+		return counts[metric].(int) <= b
+	}
+}
+
+// fk24Rounds bounds an fk24 row by its schedule length, B + 2 rounds for
+// B buckets.
+func fk24Rounds(buckets func(in oldc.Input) int) rowBound {
+	return atMost("rounds", func(_ *graph.Graph, in oldc.Input) int { return buckets(in) + 2 })
+}
+
+// colorsDelta1 bounds a (Δ+1)-coloring row by its palette.
+var colorsDelta1 = atMost("colors", func(g *graph.Graph, _ oldc.Input) int { return g.MaxDegree() + 1 })
 
 // matrixSolvers enumerates the contenders: the Theorem 1.1 OLDC solver,
 // the Fuchs–Kuhn 2024 iterative framework at two bucket depths, the Maus
@@ -151,31 +175,31 @@ var matrixSolvers = []matrixSolver{
 	{"oldc", "base", "oldc", func(g *graph.Graph, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
 		phi, st, err := oldc.Solve(sim.NewEngine(g), in, oldc.Options{})
 		return phi, st, 0, err
-	}},
+	}, nil},
 	{"fk24", "buckets=default", "oldc", func(g *graph.Graph, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
 		phi, st, err := fk24.Solve(sim.NewEngine(g), fk24Input(in), fk24.Options{})
 		return phi, st, 0, err
-	}},
+	}, fk24Rounds(func(in oldc.Input) int { return fk24.DefaultBuckets(in.O, in.M) })},
 	{"fk24", "buckets=m", "oldc", func(g *graph.Graph, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
 		phi, st, err := fk24.Solve(sim.NewEngine(g), fk24Input(in), fk24.Options{Buckets: in.M})
 		return phi, st, 0, err
-	}},
+	}, fk24Rounds(func(in oldc.Input) int { return in.M })},
 	{"maus21", "k=2", "proper", func(g *graph.Graph, _ oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
 		phi, colors, st, err := maus21.Solve(sim.NewEngine(g), g, maus21.Options{K: 2})
 		return phi, st, colors, err
-	}},
+	}, nil},
 	{"maus21", "k=4", "proper", func(g *graph.Graph, _ oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
 		phi, colors, st, err := maus21.Solve(sim.NewEngine(g), g, maus21.Options{K: 4})
 		return phi, st, colors, err
-	}},
+	}, nil},
 	{"delta1", "base", "proper", func(g *graph.Graph, _ oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
 		res, err := congest.DeltaPlusOne(g, congest.Config{})
 		return res.Phi, res.Stats, g.MaxDegree() + 1, err
-	}},
+	}, colorsDelta1},
 	{"degluby", "base", "proper", func(g *graph.Graph, _ oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
 		phi, st, err := baseline.DegreeLuby(sim.NewEngine(g), g, 1)
 		return phi, st, g.MaxDegree() + 1, err
-	}},
+	}, colorsDelta1},
 }
 
 func fk24Input(in oldc.Input) fk24.Input {
@@ -185,7 +209,9 @@ func fk24Input(in oldc.Input) fk24.Input {
 // matrixCases is the E14 who-wins matrix: every contender on the same
 // instance in each Δ column. OLDC rows are checked against the shared
 // lists under the by-ID orientation, proper rows against their palette
-// bound; a solver error aborts the suite.
+// bound; a solver error aborts the suite. fk24 rows also check their
+// B + 2 rounds, and the (Δ+1)-coloring rows (delta1, degluby) their Δ+1
+// colors.
 func matrixCases(quick bool) []benchCase {
 	columns := []instance{{512, 8, 1 << 12, 5.0}, {512, 64, 1 << 14, 6.0}, {512, 128, 1 << 15, 6.0}}
 	if quick {
@@ -216,6 +242,9 @@ func matrixCases(quick bool) []benchCase {
 						} else {
 							r.valid = coloring.CheckProper(g, phi, bound) == nil
 							r.doc = func() verifyDoc { return properDoc(g, bound, phi) }
+						}
+						if s.bound != nil {
+							r.valid = s.bound(g, in, r.counts) && r.valid
 						}
 						return r, nil
 					}, nil

@@ -31,14 +31,30 @@ const kernelMaxTau = 255
 // neighbors in turn, so the filter is built once per node. Families are
 // immutable, so a loaded family is recognized by its pointer; Unload drops
 // the reference once the node is done.
+//
+// The filter has two modes. When the family's color range fits in
+// 64·nextPow2(|NzColors|) bits it is exact: bit x−lo is set iff x is a
+// nonzero color, and rank[i] counts the set bits of the words before word
+// i, so a hit's row in NzColors is rank[i] plus one popcount. Otherwise it
+// is hashed: bit x&(64·len−1) is set for every nonzero color x, and a hit
+// is confirmed by binary search.
 type ConflictKernel struct {
 	planes [64][8]uint64 // planes[i][p]: bit s = bit p of weight(own i, nbr s)
 	sat    [64]uint64    // bit s set once weight(own i, nbr s) overflowed
 	used   uint64        // own-set rows with any live counter bits
 
 	own    *CachedFamily // family the filter describes (nil = none)
-	filter []uint64      // bit x&(64·len−1) set for every x in own.NzColors
+	filter []uint64
+	exact  bool
+	lo     int        // color of bit 0: exact, the smallest nonzero color; hashed, 0
+	fmask  uint       // bit-offset mask: exact, all ones; hashed, 64·len(filter)−1
+	rank   []int32    // exact mode: set bits of filter[:i], per word i
+	hits   []probeHit // one call's filter hits
 }
+
+// probeHit is a filter hit of FamilyConflictMask: the probed color x and
+// the row j2 of the neighbor's nonzero color it came from.
+type probeHit struct{ x, j2 int }
 
 // FamilyConflictMask returns a bitmask over f1's candidate sets: bit i is
 // set iff ConflictWeight(f1.Sets[i], f2.Sets[s], g) ≥ tau for at least one
@@ -48,12 +64,14 @@ type ConflictKernel struct {
 // reference sweep computes the same mask.
 //
 // The kernel visits every pair of nonzero colors (x of f1, y of f2) with
-// |x − y| ≤ g: it walks f2's nonzero colors, tests each x ∈ [y−g, y+g]
-// against the probe filter of f1's nonzero colors, and binary-searches f1
-// on a filter hit. Aliased filter bits fail the search, so the pairs are
-// exactly those of a merge of the two lists. Each pair adds one to every
-// (own set, neighbor set) weight it covers; the threshold reads only the
-// final counts, so the visiting order does not matter.
+// |x − y| ≤ g. It walks f2's nonzero colors and records each x ∈
+// [y−g, y+g] whose bit is set in the probe filter of f1's nonzero colors;
+// then it finds each hit's row of f1. In an exact filter the row is the
+// hit's rank: a prefix count plus one popcount. In a hashed filter a
+// binary search finds it, and aliased bits fail the search. Either way
+// the pairs are exactly those of a merge of the two lists. Each pair adds
+// one to every (own set, neighbor set) weight it covers; the threshold
+// reads only the final counts, so the visiting order does not matter.
 func (k *ConflictKernel) FamilyConflictMask(f1, f2 *CachedFamily, tau, g int) uint64 {
 	if f1.NzMask == nil || f2.NzMask == nil || tau < 1 || tau > kernelMaxTau {
 		return familyConflictMaskSlow(f1, f2, tau, g)
@@ -66,16 +84,22 @@ func (k *ConflictKernel) FamilyConflictMask(f1, f2 *CachedFamily, tau, g int) ui
 	// compacted nonzero rows) can change a counter, and candidate sets
 	// cover a small fraction of the lists.
 	l1, m1 := f1.NzColors, f1.NzMask
-	filter, fmask := k.filter, uint(64*len(k.filter)-1)
-	for j2, y := range f2.NzColors {
-		um := f2.NzMask[j2]
-		for x := y - g; x <= y+g; x++ {
-			b := uint(x) & fmask
-			if filter[b>>6]&(1<<(b&63)) == 0 {
-				continue
-			}
-			if j1, ok := slices.BinarySearch(l1, x); ok {
-				k.count(m1[j1], um, p)
+	filter := k.filter
+	n := len(f2.NzColors) * (2*g + 1)
+	k.hits = slices.Grow(k.hits[:0], n)[:n]
+	hits := k.hits[:probe(filter, k.lo, k.fmask, f2.NzColors, g, k.hits)]
+	if k.exact {
+		rank := k.rank[:len(filter)]
+		for _, ht := range hits {
+			b := uint(ht.x - k.lo)
+			i := b >> 6
+			j1 := int(rank[i]) + bits.OnesCount64(filter[i]&(1<<(b&63)-1))
+			k.count(m1[j1], f2.NzMask[ht.j2], p)
+		}
+	} else {
+		for _, ht := range hits {
+			if j1, ok := slices.BinarySearch(l1, ht.x); ok {
+				k.count(m1[j1], f2.NzMask[ht.j2], p)
 			}
 		}
 	}
@@ -104,6 +128,25 @@ func (k *ConflictKernel) FamilyConflictMask(f1, f2 *CachedFamily, tau, g int) ui
 	return out
 }
 
+// probe records in hits every x ∈ [y−g, y+g] for y = ys[j2] whose filter
+// bit (x−lo)&fmask is set, with its j2, and returns how many it recorded;
+// hits must hold len(ys)·(2g+1) entries. Kept apart from the counting,
+// the kernel's inner loop makes no calls, so its variables stay in
+// registers.
+func probe(filter []uint64, lo int, fmask uint, ys []int, g int, hits []probeHit) int {
+	h := 0
+	for j2, y := range ys {
+		for x := y - g; x <= y+g; x++ {
+			b := uint(x-lo) & fmask // exact: below lo wraps past the filter
+			if i := b >> 6; i < uint(len(filter)) && filter[i]&(1<<(b&63)) != 0 {
+				hits[h] = probeHit{x: x, j2: j2}
+				h++
+			}
+		}
+	}
+	return h
+}
+
 // count adds one to weight(own i, nbr s) for every i in vm and s in um:
 // a bit-sliced saturating +1 on the lanes um of each row in vm.
 func (k *ConflictKernel) count(vm, um uint64, p int) {
@@ -124,13 +167,23 @@ func (k *ConflictKernel) count(vm, um uint64, p int) {
 	}
 }
 
-// load builds the probe filter of f's nonzero colors: nextPow2(|NzColors|)
-// words (at most 16 bytes per color, whatever the color values), so at
-// most one bit in 64 is set and a miss is the common answer.
+// load builds the probe filter of f's nonzero colors in at most
+// nextPow2(|NzColors|) words — at most 16 bytes per color, whatever the
+// color values — plus, in exact mode, one rank word per filter word. A
+// hashed filter uses all of them, so at most one bit in 64 is set and a
+// miss is the common answer; an exact one only the words its color range
+// spans.
 func (k *ConflictKernel) load(f *CachedFamily) {
+	nz := f.NzColors
 	w := 1
-	for w < len(f.NzColors) {
+	for w < len(nz) {
 		w *= 2
+	}
+	k.exact = len(nz) > 0 && nz[len(nz)-1]-nz[0] < 64*w
+	k.lo, k.fmask = 0, uint(64*w-1)
+	if k.exact {
+		k.lo, k.fmask = nz[0], ^uint(0)
+		w = (nz[len(nz)-1]-nz[0])/64 + 1
 	}
 	if cap(k.filter) < w {
 		k.filter = make([]uint64, w)
@@ -138,10 +191,17 @@ func (k *ConflictKernel) load(f *CachedFamily) {
 		k.filter = k.filter[:w]
 		clear(k.filter)
 	}
-	fmask := uint(64*w - 1)
-	for _, x := range f.NzColors {
-		b := uint(x) & fmask
+	for _, x := range nz {
+		b := uint(x-k.lo) & k.fmask
 		k.filter[b>>6] |= 1 << (b & 63)
+	}
+	if k.exact {
+		k.rank = slices.Grow(k.rank[:0], w)[:w]
+		r := int32(0)
+		for i, wd := range k.filter {
+			k.rank[i] = r
+			r += int32(bits.OnesCount64(wd))
+		}
 	}
 	k.own = f
 }

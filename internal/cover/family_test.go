@@ -118,10 +118,9 @@ func TestFamilyConflictMaskMatchesReference(t *testing.T) {
 			}
 		}
 	})
-	// The neighbor's colors sit a multiple of the filter size away from the
-	// own colors, so nearly every probe hits an aliased filter bit and
-	// only the search can reject it; colors near 0 with g > 0 probe below
-	// zero.
+	// The own colors lie below 40, so the own family gets the exact
+	// filter: the neighbor's colors a multiple of 4096 away fall past its
+	// end, and colors near 0 with g > 0 probe below its start.
 	t.Run("aliased", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(52))
 		for trial := 0; trial < 200; trial++ {
@@ -146,6 +145,160 @@ func TestFamilyConflictMaskMatchesReference(t *testing.T) {
 						t.Fatalf("trial %d g=%d τ=%d: mask %x, want %x", trial, g, tau, got, want)
 					}
 				}
+			}
+		}
+	})
+	// An own family spread wider than its exact bitmap gets the hashed
+	// filter. The neighbor's colors sit a multiple of the filter size away
+	// from the own colors, so nearly every probe hits an aliased bit and
+	// only the search can reject it.
+	t.Run("aliased-hashed", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(54))
+		for trial := 0; trial < 200; trial++ {
+			f1 := NewCachedFamily(Type{InitColor: 1, List: randSet(rng, 24, 1<<16), SetSize: 8, NumSets: 16})
+			f2 := NewCachedFamily(Type{InitColor: 2, List: aliasedList(rng, f1), SetSize: 8, NumSets: 16})
+			var k ConflictKernel
+			checkKernelModes(t, &k, f1, f2, false)
+		}
+	})
+	// Own families whose color range is one bit short of and exactly the
+	// exact bitmap's capacity, 64·nextPow2(|NzColors|) bits: the first
+	// gets the exact filter with both end bits set, the second the hashed
+	// one. The neighbor's colors sit on, next to and just outside the own
+	// colors.
+	t.Run("boundary", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(55))
+		for trial := 0; trial < 100; trial++ {
+			nz := 2 + rng.Intn(70)
+			capacity := 64 * filterWords(nz)
+			for _, span := range []int{capacity - 1, capacity} {
+				lo := rng.Intn(1000)
+				own := []int{lo, lo + span}
+				for len(own) < nz {
+					if x := lo + 1 + rng.Intn(span-1); !slices.Contains(own, x) {
+						own = append(own, x)
+					}
+				}
+				sort.Ints(own)
+				f1 := handFamily(rng, own, 1+rng.Intn(64))
+				var nbr []int
+				for _, x := range append(own, lo-3, lo-1, lo+span+1, lo+span+3) {
+					if y := x + rng.Intn(7) - 3; y >= 0 && rng.Intn(3) > 0 {
+						nbr = append(nbr, y)
+					}
+					if x >= 0 && rng.Intn(2) == 0 {
+						nbr = append(nbr, x)
+					}
+				}
+				sort.Ints(nbr)
+				f2 := handFamily(rng, slices.Compact(nbr), 1+rng.Intn(64))
+				var k ConflictKernel
+				checkKernelModes(t, &k, f1, f2, span < capacity)
+			}
+		}
+	})
+}
+
+// checkKernelModes checks the kernel against the scalar sweep for f1 and
+// f2 at gaps 0, 1 and 3 and the τ edges of each, and that f1 loaded the
+// wanted filter mode.
+func checkKernelModes(t *testing.T, k *ConflictKernel, f1, f2 *CachedFamily, exact bool) {
+	t.Helper()
+	for _, g := range []int{0, 1, 3} {
+		for _, tau := range tauEdges(f1, f2, g) {
+			if got, want := k.FamilyConflictMask(f1, f2, tau, g), familyConflictMaskSlow(f1, f2, tau, g); got != want {
+				t.Fatalf("own %v, nbr %v, g=%d τ=%d: mask %x, want %x", f1.NzColors, f2.NzColors, g, tau, got, want)
+			}
+		}
+	}
+	if k.exact != exact {
+		t.Fatalf("own range [%d, %d] over %d nonzero colors: exact filter %v, want %v",
+			f1.NzColors[0], f1.NzColors[len(f1.NzColors)-1], len(f1.NzColors), k.exact, exact)
+	}
+}
+
+// filterWords is the kernel's filter capacity in words for n nonzero
+// colors: nextPow2(n).
+func filterWords(n int) int {
+	w := 1
+	for w < n {
+		w *= 2
+	}
+	return w
+}
+
+// aliasedList returns a list that puts, for each of f's nonzero colors x,
+// x itself or x plus a multiple of f's hashed filter size: every entry
+// probes a set bit of that filter.
+func aliasedList(rng *rand.Rand, f *CachedFamily) []int {
+	size := 64 * filterWords(len(f.NzColors))
+	var out []int
+	for _, x := range f.NzColors {
+		out = append(out, x+rng.Intn(3)*size)
+	}
+	sort.Ints(out)
+	return slices.Compact(out)
+}
+
+// handFamily builds a family over the given ascending colors with numSets
+// random sets in which every color occurs at least once, so its nonzero
+// colors are exactly colors.
+func handFamily(rng *rand.Rand, colors []int, numSets int) *CachedFamily {
+	f := &CachedFamily{List: colors, Sets: make([][]int, numSets), NzColors: colors, NzMask: make([]uint64, len(colors))}
+	for j, x := range colors {
+		m := uint64(1) << uint(j%numSets)
+		for s := 0; s < numSets; s++ {
+			if rng.Intn(3) == 0 {
+				m |= 1 << uint(s)
+			}
+		}
+		f.NzMask[j] = m
+		for s := 0; s < numSets; s++ {
+			if m&(1<<uint(s)) != 0 {
+				f.Sets[s] = append(f.Sets[s], x)
+			}
+		}
+	}
+	return f
+}
+
+// FuzzFamilyConflictMask cross-checks the kernel against the scalar sweep
+// over fuzzer-chosen families: list lengths, color spaces and offsets that
+// put the own family in either filter mode, neighbors aliased onto the
+// hashed filter, set shapes (beyond 64 sets the scalar fallback), gaps
+// and τ. One kernel serves each pair in both directions.
+func FuzzFamilyConflictMask(f *testing.F) {
+	// The Theorem 1.4 batch shape: 86-color lists in a 97-color space.
+	f.Add(int64(1), uint8(86), uint8(86), uint32(97), uint32(0), uint8(12), uint8(16), uint8(0), uint8(2), false)
+	// Sparse lists in 2^15 at g = 1: an own range too wide for the exact
+	// bitmap.
+	f.Add(int64(2), uint8(200), uint8(200), uint32(1<<15), uint32(0), uint8(64), uint8(8), uint8(1), uint8(2), false)
+	// Aliased neighbors of a hashed own family near 2^30.
+	f.Add(int64(3), uint8(24), uint8(24), uint32(1<<16), uint32(1<<30), uint8(8), uint8(16), uint8(3), uint8(1), true)
+	// 70 sets: no compact index, the scalar fallback.
+	f.Add(int64(4), uint8(50), uint8(50), uint32(900), uint32(7), uint8(6), uint8(70), uint8(0), uint8(2), false)
+	f.Fuzz(func(t *testing.T, seed int64, ownLen, nbrLen uint8, space, offset uint32, setSize, numSets, g, tau uint8, alias bool) {
+		rng := rand.New(rand.NewSource(seed))
+		sp := 1 + int(space%(1<<20))
+		list := func(n uint8) []int {
+			l := randSet(rng, min(int(n), sp), sp)
+			for i := range l {
+				l[i] += int(offset % (1 << 30))
+			}
+			return l
+		}
+		ty := Type{InitColor: 1, List: list(ownLen), SetSize: 1 + int(setSize%64), NumSets: int(numSets % 72)}
+		f1 := NewCachedFamily(ty)
+		ty.InitColor, ty.List = 2, list(nbrLen)
+		if alias {
+			ty.List = aliasedList(rng, f1)
+		}
+		f2 := NewCachedFamily(ty)
+		gap, th := int(g%4), 1+int(tau%8)
+		var k ConflictKernel
+		for _, p := range [][2]*CachedFamily{{f1, f2}, {f1, f2}, {f2, f1}, {f1, f1}} {
+			if got, want := k.FamilyConflictMask(p[0], p[1], th, gap), familyConflictMaskSlow(p[0], p[1], th, gap); got != want {
+				t.Fatalf("own %v, nbr %v, g=%d τ=%d: mask %x, want %x", p[0].NzColors, p[1].NzColors, gap, th, got, want)
 			}
 		}
 	})
@@ -174,20 +327,31 @@ func tauEdges(f1, f2 *CachedFamily, g int) []int {
 
 // TestConflictKernelFilterBounded pins the probe filter's memory to the
 // family, not the color values: colors near 2^30 cost at most 16 bytes
-// per nonzero color (a color-indexed table would need 128 MB).
+// of filter and 8 bytes of rank table per nonzero color (a color-indexed
+// table would need 128 MB), whether the colors spread over 2^20 (the
+// hashed filter) or over 2^12 (the exact one).
 func TestConflictKernelFilterBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	list := randSet(rng, 600, 1<<20)
-	for i := range list {
-		list[i] += 1<<30 - 1<<20
-	}
-	for _, numSets := range []int{1, 16, 64} {
-		own := NewCachedFamily(Type{InitColor: 1, List: list, SetSize: 32, NumSets: numSets})
-		nbr := NewCachedFamily(Type{InitColor: 2, List: list, SetSize: 32, NumSets: 16})
-		var k ConflictKernel
-		k.FamilyConflictMask(own, nbr, 2, 0)
-		if got, limit := 8*cap(k.filter), 16*len(own.NzColors); got > limit {
-			t.Errorf("%d sets: filter holds %d bytes for %d nonzero colors, limit %d", numSets, got, len(own.NzColors), limit)
+	for _, spread := range []int{1 << 20, 1 << 12} {
+		list := randSet(rng, 600, spread)
+		for i := range list {
+			list[i] += 1<<30 - spread
+		}
+		for _, numSets := range []int{1, 16, 64} {
+			own := NewCachedFamily(Type{InitColor: 1, List: list, SetSize: 32, NumSets: numSets})
+			nbr := NewCachedFamily(Type{InitColor: 2, List: list, SetSize: 32, NumSets: 16})
+			var k ConflictKernel
+			k.FamilyConflictMask(own, nbr, 2, 0)
+			nz := len(own.NzColors)
+			if got, limit := 8*cap(k.filter), 16*nz; got > limit {
+				t.Errorf("spread %d, %d sets: filter holds %d bytes for %d nonzero colors, limit %d", spread, numSets, got, nz, limit)
+			}
+			if got, limit := 4*cap(k.rank), 8*nz; got > limit {
+				t.Errorf("spread %d, %d sets: rank table holds %d bytes for %d nonzero colors, limit %d", spread, numSets, got, nz, limit)
+			}
+			if want := own.NzColors[nz-1]-own.NzColors[0] < 64*filterWords(nz); k.exact != want {
+				t.Errorf("spread %d, %d sets: exact filter %v, want %v", spread, numSets, k.exact, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cover
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -67,15 +68,44 @@ func BenchmarkPsiCount(b *testing.B) {
 
 // BenchmarkFamilyConflictMask measures the batched family-vs-family
 // conflict kernel with a reused kernel — the per-neighbor Phase I
-// operation that replaces NumSets separate TauGConflict sweeps.
+// operation that replaces NumSets separate TauGConflict sweeps — on three
+// family shapes:
+//
+//   - list256: 256-color lists in 2^14, 16 sets of 32;
+//   - delta1: a Theorem 1.4 batch on G(16384, 64/16383), 86-color lists
+//     in a 97-color space with 16 sets of 12 (about 77 nonzero colors),
+//     where most probes hit;
+//   - d128: the Δ=128 OLDC instance, lists of thousands of colors in 2^15
+//     with 8 sets of 64 (about 480 nonzero colors), where few do.
+//
+// common/op is the number of nonzero colors the two families share: the
+// filter hits of one call.
 func BenchmarkFamilyConflictMask(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	f1 := NewCachedFamily(Type{InitColor: 1, List: randSet(rng, 256, 1<<14), SetSize: 32, NumSets: 16})
-	f2 := NewCachedFamily(Type{InitColor: 2, List: randSet(rng, 256, 1<<14), SetSize: 32, NumSets: 16})
-	var k ConflictKernel
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.FamilyConflictMask(f1, f2, 2, 0)
+	for _, c := range []struct {
+		name                          string
+		list, space, setSize, numSets int
+	}{
+		{"list256", 256, 1 << 14, 32, 16},
+		{"delta1", 86, 97, 12, 16},
+		{"d128", 4000, 1 << 15, 64, 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(8))
+			f1 := NewCachedFamily(Type{InitColor: 1, List: randSet(rng, c.list, c.space), SetSize: c.setSize, NumSets: c.numSets})
+			f2 := NewCachedFamily(Type{InitColor: 2, List: randSet(rng, c.list, c.space), SetSize: c.setSize, NumSets: c.numSets})
+			common := 0
+			for _, x := range f2.NzColors {
+				if _, ok := slices.BinarySearch(f1.NzColors, x); ok {
+					common++
+				}
+			}
+			var k ConflictKernel
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.FamilyConflictMask(f1, f2, 2, 0)
+			}
+			b.ReportMetric(float64(common), "common/op")
+		})
 	}
 }
 

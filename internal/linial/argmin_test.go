@@ -30,6 +30,7 @@ const (
 	oppVarint                 // send a VarintPayload instead of a UintPayload
 	oppInArc                  // orient the edge leaf→center: not an opponent
 	oppOtherClass             // put the leaf in class 1 (the center is in class 0)
+	oppStale                  // send a color other than the leaf's current one
 )
 
 // oppRecord encodes one leaf for FuzzReduceArgmin.
@@ -58,9 +59,12 @@ func fullScanArgmin(c int, opps []int, sp stepParams) int {
 	return best*sp.q + polyEval(c, best, sp.q, sp.deg)
 }
 
-// checkReduceArgmin runs one reduceAlg.Inbox call at the center of a star
-// built from the encoded leaves and compares its choice with the full
-// scan.
+// checkReduceArgmin runs one round of reduceAlg at the center of a star
+// built from the encoded leaves, in engine order — Outbox for every node,
+// then the center's Inbox — and compares its choice with the full scan. A
+// budget above 0 makes the step defective, so the center compares the
+// leaves' stored value records; a stale leaf's message is evaluated from
+// its payload instead.
 func checkReduceArgmin(t *testing.T, pick, budget uint8, own uint32, classOn bool, recs []byte) {
 	t.Helper()
 	sp := argminSteps[int(pick)%len(argminSteps)]
@@ -73,10 +77,12 @@ func checkReduceArgmin(t *testing.T, pick, budget uint8, own uint32, classOn boo
 	for i := 1; i <= k; i++ {
 		b.AddEdge(0, i)
 	}
-	colors := make([]int, k+1)
+	colors := make([]int, k+1) // current colors
+	sent := make([]int, k+1)   // the colors the messages carry
 	class := make([]int, k+1)
 	inArc := make([]bool, k+1)
 	colors[0] = int(own % uint32(space))
+	sent[0] = colors[0]
 	in := make([]sim.Received, 0, k)
 	var opps []int
 	for i := 1; i <= k; i++ {
@@ -86,9 +92,12 @@ func checkReduceArgmin(t *testing.T, pick, budget uint8, own uint32, classOn boo
 		if flags&oppOwn != 0 {
 			c = colors[0]
 		} else if flags&oppPrev != 0 {
-			c = colors[i-1]
+			c = sent[i-1]
 		}
-		colors[i] = c
+		sent[i], colors[i] = c, c
+		if flags&oppStale != 0 {
+			colors[i] = (c + 1) % space
+		}
 		inArc[i] = flags&oppInArc != 0
 		if flags&oppOtherClass != 0 {
 			class[i] = 1
@@ -108,6 +117,10 @@ func checkReduceArgmin(t *testing.T, pick, budget uint8, own uint32, classOn boo
 	if classOn {
 		a.class = class
 	}
+	var ob sim.Outbox
+	for v := range colors {
+		a.Outbox(v, &ob)
+	}
 	a.Inbox(0, in)
 	if want := fullScanArgmin(colors[0], opps, sp); a.next[0] != want {
 		t.Fatalf("q=%d deg=%d own=%d opponents=%v: next %d, full scan %d",
@@ -115,10 +128,11 @@ func checkReduceArgmin(t *testing.T, pick, budget uint8, own uint32, classOn boo
 	}
 }
 
-// FuzzReduceArgmin cross-checks the early-exit argmin of reduceAlg.Inbox
-// against the full scan over fuzzer-chosen steps, colors and leaves:
-// duplicates, copies of the node's own color, non-UintPayload payloads,
-// in-arcs and other-class leaves.
+// FuzzReduceArgmin cross-checks both argmins of reduceAlg.Inbox — the
+// early-exit scan of a proper step and the record compare of a defective
+// one — against the full scan over fuzzer-chosen steps, budgets, colors
+// and leaves: duplicates, copies of the node's own color, non-UintPayload
+// payloads, in-arcs, other-class leaves and stale payloads.
 func FuzzReduceArgmin(f *testing.F) {
 	// GF(11), own color 0 (f ≡ 0) against constants 1, 2, 3: x = 0 is
 	// already collision-free.
@@ -144,21 +158,28 @@ func FuzzReduceArgmin(f *testing.F) {
 		recs = append(recs, oppRecord(uint16(rng.Intn(1<<16)), 0)...)
 	}
 	f.Add(uint8(9), uint8(3), uint32(9000), false, recs)
+	// The same defective step with every fourth leaf stale: those leaves'
+	// values come from their payloads, the rest from stored records.
+	stale := append([]byte(nil), recs...)
+	for i := 2; i < len(stale); i += 12 {
+		stale[i] |= oppStale
+	}
+	f.Add(uint8(9), uint8(3), uint32(9000), false, stale)
 	f.Fuzz(func(t *testing.T, pick, budget uint8, own uint32, classOn bool, recs []byte) {
 		checkReduceArgmin(t, pick, budget, own, classOn, recs)
 	})
 }
 
 // TestReduceArgminMatchesFullScan runs the fuzz target's check over a
-// fixed random sweep, so every test run covers every step with dense and
-// sparse collisions.
+// fixed random sweep, so every test run covers every step, proper and
+// defective, with dense and sparse collisions.
 func TestReduceArgminMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 2000; iter++ {
 		recs := make([]byte, 3*rng.Intn(65))
 		rng.Read(recs)
 		for i := 2; i < len(recs); i += 3 {
-			recs[i] &= byte(rng.Intn(32)) // mostly plain opponents
+			recs[i] &= byte(rng.Intn(64)) // mostly plain opponents
 		}
 		checkReduceArgmin(t, uint8(iter), uint8(rng.Intn(4)), rng.Uint32(), iter%3 == 0, recs)
 	}

@@ -171,6 +171,15 @@ func (s *gfStep) dot(digits, pw []uint64) uint64 {
 	return s.reduce(sum)
 }
 
+// values writes f_c(x) into dst[x] for every point x < len(dst) ≤ q,
+// expanding c into digits (len deg+1) first. Requires the power table.
+func (s *gfStep) values(c int, digits []uint64, dst []uint32) {
+	s.expand(c, digits)
+	for x := range dst {
+		dst[x] = uint32(s.dot(digits, s.row(uint64(x))))
+	}
+}
+
 // collisions counts the polynomials in opps — deg+1 ascending digits each,
 // back to back — that take the value fx at the point whose powers are pw,
 // stopping once the count reaches limit.
