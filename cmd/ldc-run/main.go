@@ -98,6 +98,16 @@ type fatalError struct {
 	err  error
 }
 
+// squareSumLists draws the -algo oldc/fk24 lists over a 4096-color space.
+// A -kappa the space cannot meet is a usage error.
+func squareSumLists(o *graph.Oriented, kappa float64, seed int64) []coloring.NodeList {
+	inst, err := coloring.SquareSumOrientedRange(o, 4096, kappa, 1, 3, seed)
+	if err != nil {
+		fatalf(2, "-kappa %g: %v", kappa, err)
+	}
+	return inst.Lists
+}
+
 // die aborts the run with exit code 1 when err is non-nil.
 func die(err error) {
 	if err != nil {
@@ -332,8 +342,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// end totals reconcile against the solve engines alone.
 		init, m, _, err := linial.Proper(sim.NewEngineWith(g, sim.Options{Workers: *shards}), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
 		die(err)
-		inst := coloring.SquareSumOrientedRange(o, 4096, *kappa, 1, 3, *seed)
-		in := oldc.Input{O: o, SpaceSize: 4096, Lists: inst.Lists, InitColors: init, M: m}
+		in := oldc.Input{O: o, SpaceSize: 4096, Lists: squareSumLists(o, *kappa, *seed), InitColors: init, M: m}
 		simOpts := engineOpts
 		if plan != nil {
 			simOpts.Faults = plan.Model
@@ -397,8 +406,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// chaos harness and the tracer target the committing phase only.
 		init, m, _, err := linial.Proper(sim.NewEngineWith(g, sim.Options{Workers: *shards}), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
 		die(err)
-		inst := coloring.SquareSumOrientedRange(o, 4096, *kappa, 1, 3, *seed)
-		in := fk24.Input{O: o, SpaceSize: 4096, Lists: inst.Lists, InitColors: init, M: m}
+		in := fk24.Input{O: o, SpaceSize: 4096, Lists: squareSumLists(o, *kappa, *seed), InitColors: init, M: m}
 		simOpts := engineOpts
 		if plan != nil {
 			simOpts.Faults = plan.Model

@@ -47,6 +47,8 @@ func TestRunExitCodes(t *testing.T) {
 			"-memprofile", noDir, "-metrics-addr", "127.0.0.1:0"}, 1},
 
 		{"unknown flag", []string{"-frobnicate"}, 2},
+		{"oldc kappa exhausts the space", []string{"-graph", "clique", "-n", "200", "-algo", "oldc", "-kappa", "50"}, 2},
+		{"fk24 kappa exhausts the space", []string{"-graph", "clique", "-n", "200", "-algo", "fk24", "-kappa", "50"}, 2},
 		{"unknown algo", []string{"-algo", "rainbow"}, 2},
 		{"unknown graph", []string{"-graph", "moebius"}, 2},
 		{"chaos without oldc", []string{"-graph", "ring", "-n", "16", "-algo", "delta1", "-chaos", "drop:0.1"}, 2},

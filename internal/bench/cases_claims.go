@@ -84,9 +84,15 @@ func (w workload) params() map[string]any {
 func (w workload) build() (*sim.Engine, oldc.Input, error) {
 	g := graph.RandomRegular(w.n, w.beta, w.seed)
 	eng, init, m, err := bootstrap(g)
+	if err != nil {
+		return nil, oldc.Input{}, err
+	}
 	o := graph.OrientByID(g)
-	lists := coloring.SquareSumOrientedRange(o, w.space, w.kappa, w.minD, w.maxD, w.seed).Lists
-	return eng, oldc.Input{O: o, SpaceSize: w.space, Lists: lists, InitColors: init, M: m}, err
+	inst, err := coloring.SquareSumOrientedRange(o, w.space, w.kappa, w.minD, w.maxD, w.seed)
+	if err != nil {
+		return nil, oldc.Input{}, err
+	}
+	return eng, oldc.Input{O: o, SpaceSize: w.space, Lists: inst.Lists, InitColors: init, M: m}, nil
 }
 
 // bootstrap computes g's Linial coloring from the ids on a fresh engine.

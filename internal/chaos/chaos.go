@@ -8,11 +8,12 @@
 // Every model is a pure function of (schedule parameters, round, from,
 // to): two runs with the same seed, graph, and worker count see the exact
 // same fault pattern, and the pattern is independent of the engine's
-// worker count because the engine consults the model exactly once per
-// wire per round. Randomized models derive their decisions from a
-// splitmix64-style hash of (seed, round, from, to) rather than any
-// stateful RNG, which is what makes them safe for concurrent use from the
-// routing workers.
+// worker count. The engine asks the model about every wire twice per
+// round, once when it accounts the wire and once when it delivers it, and
+// purity is what makes both answers agree. Randomized models derive their
+// decisions from a splitmix64-style hash of (seed, round, from, to) rather
+// than any stateful RNG, which is what makes them safe for concurrent use
+// from the engine's shard workers.
 //
 // Models compose with Compose (first non-deliver outcome wins), and the
 // standard ones parse from compact spec strings (Parse) so CLI tools can

@@ -200,9 +200,20 @@ func TestBuiltinSchedules(t *testing.T) {
 			t.Fatalf("duplicate schedule name %q", s.Name)
 		}
 		seen[s.Name] = true
-		// Smoke: every model answers without panicking on every wire kind.
-		s.Model.Wire(0, 0, 1)
-		s.Model.Wire(3, 1, 0)
+		// Every model is a pure function of its arguments: the engine asks
+		// it about each wire twice per round, once to account the wire and
+		// once to deliver it, and relies on equal answers.
+		for round := 0; round < 4; round++ {
+			for from := 0; from < g.N(); from++ {
+				for _, to := range g.Neighbors(from) {
+					o1, s1 := s.Model.Wire(round, from, int(to))
+					o2, s2 := s.Model.Wire(round, from, int(to))
+					if o1 != o2 || s1 != s2 {
+						t.Fatalf("%s: Wire(%d, %d, %d) gave (%v, %d), then (%v, %d)", s.Name, round, from, to, o1, s1, o2, s2)
+					}
+				}
+			}
+		}
 	}
 	// cut-heaviest must sever the hub's outgoing arcs.
 	for _, s := range scheds {

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +210,24 @@ func TestSquareSumOrientedMeetsTarget(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSquareSumSpaceExhausted asks for a target no list over the space can
+// reach: SquareSumOrientedRange returns *ErrSpaceExhausted and
+// SquareSumOriented panics with it.
+func TestSquareSumSpaceExhausted(t *testing.T) {
+	o := graph.OrientByID(graph.Clique(200))
+	_, err := SquareSumOrientedRange(o, 4096, 50, 1, 3, 1)
+	var se *ErrSpaceExhausted
+	if !errors.As(err, &se) || se.SpaceSize != 4096 || se.Kappa != 50 {
+		t.Fatalf("err = %v, want *ErrSpaceExhausted over 4096 colors at kappa 50", err)
+	}
+	defer func() {
+		if err, _ := recover().(error); !errors.As(err, &se) {
+			t.Fatalf("SquareSumOriented panicked with %v, want *ErrSpaceExhausted", err)
+		}
+	}()
+	SquareSumOriented(o, 4096, 50, 3, 1)
 }
 
 func TestAssignment(t *testing.T) {

@@ -250,15 +250,36 @@ func UniformDefective(g *graph.Graph, spaceSize, listSize, defect int, seed int6
 // SquareSumOriented builds an OLDC instance on the oriented graph o that
 // satisfies Σ(d_v(x)+1)² ≥ β_v²·kappa at every node, with defects varying
 // across the list (mixing powers of two between 0 and maxDefect). It
-// returns the instance over a space of the given size.
+// returns the instance over a space of the given size. The space must be
+// large enough for every node's target; SquareSumOriented panics with an
+// *ErrSpaceExhausted when it is not (SquareSumOrientedRange returns it).
 func SquareSumOriented(o *graph.Oriented, spaceSize int, kappa float64, maxDefect int, seed int64) *Instance {
-	return SquareSumOrientedRange(o, spaceSize, kappa, 0, maxDefect, seed)
+	in, err := SquareSumOrientedRange(o, spaceSize, kappa, 0, maxDefect, seed)
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
+
+// ErrSpaceExhausted reports a square-sum target that a node's list cannot
+// reach: the node drew every color of the space and Σ(d+1)² stayed below
+// β_v²·kappa.
+type ErrSpaceExhausted struct {
+	Node, OutDegree, SpaceSize int
+	Kappa                      float64
+}
+
+// Error implements the error interface.
+func (e *ErrSpaceExhausted) Error() string {
+	return fmt.Sprintf("coloring: color space of %d exhausted at node %d: square-sum target %g·%d² out of reach",
+		e.SpaceSize, e.Node, e.Kappa, e.OutDegree)
 }
 
 // SquareSumOrientedRange is SquareSumOriented with a lower bound on the
 // per-color defects (robustness experiments use minDefect ≥ 1 so that a
-// single stray collision is absorbed).
-func SquareSumOrientedRange(o *graph.Oriented, spaceSize int, kappa float64, minDefect, maxDefect int, seed int64) *Instance {
+// single stray collision is absorbed). It returns an *ErrSpaceExhausted
+// when the space cannot meet some node's target.
+func SquareSumOrientedRange(o *graph.Oriented, spaceSize int, kappa float64, minDefect, maxDefect int, seed int64) (*Instance, error) {
 	rng := rand.New(rand.NewSource(seed))
 	in := &Instance{G: o.Graph(), SpaceSize: spaceSize, Lists: make([]NodeList, o.N())}
 	for v := 0; v < o.N(); v++ {
@@ -272,7 +293,7 @@ func SquareSumOrientedRange(o *graph.Oriented, spaceSize int, kappa float64, min
 			c := rng.Intn(spaceSize)
 			if used[c] {
 				if len(used) >= spaceSize {
-					panic("coloring: color space exhausted while meeting square-sum target")
+					return nil, &ErrSpaceExhausted{Node: v, OutDegree: beta, SpaceSize: spaceSize, Kappa: kappa}
 				}
 				continue
 			}
@@ -294,7 +315,7 @@ func SquareSumOrientedRange(o *graph.Oriented, spaceSize int, kappa float64, min
 		sortPair(colors, defs)
 		in.Lists[v] = NodeList{Colors: colors, Defect: defs}
 	}
-	return in
+	return in, nil
 }
 
 // CliqueUniform returns the tightness gadget from Appendix A: the clique

@@ -20,7 +20,10 @@ func makeInput(t *testing.T, o *graph.Oriented, spaceSize int, kappa float64, ma
 	}
 	// Defects at least 1: recursive slack dilution makes defect-0 colors
 	// fragile at laptop scale (see DESIGN.md substitution 2).
-	inst := coloring.SquareSumOrientedRange(o, spaceSize, kappa, 1, maxDefect, seed)
+	inst, err := coloring.SquareSumOrientedRange(o, spaceSize, kappa, 1, maxDefect, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return oldc.Input{O: o, SpaceSize: spaceSize, Lists: inst.Lists, InitColors: init, M: m}, eng
 }
 

@@ -89,7 +89,7 @@ type spec struct {
 // covers the same-bucket neighbors that commit simultaneously.
 type alg struct {
 	spec  spec
-	sink  faultReporter
+	sink  sim.FaultSink
 	cache *cover.FamilyCache
 	csr   algkit.OutCSR
 

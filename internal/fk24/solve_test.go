@@ -29,7 +29,10 @@ func goldenInstances() []goldenInstance {
 // prepareInput builds an fk24 instance over o: square-sum lists with
 // defect budgets in [1, maxDefect] and node ids as the initial coloring.
 func prepareInput(o *graph.Oriented, spaceSize int, kappa float64, maxDefect int, seed int64) Input {
-	inst := coloring.SquareSumOrientedRange(o, spaceSize, kappa, 1, maxDefect, seed)
+	inst, err := coloring.SquareSumOrientedRange(o, spaceSize, kappa, 1, maxDefect, seed)
+	if err != nil {
+		panic(err)
+	}
 	n := o.N()
 	init := make([]int, n)
 	for v := range init {

@@ -31,14 +31,13 @@
 // set.
 //
 // All three message kinds have hardened decoders: a corrupted payload
-// (sim.CorruptPayload) is re-parsed, validated field by field against the
-// shared global parameters, and dropped — reported to the engine's fault
-// ledger — when malformed, exactly like internal/oldc's wire layer.
+// (sim.CorruptPayload) is re-parsed through sim.Reparse, validated field by
+// field against the shared global parameters, and dropped — reported to
+// the engine's fault ledger — when malformed, exactly like internal/oldc's
+// wire layer.
 package fk24
 
 import (
-	"fmt"
-
 	"repro/internal/bitio"
 	"repro/internal/sim"
 )
@@ -102,33 +101,12 @@ var (
 	_ sim.Payload = commitMsg{}
 )
 
-// DecodeError reports a wire payload that failed to parse as the expected
-// fk24 message kind: truncated, syntactically malformed, or carrying a
-// field outside the range the shared parameters allow.
-type DecodeError struct {
-	Kind   string // "type", "set", or "commit"
-	Reason string // what was wrong
-	Err    error  // underlying bitio error, if any
-}
-
-// Error describes the malformed message, including the underlying bitio
-// error when there is one.
-func (e *DecodeError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("fk24: bad %s message: %s: %v", e.Kind, e.Reason, e.Err)
-	}
-	return fmt.Sprintf("fk24: bad %s message: %s", e.Kind, e.Reason)
-}
-
-// Unwrap exposes the underlying bitio error for errors.Is/As chains.
-func (e *DecodeError) Unwrap() error { return e.Err }
-
 // decodeTypeMsg parses the wire form of a typeMsg given the shared global
 // parameters (m, |C|). The returned message is fully validated: initColor
 // ∈ [0, m) and a non-empty strictly-ascending color list inside the space.
 func decodeTypeMsg(r *bitio.Reader, m, spaceSize int) (typeMsg, error) {
 	fail := func(reason string) (typeMsg, error) {
-		return typeMsg{}, &DecodeError{Kind: "type", Reason: reason, Err: r.Err()}
+		return typeMsg{}, &sim.DecodeError{Kind: "fk24 type", Reason: reason, Err: r.Err()}
 	}
 	out := typeMsg{
 		mWidth:     bitio.WidthFor(m),
@@ -185,10 +163,10 @@ func decodeSetMsg(r *bitio.Reader, kprime int) (setMsg, error) {
 	w := bitio.WidthFor(kprime)
 	idx := int(r.ReadUint(w))
 	if r.Err() != nil {
-		return setMsg{}, &DecodeError{Kind: "set", Reason: "truncated", Err: r.Err()}
+		return setMsg{}, &sim.DecodeError{Kind: "fk24 set", Reason: "truncated", Err: r.Err()}
 	}
 	if kprime > 0 && idx >= kprime {
-		return setMsg{}, &DecodeError{Kind: "set", Reason: "index outside the candidate family"}
+		return setMsg{}, &sim.DecodeError{Kind: "fk24 set", Reason: "index outside the candidate family"}
 	}
 	return setMsg{index: idx, width: w}, nil
 }
@@ -199,78 +177,52 @@ func decodeCommitMsg(r *bitio.Reader, spaceSize int) (commitMsg, error) {
 	w := bitio.WidthFor(spaceSize)
 	c := int(r.ReadUint(w))
 	if r.Err() != nil {
-		return commitMsg{}, &DecodeError{Kind: "commit", Reason: "truncated", Err: r.Err()}
+		return commitMsg{}, &sim.DecodeError{Kind: "fk24 commit", Reason: "truncated", Err: r.Err()}
 	}
 	if spaceSize > 0 && c >= spaceSize {
-		return commitMsg{}, &DecodeError{Kind: "commit", Reason: "color outside the space"}
+		return commitMsg{}, &sim.DecodeError{Kind: "fk24 commit", Reason: "color outside the space"}
 	}
 	return commitMsg{color: c, width: w}, nil
 }
 
-// faultReporter receives detected decode failures; *sim.Engine implements
-// it (ReportDecodeFault feeds the per-round fault ledger).
-type faultReporter interface{ ReportDecodeFault() }
-
-// report forwards a detected decode fault if a sink is installed.
-func report(sink faultReporter) {
-	if sink != nil {
-		sink.ReportDecodeFault()
-	}
-}
-
 // The as* helpers resolve an inbox payload to the message kind the round
-// schedule expects. A clean payload passes through; a corrupted payload is
-// re-parsed by the hardened decoder with an exact-consumption check, and a
-// failure is reported and skipped — the algorithm treats the wire as
-// dropped, which the defective-coloring analysis tolerates.
+// schedule expects: a clean payload of that kind passes through, and any
+// other goes to sim.Reparse, which re-parses a corrupted one and reports
+// and skips it when it fails to decode. The message is valid only when the
+// bool is true.
 
-func asTypeMsg(pay sim.Payload, m, spaceSize int, sink faultReporter) (typeMsg, bool) {
-	switch p := pay.(type) {
-	case typeMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeTypeMsg(r, m, spaceSize)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return typeMsg{}, false
-		}
+func asTypeMsg(pay sim.Payload, m, spaceSize int, sink sim.FaultSink) (typeMsg, bool) {
+	if msg, ok := pay.(typeMsg); ok {
 		return msg, true
-	default:
-		return typeMsg{}, false
 	}
+	var msg typeMsg
+	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
+		msg, err = decodeTypeMsg(r, m, spaceSize)
+		return err
+	})
+	return msg, ok
 }
 
-func asSetMsg(pay sim.Payload, kprime int, sink faultReporter) (setMsg, bool) {
-	switch p := pay.(type) {
-	case setMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeSetMsg(r, kprime)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return setMsg{}, false
-		}
+func asSetMsg(pay sim.Payload, kprime int, sink sim.FaultSink) (setMsg, bool) {
+	if msg, ok := pay.(setMsg); ok {
 		return msg, true
-	default:
-		return setMsg{}, false
 	}
+	var msg setMsg
+	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
+		msg, err = decodeSetMsg(r, kprime)
+		return err
+	})
+	return msg, ok
 }
 
-func asCommitMsg(pay sim.Payload, spaceSize int, sink faultReporter) (commitMsg, bool) {
-	switch p := pay.(type) {
-	case commitMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeCommitMsg(r, spaceSize)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return commitMsg{}, false
-		}
+func asCommitMsg(pay sim.Payload, spaceSize int, sink sim.FaultSink) (commitMsg, bool) {
+	if msg, ok := pay.(commitMsg); ok {
 		return msg, true
-	default:
-		return commitMsg{}, false
 	}
+	var msg commitMsg
+	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
+		msg, err = decodeCommitMsg(r, spaceSize)
+		return err
+	})
+	return msg, ok
 }

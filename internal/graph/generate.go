@@ -176,7 +176,9 @@ const regularShuffles = 100
 // admissible partner, so that no draw can ever change the state. The
 // partner check runs only after len(pairs) failed draws in a row and draws
 // nothing from rng, so a repair that succeeds makes the same draws with or
-// without it.
+// without it. A swap lowers the counts of two old edges and adds two edges
+// that had none, so every pair before the first bad one stays good: the
+// scan for the first bad pair resumes where the last one stopped.
 func repairPairs(pairs [][2]int, rng *rand.Rand) bool {
 	key := func(u, v int) [2]int32 {
 		if u > v {
@@ -196,19 +198,15 @@ func repairPairs(pairs [][2]int, rng *rand.Rand) bool {
 		x, y := pairs[j][0], pairs[j][1]
 		return j != i && u != x && v != y && count[key(u, x)] == 0 && count[key(v, y)] == 0
 	}
-	fails := 0
+	fails, badIdx := 0, 0
 	for attempt := 0; ; attempt++ {
 		if attempt > 1000000 {
 			return false
 		}
-		badIdx := -1
-		for i, e := range pairs {
-			if bad(e) {
-				badIdx = i
-				break
-			}
+		for badIdx < len(pairs) && !bad(pairs[badIdx]) {
+			badIdx++
 		}
-		if badIdx == -1 {
+		if badIdx == len(pairs) {
 			return true
 		}
 		if fails >= len(pairs) {

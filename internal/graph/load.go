@@ -23,7 +23,7 @@ var (
 )
 
 // LoadError is the typed error every loader path returns on bad input,
-// following the hardened-decoder convention (internal/oldc DecodeError):
+// following the hardened-decoder convention (sim.DecodeError):
 // no panic ever escapes the loader, and the cause is a matchable sentinel.
 type LoadError struct {
 	Line int    // 1-based line number in the input

@@ -49,3 +49,19 @@ func TestRandomRegularConvergedSeedsUnchanged(t *testing.T) {
 		t.Errorf("digest %s, want %s", got, digestRegular)
 	}
 }
+
+// digestRegularDense pins RandomRegular(256, 128, 1), whose first shuffle
+// needs many swaps: the repair's resumed scan must make the same draws as
+// a scan that restarts from the first pair after every swap.
+const digestRegularDense = "31260418438f34ac"
+
+func TestRandomRegularDenseUnchanged(t *testing.T) {
+	g := RandomRegular(256, 128, 1)
+	h := sha256.New()
+	for v := 0; v < g.N(); v++ {
+		fmt.Fprint(h, g.Neighbors(v))
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != digestRegularDense {
+		t.Errorf("digest %s, want %s", got, digestRegularDense)
+	}
+}

@@ -46,7 +46,7 @@ type commitAlg struct {
 	q2      int
 	palette int // d + 1
 
-	sink faultReporter
+	sink sim.FaultSink
 	used []uint64 // per-node taken-slot bitset, paletteWords words each
 	wpn  int      // words per node
 	pick []int

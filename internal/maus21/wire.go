@@ -27,14 +27,12 @@
 // result is exactly Linial's O(Δ²)-coloring in O(log* n) rounds.
 //
 // The commit broadcast is the one new wire message; its decoder is
-// hardened like internal/oldc's (typed *DecodeError, field validation,
-// fault-ledger reporting). The two Linial stages reuse internal/linial,
+// hardened like internal/oldc's (typed *sim.DecodeError, field validation,
+// fault-ledger reporting through sim.Reparse). The two Linial stages reuse internal/linial,
 // which skips non-UintPayload messages rather than trusting the wire.
 package maus21
 
 import (
-	"fmt"
-
 	"repro/internal/bitio"
 	"repro/internal/sim"
 )
@@ -57,25 +55,6 @@ func (m pickMsg) EncodeBits(w *bitio.Writer) {
 
 var _ sim.Payload = pickMsg{}
 
-// DecodeError reports a wire payload that failed to parse as a pick
-// message: truncated or carrying a field outside the globally known
-// ranges.
-type DecodeError struct {
-	Reason string
-	Err    error // underlying bitio error, if any
-}
-
-// Error describes the malformed message.
-func (e *DecodeError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("maus21: bad pick message: %s: %v", e.Reason, e.Err)
-	}
-	return fmt.Sprintf("maus21: bad pick message: %s", e.Reason)
-}
-
-// Unwrap exposes the underlying bitio error for errors.Is/As chains.
-func (e *DecodeError) Unwrap() error { return e.Err }
-
 // decodePickMsg parses the wire form given the global parameters: q1
 // defect classes and a palette of d+1 colors.
 func decodePickMsg(r *bitio.Reader, q1, palette int) (pickMsg, error) {
@@ -83,39 +62,27 @@ func decodePickMsg(r *bitio.Reader, q1, palette int) (pickMsg, error) {
 	out.class = int(r.ReadUint(out.classWidth))
 	out.pick = int(r.ReadUint(out.pickWidth))
 	if r.Err() != nil {
-		return pickMsg{}, &DecodeError{Reason: "truncated", Err: r.Err()}
+		return pickMsg{}, &sim.DecodeError{Kind: "maus21 pick", Reason: "truncated", Err: r.Err()}
 	}
 	if out.class >= q1 {
-		return pickMsg{}, &DecodeError{Reason: "class outside [0, q1)"}
+		return pickMsg{}, &sim.DecodeError{Kind: "maus21 pick", Reason: "class outside [0, q1)"}
 	}
 	if out.pick >= palette {
-		return pickMsg{}, &DecodeError{Reason: "pick outside the palette"}
+		return pickMsg{}, &sim.DecodeError{Kind: "maus21 pick", Reason: "pick outside the palette"}
 	}
 	return out, nil
 }
 
-// faultReporter receives detected decode failures (*sim.Engine implements
-// it).
-type faultReporter interface{ ReportDecodeFault() }
-
-// asPickMsg resolves an inbox payload: native pass-through, or re-parse of
-// a corrupted payload with exact-consumption check; failures are reported
-// to the fault ledger and dropped.
-func asPickMsg(pay sim.Payload, q1, palette int, sink faultReporter) (pickMsg, bool) {
-	switch p := pay.(type) {
-	case pickMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodePickMsg(r, q1, palette)
-		if err != nil || r.Remaining() != 0 {
-			if sink != nil {
-				sink.ReportDecodeFault()
-			}
-			return pickMsg{}, false
-		}
+// asPickMsg resolves an inbox payload: a clean pick message passes
+// through, and any other payload goes to sim.Reparse.
+func asPickMsg(pay sim.Payload, q1, palette int, sink sim.FaultSink) (pickMsg, bool) {
+	if msg, ok := pay.(pickMsg); ok {
 		return msg, true
-	default:
-		return pickMsg{}, false
 	}
+	var msg pickMsg
+	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
+		msg, err = decodePickMsg(r, q1, palette)
+		return err
+	})
+	return msg, ok
 }

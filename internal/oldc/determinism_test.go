@@ -53,7 +53,10 @@ func TestSolveMultiPropertyAcrossSeeds(t *testing.T) {
 		o := graph.OrientByID(g)
 		eng := sim.NewEngine(g)
 		init, m := identityColoring(g)
-		inst := coloring.SquareSumOrientedRange(o, 1<<12, 5.0, 1, 3, seed)
+		inst, err := coloring.SquareSumOrientedRange(o, 1<<12, 5.0, 1, 3, seed)
+		if err != nil {
+			return false
+		}
 		in := Input{O: o, SpaceSize: 1 << 12, Lists: inst.Lists, InitColors: init, M: m}
 		phi, _, err := SolveMulti(eng, in, Options{})
 		if err != nil {

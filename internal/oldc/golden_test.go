@@ -687,18 +687,29 @@ func TestGoldenSolveMulti(t *testing.T) {
 	}
 }
 
+// dropWhere is a fault model that drops exactly the wires its predicate
+// selects and corrupts none.
+type dropWhere func(round, from, to int) bool
+
+func (f dropWhere) Wire(round, from, to int) (sim.FaultOutcome, uint64) {
+	if f(round, from, to) {
+		return sim.FaultDrop, 0
+	}
+	return sim.FaultNone, 0
+}
+
 // TestGoldenUnderFaults re-checks equivalence when messages are dropped:
 // the fault path exercises the "neighbor with no stored type" branches,
 // which must skip identically in both implementations.
 func TestGoldenUnderFaults(t *testing.T) {
 	o := graph.OrientByID(graph.RandomRegular(40, 8, 53))
-	fault := func(round, from, to int) bool { return (from+to+round)%5 == 2 }
+	fault := dropWhere(func(round, from, to int) bool { return (from+to+round)%5 == 2 })
 	in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 55)
-	eng.Fault = fault
+	eng.Faults = fault
 	wantPhi, wantStats, refErr := refSolve(eng, in, Options{SkipValidate: true})
 	for _, workers := range []int{1, 4} {
 		in2, eng2 := prepareInput(t, o, 1<<12, 5.0, 2, 55)
-		eng2.Fault = fault
+		eng2.Faults = fault
 		eng2.SetWorkers(workers)
 		phi, stats, err := Solve(eng2, in2, Options{SkipValidate: true})
 		if (err == nil) != (refErr == nil) {

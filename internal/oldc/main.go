@@ -462,7 +462,7 @@ func sortInts(a []int) {
 // write without synchronization or allocation.
 type twoPhaseAlg struct {
 	spec    basicSpec
-	sink    faultReporter      // decode-fault ledger (the engine); may be nil
+	sink    sim.FaultSink      // decode-fault ledger (the engine); may be nil
 	cache   *cover.FamilyCache // nil when spec.noCache
 	csr     algkit.OutCSR
 	curList [][]int // list after bad-color removal (set at the class round)

@@ -44,7 +44,7 @@ type basicSpec struct {
 // form the batched conflict kernel consumes.
 type basicAlg struct {
 	spec    basicSpec
-	sink    faultReporter      // decode-fault ledger (the engine); may be nil
+	sink    sim.FaultSink      // decode-fault ledger (the engine); may be nil
 	cache   *cover.FamilyCache // nil when spec.noCache
 	csr     algkit.OutCSR
 	reslist [][]int // residue-restricted lists (Section 3.2.2)

@@ -21,8 +21,6 @@
 package oldc
 
 import (
-	"fmt"
-
 	"repro/internal/bitio"
 	"repro/internal/sim"
 )
@@ -97,29 +95,8 @@ var (
 // payloads: when the fault model flips a bit, the receiver gets a
 // sim.CorruptPayload and re-parses the damaged bits here. Every decoder
 // therefore validates its fields against the shared global parameters and
-// returns a typed *DecodeError instead of panicking or silently accepting
-// out-of-range values.
-
-// DecodeError reports a wire payload that failed to parse as the expected
-// message kind: truncated, syntactically malformed, or carrying a field
-// outside the range the shared parameters allow.
-type DecodeError struct {
-	Kind   string // "type", "chosenSet", or "color"
-	Reason string // what was wrong
-	Err    error  // underlying bitio error, if any
-}
-
-// Error describes the malformed message, including the underlying bitio
-// error when there is one.
-func (e *DecodeError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("oldc: bad %s message: %s: %v", e.Kind, e.Reason, e.Err)
-	}
-	return fmt.Sprintf("oldc: bad %s message: %s", e.Kind, e.Reason)
-}
-
-// Unwrap exposes the underlying bitio error for errors.Is/As chains.
-func (e *DecodeError) Unwrap() error { return e.Err }
+// returns a typed *sim.DecodeError instead of panicking or silently
+// accepting out-of-range values.
 
 // maxWireDefect bounds the defect field a decoder accepts: no instance in
 // this repository has defects anywhere near 2^32, so anything larger is
@@ -133,7 +110,7 @@ const maxWireDefect = 1 << 32
 // strictly-ascending color list inside the space.
 func decodeTypeMsg(r *bitio.Reader, m, h, spaceSize int) (typeMsg, error) {
 	fail := func(reason string) (typeMsg, error) {
-		return typeMsg{}, &DecodeError{Kind: "type", Reason: reason, Err: r.Err()}
+		return typeMsg{}, &sim.DecodeError{Kind: "oldc type", Reason: reason, Err: r.Err()}
 	}
 	out := typeMsg{
 		mWidth:     bitio.WidthFor(m),
@@ -200,10 +177,10 @@ func decodeChosenSetMsg(r *bitio.Reader, kprime int) (chosenSetMsg, error) {
 	w := bitio.WidthFor(kprime)
 	idx := int(r.ReadUint(w))
 	if r.Err() != nil {
-		return chosenSetMsg{}, &DecodeError{Kind: "chosenSet", Reason: "truncated", Err: r.Err()}
+		return chosenSetMsg{}, &sim.DecodeError{Kind: "oldc chosenSet", Reason: "truncated", Err: r.Err()}
 	}
 	if kprime > 0 && idx >= kprime {
-		return chosenSetMsg{}, &DecodeError{Kind: "chosenSet", Reason: "index outside the candidate family"}
+		return chosenSetMsg{}, &sim.DecodeError{Kind: "oldc chosenSet", Reason: "index outside the candidate family"}
 	}
 	return chosenSetMsg{index: idx, width: w}, nil
 }
@@ -214,80 +191,52 @@ func decodeColorMsg(r *bitio.Reader, spaceSize int) (colorMsg, error) {
 	w := bitio.WidthFor(spaceSize)
 	c := int(r.ReadUint(w))
 	if r.Err() != nil {
-		return colorMsg{}, &DecodeError{Kind: "color", Reason: "truncated", Err: r.Err()}
+		return colorMsg{}, &sim.DecodeError{Kind: "oldc color", Reason: "truncated", Err: r.Err()}
 	}
 	if spaceSize > 0 && c >= spaceSize {
-		return colorMsg{}, &DecodeError{Kind: "color", Reason: "color outside the space"}
+		return colorMsg{}, &sim.DecodeError{Kind: "oldc color", Reason: "color outside the space"}
 	}
 	return colorMsg{color: c, width: w}, nil
 }
 
-// faultReporter receives detected decode failures; *sim.Engine implements
-// it (ReportDecodeFault feeds the per-round fault ledger).
-type faultReporter interface{ ReportDecodeFault() }
-
-// report forwards a detected decode fault if a sink is installed.
-func report(sink faultReporter) {
-	if sink != nil {
-		sink.ReportDecodeFault()
-	}
-}
-
 // The as* helpers resolve an inbox payload to the message kind the round
-// schedule expects. A clean payload of the right kind passes through; a
-// corrupted payload (the fault model flipped one of its encoded bits) is
-// re-parsed by the hardened decoder, requiring exact consumption, and a
-// failure is reported to the fault ledger and skipped — the algorithm then
-// simply treats the wire as dropped, which the defective-coloring analysis
-// tolerates. Any other kind is a round-schedule violation and is skipped.
+// schedule expects: a clean payload of that kind passes through, and any
+// other goes to sim.Reparse, which re-parses a corrupted one and reports
+// and skips it when it fails to decode. The message is valid only when the
+// bool is true.
 
-func asTypeMsg(pay sim.Payload, m, h, spaceSize int, sink faultReporter) (typeMsg, bool) {
-	switch p := pay.(type) {
-	case typeMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeTypeMsg(r, m, h, spaceSize)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return typeMsg{}, false
-		}
+func asTypeMsg(pay sim.Payload, m, h, spaceSize int, sink sim.FaultSink) (typeMsg, bool) {
+	if msg, ok := pay.(typeMsg); ok {
 		return msg, true
-	default:
-		return typeMsg{}, false
 	}
+	var msg typeMsg
+	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
+		msg, err = decodeTypeMsg(r, m, h, spaceSize)
+		return err
+	})
+	return msg, ok
 }
 
-func asChosenSetMsg(pay sim.Payload, kprime int, sink faultReporter) (chosenSetMsg, bool) {
-	switch p := pay.(type) {
-	case chosenSetMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeChosenSetMsg(r, kprime)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return chosenSetMsg{}, false
-		}
+func asChosenSetMsg(pay sim.Payload, kprime int, sink sim.FaultSink) (chosenSetMsg, bool) {
+	if msg, ok := pay.(chosenSetMsg); ok {
 		return msg, true
-	default:
-		return chosenSetMsg{}, false
 	}
+	var msg chosenSetMsg
+	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
+		msg, err = decodeChosenSetMsg(r, kprime)
+		return err
+	})
+	return msg, ok
 }
 
-func asColorMsg(pay sim.Payload, spaceSize int, sink faultReporter) (colorMsg, bool) {
-	switch p := pay.(type) {
-	case colorMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeColorMsg(r, spaceSize)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return colorMsg{}, false
-		}
+func asColorMsg(pay sim.Payload, spaceSize int, sink sim.FaultSink) (colorMsg, bool) {
+	if msg, ok := pay.(colorMsg); ok {
 		return msg, true
-	default:
-		return colorMsg{}, false
 	}
+	var msg colorMsg
+	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
+		msg, err = decodeColorMsg(r, spaceSize)
+		return err
+	})
+	return msg, ok
 }

@@ -245,3 +245,24 @@ func TestAsChosenSetAndColorCorruption(t *testing.T) {
 		t.Fatal("truncated color accepted")
 	}
 }
+
+// asResult keeps the as* results alive so the calls are not optimized away.
+var asResult int
+
+// BenchmarkAsHelpersClean times the path every fault-free message takes:
+// one call of each as* helper on a clean payload of the expected kind.
+func BenchmarkAsHelpersClean(b *testing.B) {
+	pays := []sim.Payload{
+		typeMsg{initColor: 42, gclass: 2, defect: 3, list: []int{1, 5, 9}},
+		chosenSetMsg{index: 7, width: 4},
+		colorMsg{color: 33, width: 7},
+	}
+	sink := &countingSink{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tm, _ := asTypeMsg(pays[0], 100, 4, 64, sink)
+		cs, _ := asChosenSetMsg(pays[1], 10, sink)
+		cm, _ := asColorMsg(pays[2], 100, sink)
+		asResult += tm.defect + cs.index + cm.color
+	}
+}

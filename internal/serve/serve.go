@@ -184,7 +184,10 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: copy graph: %w", err)
 	}
 	o := graph.OrientByID(g)
-	inst := coloring.SquareSumOrientedRange(o, cfg.SpaceSize, cfg.Kappa, cfg.MinDefect, cfg.MaxDefect, cfg.Seed)
+	inst, err := coloring.SquareSumOrientedRange(o, cfg.SpaceSize, cfg.Kappa, cfg.MinDefect, cfg.MaxDefect, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	s := &Server{
 		cfg:     cfg,
 		o:       o,

@@ -340,3 +340,13 @@ func TestServeAddNodeGetsListAndColor(t *testing.T) {
 		t.Fatalf("violators after wiring new node: %v", got)
 	}
 }
+
+// TestServeNewRejectsUnreachableKappa: a square-sum slack the color space
+// cannot meet is an error from New, not a panic.
+func TestServeNewRejectsUnreachableKappa(t *testing.T) {
+	_, err := New(graph.Clique(200), Config{Kappa: 50})
+	var se *coloring.ErrSpaceExhausted
+	if !errors.As(err, &se) {
+		t.Fatalf("New = %v, want *coloring.ErrSpaceExhausted", err)
+	}
+}

@@ -70,8 +70,7 @@ func TestNewEngineAllocatesNothingPerNode(t *testing.T) {
 // TestWarmRunAllocGuard pins that an engine keeps its routing storage: a
 // second run of the same workload allocates no new slot table, sends or
 // inbox buffer — only the goroutine handoff and the Stats slices, a few
-// hundred bytes against the ~90 KB the first run sizes. The run is fault
-// free, so it takes the gather path, which has no arena.
+// hundred bytes against the ~90 KB the first run sizes.
 func TestWarmRunAllocGuard(t *testing.T) {
 	g := graph.RandomRegular(1024, 16, 3)
 	for _, workers := range []int{1, 2, 4} {
@@ -98,9 +97,9 @@ func TestWarmRunAllocGuard(t *testing.T) {
 // TestFreshRunAllocBudget pins what an engine built per run — the regime
 // of congest, arb and oldc.RepairRegion — allocates: a fresh engine over a
 // 1024-node 16-regular graph with 2 workers, eight rounds of one broadcast
-// per node, with and without an extra targeted send. The run is fault
-// free, so it takes the gather path, which has no arena: the slot table,
-// the sends buffers and one node's inbox per shard are all it sizes. The
+// per node, with and without an extra targeted send. Delivery gathers, so
+// the slot table, the sends buffers and one node's inbox per shard are all
+// it sizes. The
 // budgets are the measured 62,284 and 90,514 B (go1.24, linux/amd64) plus
 // about 25%.
 func TestFreshRunAllocBudget(t *testing.T) {

@@ -71,7 +71,7 @@ func TestQuiescenceAllMessagesDropped(t *testing.T) {
 	// quiescent: nothing was delivered.
 	g := graph.Ring(8)
 	e := NewEngine(g)
-	e.Fault = func(round, from, to int) bool { return true }
+	e.Faults = drops(func(round, from, to int) bool { return true })
 	a := &talkThenHush{talk: 1000}
 	stats, err := e.Run(a, 1000)
 	if err != nil {
@@ -128,12 +128,13 @@ func TestValidateAcceptsLegalTraffic(t *testing.T) {
 func TestFaultAccountingExcludesDrops(t *testing.T) {
 	g := graph.Clique(6)
 	// Drop everything node 0 sends: 5 of the 30 wires per round.
+	fromZero := func(round, from, to int) bool { return from == 0 }
 	runWith := func(workers int) Stats {
 		e := NewEngine(g)
 		if workers > 0 {
 			e.SetWorkers(workers)
 		}
-		e.Fault = func(round, from, to int) bool { return from == 0 }
+		e.Faults = drops(fromZero)
 		a := newFlood(6)
 		stats, err := e.Run(a, 30)
 		if err != nil {
@@ -150,15 +151,20 @@ func TestFaultAccountingExcludesDrops(t *testing.T) {
 	if len(stats.RoundMaxBits) != stats.Rounds {
 		t.Fatalf("RoundMaxBits history has %d entries for %d rounds", len(stats.RoundMaxBits), stats.Rounds)
 	}
+	if got := stats.TotalFaults().Dropped; got != int64(stats.Rounds)*5 {
+		t.Fatalf("ledger dropped %d wires over %d rounds, want 5 per round", got, stats.Rounds)
+	}
 	// TotalBits must equal the sum of per-wire sizes of delivered messages
 	// only: cross-check against the seed-semantics reference engine run
-	// under the identical fault pattern.
-	ref, err := referenceRun(g, newFlood(6), 30, func(round, from, to int) bool { return from == 0 })
+	// under the identical fault pattern. The reference keeps no ledger.
+	ref, err := referenceRun(g, newFlood(6), 30, fromZero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref, stats) {
-		t.Fatalf("faulted stats diverge from reference:\n want %+v\n  got %+v", ref, stats)
+	unledgered := stats
+	unledgered.Faults = nil
+	if !reflect.DeepEqual(ref, unledgered) {
+		t.Fatalf("faulted stats diverge from reference:\n want %+v\n  got %+v", ref, unledgered)
 	}
 	// Accounting under faults must be identical for any worker count.
 	if s1 := runWith(1); !reflect.DeepEqual(s1, stats) {

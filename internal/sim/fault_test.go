@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitio"
 	"repro/internal/graph"
 )
 
@@ -13,6 +15,17 @@ import (
 type stubModel func(round, from, to int) (FaultOutcome, uint64)
 
 func (f stubModel) Wire(round, from, to int) (FaultOutcome, uint64) { return f(round, from, to) }
+
+// drops is a fault model that drops exactly the wires pred selects and
+// corrupts none.
+func drops(pred func(round, from, to int) bool) FaultModel {
+	return stubModel(func(round, from, to int) (FaultOutcome, uint64) {
+		if pred(round, from, to) {
+			return FaultDrop, 0
+		}
+		return FaultNone, 0
+	})
+}
 
 func TestStructuredDropPopulatesLedger(t *testing.T) {
 	g := graph.Ring(10)
@@ -127,16 +140,6 @@ func TestLedgerNilWithoutStructuredModel(t *testing.T) {
 	if stats.Faults != nil {
 		t.Fatal("fault-free run must not allocate a ledger")
 	}
-
-	e = NewEngine(g)
-	e.Fault = func(round, from, to int) bool { return from == 0 }
-	stats, err = e.Run(newFlood(6), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Faults != nil {
-		t.Fatal("legacy hook must not activate the ledger")
-	}
 }
 
 func TestFaultLedgerWorkerIndependent(t *testing.T) {
@@ -234,3 +237,46 @@ func (a *oneShot) Outbox(v int, out *Outbox) {
 }
 func (a *oneShot) Inbox(v int, in []Received) {}
 func (a *oneShot) Done() bool                 { return atomic.AddInt64(&a.round, 1) > 2 }
+
+// sinkCount counts reported decode faults.
+type sinkCount struct{ n int }
+
+func (s *sinkCount) ReportDecodeFault() { s.n++ }
+
+// TestReparse pins the corrupted-wire rule: a CorruptPayload is accepted
+// only when decode succeeds and consumes every bit; a rejection is
+// reported once (and a nil sink is allowed); a payload of another kind is
+// skipped unreported and never decoded.
+func TestReparse(t *testing.T) {
+	w := bitio.NewWriter()
+	w.WriteUint(5, 3)
+	three := CorruptPayload{Bits: w.Bytes(), NBit: 3}
+	four := CorruptPayload{Bits: w.Bytes(), NBit: 4}
+	readThree := func(r *bitio.Reader) error {
+		if r.ReadUint(3) != 5 || r.Err() != nil {
+			return &DecodeError{Kind: "test", Reason: "wrong value", Err: r.Err()}
+		}
+		return nil
+	}
+	sink := &sinkCount{}
+	if !Reparse(three, sink, readThree) || sink.n != 0 {
+		t.Fatalf("exact payload: rejected or reported (%d)", sink.n)
+	}
+	if Reparse(four, sink, readThree) || sink.n != 1 {
+		t.Fatalf("trailing bit: accepted or reported %d times, want once", sink.n)
+	}
+	if Reparse(CorruptPayload{Bits: w.Bytes(), NBit: 2}, sink, readThree) || sink.n != 2 {
+		t.Fatalf("truncated payload: accepted or reported %d times in all, want 2", sink.n)
+	}
+	if Reparse(four, nil, readThree) {
+		t.Fatal("trailing bit accepted with a nil sink")
+	}
+	decoded := false
+	if Reparse(UintPayload{Value: 5, Width: 3}, sink, func(*bitio.Reader) error { decoded = true; return nil }) || decoded || sink.n != 2 {
+		t.Fatalf("wrong kind: accepted, decoded or reported (%d)", sink.n)
+	}
+	err := error(&DecodeError{Kind: "test", Reason: "truncated", Err: bitio.ErrTruncated})
+	if !errors.Is(err, bitio.ErrTruncated) || err.Error() != "bad test message: truncated: "+bitio.ErrTruncated.Error() {
+		t.Fatalf("DecodeError %q does not wrap its cause", err)
+	}
+}

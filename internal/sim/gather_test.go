@@ -7,22 +7,24 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bitio"
+	"repro/internal/chaos"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
-// noFaults is a structured fault model that delivers every wire untouched.
-// Installing it sends an engine down the block path, which settles wires
-// one by one, without changing what any inbox receives.
+// noFaults is a fault model that delivers every wire untouched. Installing
+// it makes the engine account and deliver wire by wire, asking the model
+// twice per wire, and turns the fault ledger on.
 type noFaults struct{}
 
 func (noFaults) Wire(round, from, to int) (sim.FaultOutcome, uint64) { return sim.FaultNone, 0 }
 
-// inboxDigest sends every slot shape the gather path distinguishes: silent
+// inboxDigest sends every slot shape gather delivery distinguishes: silent
 // nodes, lone broadcasts, several broadcasts, SendTo alone, and SendTo
 // mixed with broadcasts, including two sends to one neighbor. Each node
-// folds every message it receives, (v, from, encoded payload), into its
-// own FNV-1a hash, so any change of content or order changes the digest.
+// folds every message it receives, (v, from, encoded payload, whether it
+// arrived as a CorruptPayload), into its own FNV-1a hash, so any change of
+// content or order changes the digest.
 type inboxDigest struct {
 	g     *graph.Graph
 	round int
@@ -76,9 +78,13 @@ func (a *inboxDigest) Inbox(v int, in []sim.Received) {
 	for _, m := range in {
 		w.Reset()
 		m.Payload.EncodeBits(w)
+		_, corrupt := m.Payload.(sim.CorruptPayload)
 		mix(uint64(v))
 		mix(uint64(m.From))
 		mix(uint64(w.Len()))
+		if corrupt {
+			mix(1)
+		}
 		for _, b := range w.Bytes() {
 			mix(uint64(b))
 		}
@@ -90,12 +96,12 @@ func (a *inboxDigest) Done() bool {
 	return a.round > 9
 }
 
-// TestGatherMatchesBlockPath runs mixed traffic and DegreeLuby once on the
-// fault-free gather path and once with a fault model that faults nothing,
-// which forces the block path, at every golden worker count. Every inbox,
-// every coloring and the Stats apart from the fault ledger must agree —
-// with each other and with the one-worker gather run.
-func TestGatherMatchesBlockPath(t *testing.T) {
+// TestNoOpFaultModelChangesOnlyLedger runs mixed traffic and DegreeLuby
+// once fault-free and once under a fault model that faults nothing, at
+// every golden worker count. Every inbox, every coloring and the Stats
+// apart from the fault ledger must agree — with each other and with the
+// one-worker fault-free run — and the ledger must be all zeros.
+func TestNoOpFaultModelChangesOnlyLedger(t *testing.T) {
 	g := graph.GNP(240, 0.05, 13)
 	luby := graph.PreferentialAttachment(300, 3, 21)
 	var wantInbox []uint64
@@ -104,7 +110,7 @@ func TestGatherMatchesBlockPath(t *testing.T) {
 	var wantLuby sim.Stats
 	for _, w := range goldenWorkers {
 		for _, faults := range []sim.FaultModel{nil, noFaults{}} {
-			tag := fmt.Sprintf("workers=%d block=%v", w, faults != nil)
+			tag := fmt.Sprintf("workers=%d model=%v", w, faults != nil)
 			alg := newInboxDigest(g)
 			stats, err := sim.NewEngineWith(g, sim.Options{Workers: w, Faults: faults}).Run(alg, 12)
 			if err != nil {
@@ -121,7 +127,7 @@ func TestGatherMatchesBlockPath(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(alg.h, wantInbox) {
-				t.Errorf("%s: inbox digests differ from the one-worker gather run", tag)
+				t.Errorf("%s: inbox digests differ from the one-worker fault-free run", tag)
 			}
 			if !reflect.DeepEqual(stats, wantMixed) {
 				t.Errorf("%s: mixed Stats differ:\n got %+v\nwant %+v", tag, stats, wantMixed)
@@ -136,11 +142,35 @@ func TestGatherMatchesBlockPath(t *testing.T) {
 	}
 }
 
-// withoutLedger checks that a block-path run faulted nothing and returns
-// its Stats without the ledger, which only a fault model turns on.
-func withoutLedger(t *testing.T, tag string, s sim.Stats, block bool) sim.Stats {
+// digestFaultedInbox pins every inbox of inboxDigest's traffic under a
+// drop+flip model: receiver, sender, encoded payload (a CorruptPayload's
+// damaged bits, marked as such) and the Stats with the fault ledger.
+const digestFaultedInbox = "c8e8e9ccd61e8a0f"
+
+// TestFaultedInboxDigest checks faulted delivery at every golden worker
+// count against digestFaultedInbox: which wires a drop removes, which
+// payloads a corruption replaces and which bit it flips.
+func TestFaultedInboxDigest(t *testing.T) {
+	g := graph.GNP(240, 0.05, 13)
+	model := chaos.Compose(chaos.Drop(17, 0.15), chaos.Flip(19, 0.2))
+	for _, w := range goldenWorkers {
+		alg := newInboxDigest(g)
+		stats, err := sim.NewEngineWith(g, sim.Options{Workers: w, Faults: model}).Run(alg, 12)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if f := stats.TotalFaults(); f.Dropped == 0 || f.Corrupted == 0 {
+			t.Fatalf("workers=%d: model dropped %d and corrupted %d wires, want both > 0", w, f.Dropped, f.Corrupted)
+		}
+		checkDigest(t, fmt.Sprintf("workers=%d", w), digest(alg.h, stats), digestFaultedInbox)
+	}
+}
+
+// withoutLedger checks that a run under noFaults faulted nothing and
+// returns its Stats without the ledger, which only a fault model turns on.
+func withoutLedger(t *testing.T, tag string, s sim.Stats, modeled bool) sim.Stats {
 	t.Helper()
-	if !block {
+	if !modeled {
 		return s
 	}
 	if len(s.Faults) != s.Rounds || s.TotalFaults() != (sim.RoundFaults{}) {

@@ -23,21 +23,6 @@ func BenchmarkEngineRound(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRoundNoBits disables encoding-based accounting.
-func BenchmarkEngineRoundNoBits(b *testing.B) {
-	g := graph.RandomRegular(4096, 8, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine(g)
-		e.CountBits = false
-		a := newFlood(g.N())
-		if _, err := e.Run(a, 30); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEngineSequential pins the pool to one worker to expose the
 // parallel speedup of the default configuration.
 func BenchmarkEngineSequential(b *testing.B) {

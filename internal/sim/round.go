@@ -16,9 +16,10 @@ import (
 type Runner interface {
 	// Run executes alg until Done or maxRounds (see Engine.Run).
 	Run(alg Algorithm, maxRounds int) (Stats, error)
-	// ReportDecodeFault records one detected decode failure in the current
-	// round's fault ledger; safe from concurrent Inbox callbacks.
-	ReportDecodeFault()
+	// FaultSink's ReportDecodeFault records one detected decode failure in
+	// the current round's fault ledger; safe from concurrent Inbox
+	// callbacks.
+	FaultSink
 }
 
 var _ Runner = (*Engine)(nil)
@@ -36,8 +37,8 @@ type phase uint8
 
 const (
 	phaseCollect phase = iota // run Outbox callbacks, check targets, fill slots
-	phaseRoute                // encode, account; under fault hooks also settle wires into blocks
-	phaseDeliver              // build inboxes, run Inbox callbacks
+	phaseRoute                // encode, account, count faulted wires
+	phaseDeliver              // gather inboxes, run Inbox callbacks
 	phaseExit                 // end the shard goroutine
 )
 
@@ -49,21 +50,10 @@ type sendList struct{}
 // EncodeBits implements Payload; a sendList never reaches a wire.
 func (sendList) EncodeBits(*bitio.Writer) {}
 
-// block is one routing-queue entry of a round under fault hooks: one
-// sender's payload for a run of receivers on the destination shard, with
-// fault decisions already applied (drops are never enqueued; a corrupted
-// wire gets a block of its own).
-type block struct {
-	from int32 // sender
-	send int32 // payload: index into the source shard's sends, or ^i into its corrupt list
-	off  int32 // first receiver: offset into the source shard's tgt
-	n    int32 // receiver count
-}
-
 // shard is one worker: a contiguous node range and all the routing state
 // its goroutine owns. Exactly one goroutine touches a shard's mutable state
-// in a phase; other shards read its sends, queues, tgt and corrupt lists
-// only in the deliver phase, after the route barrier.
+// in a phase; other shards read its sends only in the deliver phase, after
+// the route barrier.
 type shard struct {
 	id     int
 	lo, hi int // owned node range [lo, hi)
@@ -73,15 +63,7 @@ type shard struct {
 	sendOff []int32 // node lo+i's entries are sends[sendOff[i]:sendOff[i+1]]
 	w       *bitio.Writer
 	one     [1]int32   // receiver list of a targeted send
-	inbox   []Received // gather delivery: one node's inbox, reused for the next
-
-	// Block path, used only while a fault hook is installed.
-	out     [][]block // out[d]: this round's blocks bound for shard d
-	tgt     []int32   // receiver lists of the blocks
-	corrupt []Payload // damaged copies of corrupted wires
-	next    []int32   // per-local-receiver count, then write cursor
-	start   []int32   // inbox offsets into arena, len hi-lo+1
-	arena   []Received
+	inbox   []Received // one node's inbox, reused for the next
 
 	// Per-round accounting, merged by the coordinator with sums and maxes
 	// only, so merged Stats are bit-identical for every shard count.
@@ -90,7 +72,7 @@ type shard struct {
 	roundMax  int
 	dropped   int64
 	corrupted int64
-	boundary  int64 // wires to other shards; only metrics read it, so gathering rounds count it only for them
+	boundary  int64 // wires to other shards; only metrics read it, so fault-free rounds count it only for them
 	active    int   // local nodes that sent something this round
 	bwErr     *ErrBandwidth
 	sendErr   error // first invalid SendTo target of the round
@@ -115,8 +97,7 @@ func partition(n, workers int) (chunk, count int) {
 // prepare builds the slot table and the per-shard state on the first run
 // and keeps them for later runs, re-partitioning only when the node count
 // or the worker count has changed since they were built. Buffers sized by
-// traffic (sends, inboxes, queues, arenas) grow on demand and are reused
-// from then on.
+// traffic (sends, inboxes) grow on demand and are reused from then on.
 func (e *Engine) prepare() {
 	n := e.g.N()
 	if e.shards != nil && e.builtN == n && e.builtFor == e.workers {
@@ -134,19 +115,11 @@ func (e *Engine) prepare() {
 			lo:      lo,
 			hi:      hi,
 			sendOff: make([]int32, hi-lo+1),
-			out:     make([][]block, count),
-			next:    make([]int32, hi-lo),
-			start:   make([]int32, hi-lo+1),
 			cmd:     make(chan phase),
 		}
 	}
 	e.done = make(chan struct{}, count)
 }
-
-// faulted reports whether a fault hook is installed. Only the block path
-// can apply per-wire drops and corruptions, so such rounds take it; all
-// other rounds gather.
-func (e *Engine) faulted() bool { return e.Fault != nil || e.Faults != nil }
 
 // Census returns the partition census of the engine's graph under its
 // current worker count: ghostNodes sums, over the shards, the distinct
@@ -202,11 +175,7 @@ func (sh *shard) run(e *Engine, p phase) {
 	case phaseRoute:
 		sh.route(e)
 	case phaseDeliver:
-		if e.faulted() {
-			sh.deliverBlocks(e)
-		} else {
-			sh.gather(e)
-		}
+		sh.gather(e)
 	}
 }
 
@@ -294,43 +263,28 @@ func checkSends(round, n, v int, nbr []int32, sends []send) error {
 
 // route encodes and accounts the shard's outgoing messages. Each send
 // entry is encoded exactly once (a broadcast costs one EncodeBits
-// regardless of degree) while accounting charges every wire. A fault-free
-// round routes nothing further: receivers gather from the slot table.
-// With fault hooks installed every wire needs its own verdict, consulted
-// exactly once, so faultWires walks the receivers one by one and enqueues
-// the survivors as blocks.
+// regardless of degree) while accounting charges every wire; receivers
+// then gather from the slot table. Under a fault model every wire has its
+// own verdict, so faultWires accounts the wires one by one.
 func (sh *shard) route(e *Engine) {
 	round := e.round
-	for d := range sh.out {
-		sh.out[d] = sh.out[d][:0]
-	}
-	sh.tgt = sh.tgt[:0]
-	sh.corrupt = sh.corrupt[:0]
 	sh.messages, sh.totalBits, sh.roundMax = 0, 0, 0
 	sh.dropped, sh.corrupted, sh.boundary = 0, 0, 0
 	sh.bwErr = nil
-	// Corruption flips bits of the real encoding, so a structured fault
-	// model forces encoding even when bit accounting is off.
-	needEncode := e.CountBits || e.Faults != nil
-	faulted := e.faulted()
 	w := sh.w
 	for v := sh.lo; v < sh.hi; v++ {
 		nbr := e.g.Neighbors(v)
-		for i := sh.sendOff[v-sh.lo]; i < sh.sendOff[v-sh.lo+1]; i++ {
-			sd := sh.sends[i]
-			bits := 0
-			if needEncode {
-				w.Reset()
-				sd.payload.EncodeBits(w)
-				bits = w.Len()
-			}
+		for _, sd := range sh.nodeSends(v) {
+			w.Reset()
+			sd.payload.EncodeBits(w)
+			bits := w.Len()
 			targets := nbr
 			if sd.to != broadcastTo {
 				sh.one[0] = sd.to
 				targets = sh.one[:]
 			}
-			if faulted {
-				sh.faultWires(e, round, v, i, targets, bits)
+			if e.Faults != nil {
+				sh.faultWires(e, round, v, targets, bits)
 				continue
 			}
 			sh.account(e, round, v, int(targets[0]), len(targets), bits)
@@ -350,81 +304,33 @@ func (sh *shard) route(e *Engine) {
 // assertion, which names the first of the wires, the one to u.
 func (sh *shard) account(e *Engine, round, v, u, cnt, bits int) {
 	sh.messages += int64(cnt)
-	if e.CountBits {
-		sh.totalBits += int64(bits) * int64(cnt)
-		if bits > sh.roundMax {
-			sh.roundMax = bits
-		}
-		if e.Bandwidth > 0 && bits > e.Bandwidth && sh.bwErr == nil {
-			sh.bwErr = &ErrBandwidth{Round: round, From: v, To: u, Bits: bits, Limit: e.Bandwidth}
-		}
+	sh.totalBits += int64(bits) * int64(cnt)
+	if bits > sh.roundMax {
+		sh.roundMax = bits
+	}
+	if e.Bandwidth > 0 && bits > e.Bandwidth && sh.bwErr == nil {
+		sh.bwErr = &ErrBandwidth{Round: round, From: v, To: u, Bits: bits, Limit: e.Bandwidth}
 	}
 }
 
-// faultWires settles one send entry wire by wire when fault hooks are
-// installed. The legacy Fault hook wins first and its drops stay outside
-// the ledger; otherwise the structured model picks an outcome. Drops never
-// enqueue, surviving receivers accumulate into per-destination runs in
-// tgt, and a corruption interrupts the current run with its own block
-// carrying the damaged copy of the encoding the shard's writer still
-// holds. targets must be ascending (the neighbor-list invariant), which
-// keeps each run on one destination shard; blocks follow wire order, so
-// per-receiver delivery order is unchanged.
-func (sh *shard) faultWires(e *Engine, round, v int, send int32, targets []int32, bits int) {
-	runDest, runStart := -1, len(sh.tgt)
-	for _, ut := range targets {
-		u := int(ut)
-		if e.Fault != nil && e.Fault(round, v, u) {
+// faultWires accounts one send entry wire by wire under the fault model: a
+// dropped wire counts only in the ledger, a corrupted one in the ledger and
+// as delivered with its original size. faultInbox asks the model again when
+// the wire's message is gathered.
+func (sh *shard) faultWires(e *Engine, round, v int, targets []int32, bits int) {
+	for _, u := range targets {
+		switch outcome, _ := e.Faults.Wire(round, v, int(u)); outcome {
+		case FaultDrop:
+			sh.dropped++
 			continue
+		case FaultCorrupt:
+			sh.corrupted++
 		}
-		pl := send
-		if e.Faults != nil {
-			switch outcome, salt := e.Faults.Wire(round, v, u); outcome {
-			case FaultDrop:
-				sh.dropped++
-				continue
-			case FaultCorrupt:
-				sh.corrupted++
-				sh.corrupt = append(sh.corrupt, corruptBits(sh.w, salt))
-				pl = ^int32(len(sh.corrupt) - 1)
-			}
-		}
-		sh.account(e, round, v, u, 1, bits)
-		d := u / e.chunk
-		if d != sh.id {
+		sh.account(e, round, v, int(u), 1, bits)
+		if int(u)/e.chunk != sh.id {
 			sh.boundary++
 		}
-		if pl != send || d != runDest {
-			sh.flushRun(v, send, runDest, runStart)
-			runDest, runStart = d, len(sh.tgt)
-		}
-		sh.tgt = append(sh.tgt, ut)
-		if pl != send {
-			sh.out[d] = append(sh.out[d], block{from: int32(v), send: pl, off: int32(runStart), n: 1})
-			runStart = len(sh.tgt)
-		}
 	}
-	sh.flushRun(v, send, runDest, runStart)
-}
-
-// flushRun enqueues the receivers tgt[start:] as one block for shard d.
-func (sh *shard) flushRun(v int, send int32, d, start int) {
-	if cnt := len(sh.tgt) - start; cnt > 0 {
-		sh.out[d] = append(sh.out[d], block{from: int32(v), send: send, off: int32(start), n: int32(cnt)})
-	}
-}
-
-// corruptBits copies the writer's current encoding and flips the bit
-// selected by salt. Zero-length messages stay empty (nothing to flip); the
-// receiver still sees a CorruptPayload.
-func corruptBits(w *bitio.Writer, salt uint64) CorruptPayload {
-	nbit := w.Len()
-	bits := append([]byte(nil), w.Bytes()...)
-	if nbit > 0 {
-		pos := int(salt % uint64(nbit))
-		bits[pos/8] ^= 1 << (7 - uint(pos%8))
-	}
-	return CorruptPayload{Bits: bits, NBit: nbit}
 }
 
 // gather builds each local node's inbox in the shard's reused inbox buffer
@@ -432,9 +338,9 @@ func corruptBits(w *bitio.Writer, salt uint64) CorruptPayload {
 // list over the slot table: a silent sender adds nothing, a lone broadcast
 // its payload, and a sendList slot the sender's messages to this node in
 // send-call order. So every inbox is sorted by sender id, same-sender
-// messages in send-call order, exactly as the block path delivers them.
-// Delivery runs along edges only, which is why collect checks every
-// SendTo target.
+// messages in send-call order. Delivery runs along edges only, which is
+// why collect checks every SendTo target. Under a fault model, faultInbox
+// then applies each message's wire verdict.
 func (sh *shard) gather(e *Engine) {
 	alg, slots := e.alg, e.slots
 	for v := sh.lo; v < sh.hi; v++ {
@@ -447,6 +353,9 @@ func (sh *shard) gather(e *Engine) {
 			default:
 				in = append(in, Received{From: int(u), Payload: p})
 			}
+		}
+		if e.Faults != nil {
+			in = sh.faultInbox(e, in, v)
 		}
 		sh.inbox = in
 		alg.Inbox(v, in)
@@ -465,55 +374,37 @@ func (e *Engine) appendSends(in []Received, u, v int) []Received {
 	return in
 }
 
-// payload resolves a block of source shard src to its payload.
-func (src *shard) payload(b block) Payload {
-	if b.send < 0 {
-		return src.corrupt[^b.send]
+// faultInbox applies to v's gathered inbox, in place, the verdicts route
+// accounted: a dropped wire's message leaves the inbox, and a corrupted
+// one is replaced by its payload's encoding, re-encoded in the shard's
+// writer, with bit salt mod its length flipped.
+func (sh *shard) faultInbox(e *Engine, in []Received, v int) []Received {
+	out := in[:0]
+	for _, m := range in {
+		switch outcome, salt := e.Faults.Wire(e.round, m.From, v); outcome {
+		case FaultDrop:
+			continue
+		case FaultCorrupt:
+			sh.w.Reset()
+			m.Payload.EncodeBits(sh.w)
+			m.Payload = corruptBits(sh.w, salt)
+		}
+		out = append(out, m)
 	}
-	return src.sends[b.send].payload
+	return out
 }
 
-// deliverBlocks counting-sorts the blocks bound for this shard into its
-// inbox arena and runs the Inbox callback for every local node. Source
-// shards are drained in shard order and cover increasing sender ranges,
-// each queue is in (sender, send-call) order, and a block's receivers are
-// distinct, so every inbox comes out sorted by sender id with same-sender
-// messages in send-call order. Both passes write only this shard's arrays.
-func (sh *shard) deliverBlocks(e *Engine) {
-	clear(sh.next)
-	for _, src := range e.shards {
-		for _, b := range src.out[sh.id] {
-			for _, t := range src.tgt[b.off : b.off+b.n] {
-				sh.next[int(t)-sh.lo]++
-			}
-		}
+// corruptBits copies the writer's current encoding and flips the bit
+// selected by salt. Zero-length messages stay empty (nothing to flip); the
+// receiver still sees a CorruptPayload.
+func corruptBits(w *bitio.Writer, salt uint64) CorruptPayload {
+	nbit := w.Len()
+	bits := append([]byte(nil), w.Bytes()...)
+	if nbit > 0 {
+		pos := int(salt % uint64(nbit))
+		bits[pos/8] ^= 1 << (7 - uint(pos%8))
 	}
-	pos := int32(0)
-	for i, c := range sh.next {
-		sh.start[i] = pos
-		sh.next[i] = pos
-		pos += c
-	}
-	sh.start[len(sh.next)] = pos
-	if cap(sh.arena) < int(pos) {
-		sh.arena = make([]Received, pos)
-	} else {
-		sh.arena = sh.arena[:pos]
-	}
-	for _, src := range e.shards {
-		for _, b := range src.out[sh.id] {
-			m := Received{From: int(b.from), Payload: src.payload(b)}
-			for _, t := range src.tgt[b.off : b.off+b.n] {
-				i := int(t) - sh.lo
-				sh.arena[sh.next[i]] = m
-				sh.next[i]++
-			}
-		}
-	}
-	alg := e.alg
-	for v := sh.lo; v < sh.hi; v++ {
-		alg.Inbox(v, sh.arena[sh.start[v-sh.lo]:sh.start[v-sh.lo+1]])
-	}
+	return CorruptPayload{Bits: bits, NBit: nbit}
 }
 
 // observeRound reports one executed round to the installed tracer and

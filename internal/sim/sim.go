@@ -12,14 +12,12 @@
 // The node space is split into one contiguous range per worker (a shard),
 // and each shard runs all three phases for its own nodes on one goroutine,
 // with barriers between the phases. A broadcast is encoded once per sender
-// per round while bit totals still count every wire. Without fault hooks a
-// shard then gathers each of its nodes' inboxes by walking the node's own
-// sorted neighbor list over a per-node table of what every sender sent;
-// with fault hooks, whose verdicts are per wire, it counting-sorts the
-// wires that survive into its own inbox arena. Either way every inbox is
-// sorted by sender id and the Stats, traces and fault ledgers are
-// bit-identical for every worker count. See docs/SIMULATOR.md for the full
-// concurrency contract.
+// per round while bit totals still count every wire. A shard then gathers
+// each of its nodes' inboxes by walking the node's own sorted neighbor
+// list over a per-node table of what every sender sent, applying a fault
+// model's per-wire verdicts on the way. Every inbox is sorted by sender id
+// and the Stats, traces and fault ledgers are bit-identical for every
+// worker count. See docs/SIMULATOR.md for the full concurrency contract.
 //
 // The per-node callbacks of an Algorithm must only touch the state of the
 // node they are invoked for (plus read-only shared configuration); the
@@ -66,10 +64,11 @@ type Algorithm interface {
 
 // Quiescent is an optional extension of Algorithm. After any round in which
 // no message was delivered anywhere in the network (nothing sent, or every
-// message dropped by Fault), the engine calls Quiesced; returning true ends
-// the run successfully, exactly as if Done had reported termination. This
-// lets flood-style algorithms terminate as soon as the network goes silent
-// instead of burning an explicit "quiet round" protocol.
+// message dropped by the fault model), the engine calls Quiesced;
+// returning true ends the run successfully, exactly as if Done had
+// reported termination. This lets flood-style algorithms terminate as soon
+// as the network goes silent instead of burning an explicit "quiet round"
+// protocol.
 type Quiescent interface {
 	Quiesced() bool
 }
@@ -118,9 +117,8 @@ type Stats struct {
 	MaxMessageBits int   // size of the largest single message
 	RoundMaxBits   []int // per-round maximum message size
 	// Faults is the per-round fault ledger, populated only while a
-	// structured FaultModel is installed (len == Rounds then, nil
-	// otherwise); the legacy Fault hook never activates it, so fault-free
-	// and legacy runs keep their exact seed Stats.
+	// FaultModel is installed (len == Rounds then, nil otherwise), so
+	// fault-free runs keep their exact seed Stats.
 	Faults []RoundFaults
 }
 
@@ -190,12 +188,13 @@ const (
 // FaultModel is a structured, composable fault schedule (internal/chaos
 // provides the standard implementations: i.i.d. drops, targeted wire
 // adversaries, crash and crash-recover node faults, bit flips). Wire is
-// consulted exactly once per wire per round from the shard goroutines, so
-// implementations must be safe for concurrent use and must depend only on
-// their arguments — that is what makes fault schedules seed-deterministic
-// and worker-count independent. The returned salt seeds the choice of
-// flipped bit when the outcome is FaultCorrupt (the engine flips bit
-// salt mod message length) and is ignored otherwise.
+// consulted from the shard goroutines twice per wire per round, once when
+// the wire is accounted and once when it is delivered, so implementations
+// must be safe for concurrent use and must be pure functions of their
+// arguments — that is what makes both answers agree and fault schedules
+// seed-deterministic and worker-count independent. The returned salt seeds
+// the choice of flipped bit when the outcome is FaultCorrupt (the engine
+// flips bit salt mod message length) and is ignored otherwise.
 //
 // Round numbers restart at 0 for every Engine.Run invocation; multi-phase
 // solvers (e.g. oldc.Solve) therefore expose fault schedules to each phase
@@ -212,22 +211,9 @@ type Engine struct {
 	// Bandwidth, when > 0, makes Run fail if any single message exceeds
 	// this many bits (CONGEST assertion mode).
 	Bandwidth int
-	// CountBits disables encoding-based accounting when false (useful for
-	// micro-benchmarks where encoding dominates).
-	CountBits bool
-	// Fault is the legacy ad-hoc drop hook, kept for backward
-	// compatibility: a message from `from` to `to` in `round` is discarded
-	// when Fault returns true. It is invoked exactly once per wire per
-	// round, from the shard goroutines: it must be safe for concurrent use
-	// and should depend only on its arguments. New code should install a
-	// structured, composable schedule from internal/chaos via Faults
-	// instead — only Faults activates the Stats.Faults ledger and payload
-	// corruption. When both are set, Fault is consulted first and its
-	// drops bypass the ledger.
-	Fault func(round, from, to int) bool
-	// Faults, when non-nil, is the structured fault model consulted once
-	// per wire per round (see FaultModel). Installing it activates the
-	// per-round fault ledger in Stats.
+	// Faults, when non-nil, is the fault model that drops and corrupts
+	// wires (see FaultModel). Installing it activates the per-round fault
+	// ledger in Stats.
 	Faults FaultModel
 
 	// tracer receives one obs round event per round plus whatever phase
@@ -265,14 +251,11 @@ type Engine struct {
 
 // Options bundles optional engine configuration for NewEngineWith.
 type Options struct {
-	Workers     int  // shard count: contiguous node ranges, one goroutine each (0 = GOMAXPROCS)
-	Bandwidth   int  // per-message bit budget (0 = unlimited)
-	NoCountBits bool // disable encoding-based bit accounting
+	Workers   int // shard count: contiguous node ranges, one goroutine each (0 = GOMAXPROCS)
+	Bandwidth int // per-message bit budget (0 = unlimited)
 	// Faults installs a structured fault schedule (see FaultModel and
 	// internal/chaos) and activates the Stats.Faults ledger.
 	Faults FaultModel
-	// Fault is the legacy drop hook (see Engine.Fault).
-	Fault func(round, from, to int) bool
 	// Tracer installs a round-level execution tracer (see obs.Tracer and
 	// docs/OBSERVABILITY.md). nil disables tracing.
 	Tracer obs.Tracer
@@ -283,7 +266,7 @@ type Options struct {
 
 // NewEngine returns an engine over the communication graph g.
 func NewEngine(g *graph.Graph) *Engine {
-	return &Engine{g: g, workers: runtime.GOMAXPROCS(0), CountBits: true}
+	return &Engine{g: g, workers: runtime.GOMAXPROCS(0)}
 }
 
 // NewEngineWith returns an engine over g configured by opts.
@@ -293,9 +276,7 @@ func NewEngineWith(g *graph.Graph, opts Options) *Engine {
 		e.SetWorkers(opts.Workers)
 	}
 	e.Bandwidth = opts.Bandwidth
-	e.CountBits = !opts.NoCountBits
 	e.Faults = opts.Faults
-	e.Fault = opts.Fault
 	e.tracer = opts.Tracer
 	e.metrics = opts.Metrics
 	return e
@@ -325,7 +306,7 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 // ReportDecodeFault records one detected decode failure (a corrupted or
 // truncated payload a receiver rejected) in the current round's fault
 // ledger. It is safe to call from concurrent Inbox callbacks; calls made
-// while no structured fault model is installed are dropped.
+// while no fault model is installed are dropped.
 func (e *Engine) ReportDecodeFault() {
 	e.decodeFaults.Add(1)
 }
@@ -404,11 +385,11 @@ func (p ListPayload) EncodeBits(w *bitio.Writer) {
 
 // CorruptPayload is what a receiver sees on a wire the fault model
 // corrupted: the exact encoded bits of the original message with one bit
-// flipped. Receivers that know their wire format can attempt to decode it
-// via Reader (internal/oldc does, surfacing failures as DecodeFaults);
-// receivers that do not must treat it as an undecodable message and skip
-// it. EncodeBits re-emits the damaged bits verbatim, so the corrupted
-// message accounts exactly the same size as the original.
+// flipped. Receivers that know their wire format re-parse it through
+// Reparse, which surfaces failures as DecodeFaults; receivers that do not
+// must treat it as an undecodable message and skip it. EncodeBits re-emits
+// the damaged bits verbatim, so the corrupted message accounts exactly the
+// same size as the original.
 type CorruptPayload struct {
 	Bits []byte
 	NBit int
@@ -424,6 +405,53 @@ func (p CorruptPayload) EncodeBits(w *bitio.Writer) {
 
 // Reader returns a bitio.Reader over the corrupted bits.
 func (p CorruptPayload) Reader() *bitio.Reader { return bitio.NewReader(p.Bits, p.NBit) }
+
+// FaultSink receives the decode failures receivers detect; *Engine and
+// every Runner implement it (ReportDecodeFault feeds the fault ledger).
+type FaultSink interface{ ReportDecodeFault() }
+
+// Reparse is the corrupted-wire rule of the hardened receivers, for a
+// payload that is not the message kind the round schedule expects. A
+// CorruptPayload is re-parsed by decode, which must consume its bits
+// exactly; a failure is reported to sink (which may be nil) and the wire
+// is treated as dropped, which the defective-coloring analyses tolerate.
+// Any other payload breaks the round schedule and is skipped unreported.
+// Reparse reports whether decode accepted the payload.
+func Reparse(pay Payload, sink FaultSink, decode func(*bitio.Reader) error) bool {
+	c, ok := pay.(CorruptPayload)
+	if !ok {
+		return false
+	}
+	r := c.Reader()
+	if decode(r) == nil && r.Remaining() == 0 {
+		return true
+	}
+	if sink != nil {
+		sink.ReportDecodeFault()
+	}
+	return false
+}
+
+// DecodeError reports a wire payload that failed to parse as the message
+// kind its receiver expects: truncated, syntactically malformed, or
+// carrying a field outside the range the shared parameters allow.
+type DecodeError struct {
+	Kind   string // the message kind, named with its package ("oldc type")
+	Reason string // what was wrong
+	Err    error  // underlying bitio error, if any
+}
+
+// Error describes the malformed message, including the underlying bitio
+// error when there is one.
+func (e *DecodeError) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("bad %s message: %s: %v", e.Kind, e.Reason, e.Err)
+	}
+	return fmt.Sprintf("bad %s message: %s", e.Kind, e.Reason)
+}
+
+// Unwrap exposes the underlying bitio error for errors.Is/As chains.
+func (e *DecodeError) Unwrap() error { return e.Err }
 
 // Composite concatenates several payloads into one message.
 type Composite []Payload

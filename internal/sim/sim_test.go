@@ -176,7 +176,7 @@ func TestFaultInjectionDropsMessages(t *testing.T) {
 	g := graph.Ring(10)
 	e := NewEngine(g)
 	// Cut node 0 off entirely: the flood of id 0 can never escape.
-	e.Fault = func(round, from, to int) bool { return from == 0 || to == 0 }
+	e.Faults = drops(func(round, from, to int) bool { return from == 0 || to == 0 })
 	a := newFlood(10)
 	if _, err := e.Run(a, 50); err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestFaultInjectionRoundScoped(t *testing.T) {
 	e := NewEngine(g)
 	// Drop node 0's outgoing messages in round 0 only; other traffic keeps
 	// the flood alive, and id 0 propagates from round 1 on.
-	e.Fault = func(round, from, to int) bool { return round == 0 && from == 0 }
+	e.Faults = drops(func(round, from, to int) bool { return round == 0 && from == 0 })
 	a := newFlood(3)
 	if _, err := e.Run(a, 20); err != nil {
 		t.Fatal(err)
