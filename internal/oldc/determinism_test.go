@@ -2,6 +2,7 @@ package oldc
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -118,18 +119,29 @@ func TestFamilyCacheDeterminism(t *testing.T) {
 	}
 }
 
+// digestFaultSchedule pins TestFaultScheduleDeterminism's drop+flip+crash
+// run: the coloring, the RobustReport (Stats with the per-round fault
+// ledger, repairs, residual sizes) and the residual violators. The
+// reference solves of the golden tests see the same fault model as the
+// solves they check, so a faulted-delivery bug in the engine moves both
+// sides alike; this fixed string does not move with it. Recorded at
+// 9751012.
+const digestFaultSchedule = "ddacac24f2ed1c48"
+
 // TestFaultScheduleDeterminism is the chaos-harness determinism
 // regression: identical seeds and fault schedule must produce
 // bit-identical colorings, Stats, and per-round fault ledgers regardless
 // of the worker count — fault injection happens inside the parallel
 // routing workers, so this pins that neither drop/corrupt decisions nor
-// ledger accounting depend on scheduling.
+// ledger accounting depend on scheduling — and must match
+// digestFaultSchedule at workers 1, 2 and 4.
 func TestFaultScheduleDeterminism(t *testing.T) {
 	g := graph.RandomRegular(64, 16, 51)
 	o := graph.OrientByID(g)
 	type result struct {
-		phi coloring.Assignment
-		rep RobustReport
+		phi      coloring.Assignment
+		rep      RobustReport
+		residual []int
 	}
 	run := func(workers int) result {
 		in, _ := prepareInput(t, o, 1<<13, 5.0, 2, 53)
@@ -143,20 +155,28 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 			eng.SetWorkers(workers)
 		}
 		phi, rep, err := SolveRobust(eng, in, RobustOptions{})
-		if err != nil {
-			var res *ErrResidual
-			if !errors.As(err, &res) {
-				t.Fatal(err)
-			}
+		var res *ErrResidual
+		if err != nil && !errors.As(err, &res) {
+			t.Fatal(err)
 		}
-		return result{phi, rep}
+		r := result{phi: phi, rep: rep}
+		if res != nil {
+			r.residual = res.Violators
+		}
+		return r
 	}
 	want := run(1)
 	if len(want.rep.Stats.Faults) == 0 || want.rep.Stats.TotalFaults().Dropped == 0 {
 		t.Fatal("schedule recorded no faults; the regression would be vacuous")
 	}
-	for _, workers := range []int{2, 4, 8, 0} {
-		got := run(workers)
+	for _, workers := range []int{1, 2, 4, 8, 0} {
+		got := want
+		if workers != 1 {
+			got = run(workers)
+		}
+		if workers >= 1 && workers <= 4 {
+			checkDigest(t, fmt.Sprintf("workers=%d", workers), digest(got.phi, got.rep, got.residual), digestFaultSchedule)
+		}
 		if !reflect.DeepEqual(want.phi, got.phi) {
 			t.Fatalf("workers=%d: coloring diverges from serial run", workers)
 		}
@@ -167,6 +187,9 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(want.rep, got.rep) {
 			t.Fatalf("workers=%d: robust report diverges:\nwant %+v\ngot  %+v",
 				workers, want.rep, got.rep)
+		}
+		if !reflect.DeepEqual(want.residual, got.residual) {
+			t.Fatalf("workers=%d: residual violators diverge: want %v got %v", workers, want.residual, got.residual)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -266,6 +267,55 @@ func TestBandwidthDeterministicFirstViolation(t *testing.T) {
 		if be.From != first || be.To != int(g.Neighbors(first)[0]) || be.Round != 0 {
 			t.Fatalf("workers=%d: violation %d->%d round %d, want %d->%d round 0",
 				workers, be.From, be.To, be.Round, first, g.Neighbors(first)[0])
+		}
+	}
+}
+
+// oversizedFrom has one node send an 8-bit message in round 0, to one
+// neighbor or (to < 0) to all of them; every other node stays silent.
+type oversizedFrom struct{ from, to int }
+
+func (a oversizedFrom) Outbox(v int, out *Outbox) {
+	if v != a.from {
+		return
+	}
+	p := UintPayload{Value: 1, Width: 8}
+	if a.to < 0 {
+		out.Broadcast(p)
+	} else {
+		out.SendTo(a.to, p)
+	}
+}
+func (oversizedFrom) Inbox(int, []Received) {}
+func (oversizedFrom) Done() bool            { return false }
+
+// TestBandwidthViolationNamesItsWire pins the receiver a bandwidth error
+// names when the violating send's first wire is not its sender's first
+// neighbor: a SendTo names its target, and under a fault model a
+// broadcast names its first wire that was not dropped.
+func TestBandwidthViolationNamesItsWire(t *testing.T) {
+	g := graph.Clique(6) // node 3's neighbors are 0, 1, 2, 4, 5
+	for _, tc := range []struct {
+		name   string
+		to     int
+		faults FaultModel
+		want   int
+	}{
+		{"broadcast", -1, nil, 0},
+		{"send-to", 4, nil, 4},
+		{"broadcast-first-wires-dropped", -1, drops(func(_, from, to int) bool { return from == 3 && to < 2 }), 2},
+		{"send-to-faulted", 5, drops(func(_, _, to int) bool { return to == 0 }), 5},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			e := NewEngineWith(g, Options{Workers: workers, Bandwidth: 4, Faults: tc.faults})
+			_, err := e.Run(oversizedFrom{from: 3, to: tc.to}, 2)
+			var be *ErrBandwidth
+			if !errors.As(err, &be) {
+				t.Fatalf("%s workers=%d: got %v, want an ErrBandwidth", tc.name, workers, err)
+			}
+			if be.Round != 0 || be.From != 3 || be.To != tc.want || be.Bits != 8 {
+				t.Errorf("%s workers=%d: violation %+v, want round 0, 3->%d, 8 bits", tc.name, workers, *be, tc.want)
+			}
 		}
 	}
 }

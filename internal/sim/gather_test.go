@@ -166,6 +166,60 @@ func TestFaultedInboxDigest(t *testing.T) {
 	}
 }
 
+// sparseRounds sends inboxDigest's message shapes under each kind of
+// round gather treats apart: rounds in which one block of six consecutive
+// nodes in eight sends (every shape, sendList senders included) or no
+// node does, a round in which every node sends, and a round in which all
+// nodes but sparseSilent send, the fullest round that must still skip a
+// silent sender.
+type sparseRounds struct{ *inboxDigest }
+
+// sparseSilent sends in the every-node round 3 and falls silent in the
+// all-but-one round 4.
+const sparseSilent = 101
+
+func (a sparseRounds) Outbox(v int, out *sim.Outbox) {
+	switch a.round {
+	case 3, 4:
+		if a.round == 4 && v == sparseSilent {
+			return
+		}
+		if (v+a.round)%6 == 0 { // inboxDigest's silent shape
+			out.Broadcast(sim.VarintPayload{Value: uint64(v)})
+			return
+		}
+		a.inboxDigest.Outbox(v, out)
+	case 6: // no node sends
+	default:
+		if (v/6+a.round)%8 == 0 {
+			a.inboxDigest.Outbox(v, out)
+		}
+	}
+}
+
+// digestSparseInbox pins every inbox and the Stats of sparseRounds'
+// traffic; recorded at 9751012, where gather read every neighbor's slot.
+const digestSparseInbox = "6c40fa856a7ad942"
+
+// TestSparseInboxDigest checks gather delivery at every golden worker
+// count in rounds where few, all, all but one and no nodes send.
+func TestSparseInboxDigest(t *testing.T) {
+	g := graph.GNP(240, 0.05, 13)
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) == 0 {
+			t.Fatalf("node %d is isolated, so round 3 would not have every node send", v)
+		}
+	}
+	for _, w := range goldenWorkers {
+		alg := sparseRounds{newInboxDigest(g)}
+		stats, err := sim.NewEngineWith(g, sim.Options{Workers: w}).Run(alg, 12)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		checkDigest(t, fmt.Sprintf("workers=%d", w), digest(alg.h, stats), digestSparseInbox)
+	}
+}
+
 // withoutLedger checks that a run under noFaults faulted nothing and
 // returns its Stats without the ledger, which only a fault model turns on.
 func withoutLedger(t *testing.T, tag string, s sim.Stats, modeled bool) sim.Stats {

@@ -64,6 +64,7 @@ type shard struct {
 	w       *bitio.Writer
 	one     [1]int32   // receiver list of a targeted send
 	inbox   []Received // one node's inbox, reused for the next
+	senders []int32    // one node's neighbors that sent, reused for the next
 
 	// Per-round accounting, merged by the coordinator with sums and maxes
 	// only, so merged Stats are bit-identical for every shard count.
@@ -106,6 +107,7 @@ func (e *Engine) prepare() {
 	chunk, count := partition(n, e.workers)
 	e.chunk, e.builtN, e.builtFor = chunk, n, e.workers
 	e.slots = make([]Payload, n)
+	e.sent = make([]uint8, n)
 	e.shards = make([]*shard, count)
 	for i := range e.shards {
 		lo := min(i*chunk, n)
@@ -201,9 +203,10 @@ func (e *Engine) phase(p phase) {
 // collect runs the Outbox callback for every local node, appending all
 // their sends to the shard's one sends buffer, and sets each node's slot:
 // nil when it sent nothing, the payload of a lone Broadcast, and sendList
-// otherwise. Only sendList nodes can have targeted sends; their targets
-// are checked against the sorted neighbor list, and the shard records its
-// first violation in node order.
+// otherwise; its sent byte says whether the slot is non-nil. Only sendList
+// nodes can have targeted sends; their targets are checked against the
+// sorted neighbor list, and the shard records its first violation in node
+// order.
 func (sh *shard) collect(e *Engine) {
 	alg := e.alg
 	sh.sendErr = nil
@@ -230,10 +233,12 @@ func (sh *shard) collect(e *Engine) {
 				sh.sendErr = err
 			}
 		}
+		var sent uint8
 		if slot != nil {
+			sent = 1
 			sh.active++
 		}
-		e.slots[v] = slot
+		e.slots[v], e.sent[v] = slot, sent
 	}
 	ob.neighbors, ob.sends = nil, nil
 }
@@ -287,7 +292,7 @@ func (sh *shard) route(e *Engine) {
 				sh.faultWires(e, round, v, targets, bits)
 				continue
 			}
-			sh.account(e, round, v, int(targets[0]), len(targets), bits)
+			sh.account(e, round, v, targets, bits)
 			if e.metrics != nil {
 				// targets is ascending, so the wires that stay on this
 				// shard are one run of it.
@@ -299,17 +304,19 @@ func (sh *shard) route(e *Engine) {
 	}
 }
 
-// account charges cnt wires of one bits-long send from v against the
-// shard's round accounting: message count, bit totals, and the bandwidth
-// assertion, which names the first of the wires, the one to u.
-func (sh *shard) account(e *Engine, round, v, u, cnt, bits int) {
-	sh.messages += int64(cnt)
-	sh.totalBits += int64(bits) * int64(cnt)
+// account charges the wires to targets of one bits-long send from v
+// against the shard's round accounting: message count, bit totals, and the
+// bandwidth assertion, which names the first of the wires. Only a
+// violation reads targets[0]: for a broadcast it is the sender's first
+// neighbor, one cache miss per sender that accounting does not need.
+func (sh *shard) account(e *Engine, round, v int, targets []int32, bits int) {
+	sh.messages += int64(len(targets))
+	sh.totalBits += int64(bits) * int64(len(targets))
 	if bits > sh.roundMax {
 		sh.roundMax = bits
 	}
 	if e.Bandwidth > 0 && bits > e.Bandwidth && sh.bwErr == nil {
-		sh.bwErr = &ErrBandwidth{Round: round, From: v, To: u, Bits: bits, Limit: e.Bandwidth}
+		sh.bwErr = &ErrBandwidth{Round: round, From: v, To: int(targets[0]), Bits: bits, Limit: e.Bandwidth}
 	}
 }
 
@@ -318,7 +325,7 @@ func (sh *shard) account(e *Engine, round, v, u, cnt, bits int) {
 // as delivered with its original size. faultInbox asks the model again when
 // the wire's message is gathered.
 func (sh *shard) faultWires(e *Engine, round, v int, targets []int32, bits int) {
-	for _, u := range targets {
+	for i, u := range targets {
 		switch outcome, _ := e.Faults.Wire(round, v, int(u)); outcome {
 		case FaultDrop:
 			sh.dropped++
@@ -326,7 +333,7 @@ func (sh *shard) faultWires(e *Engine, round, v int, targets []int32, bits int) 
 		case FaultCorrupt:
 			sh.corrupted++
 		}
-		sh.account(e, round, v, int(u), 1, bits)
+		sh.account(e, round, v, targets[i:i+1], bits)
 		if int(u)/e.chunk != sh.id {
 			sh.boundary++
 		}
@@ -334,20 +341,24 @@ func (sh *shard) faultWires(e *Engine, round, v int, targets []int32, bits int) 
 }
 
 // gather builds each local node's inbox in the shard's reused inbox buffer
-// and runs the node's Inbox callback. It walks the node's sorted neighbor
-// list over the slot table: a silent sender adds nothing, a lone broadcast
-// its payload, and a sendList slot the sender's messages to this node in
-// send-call order. So every inbox is sorted by sender id, same-sender
-// messages in send-call order. Delivery runs along edges only, which is
-// why collect checks every SendTo target. Under a fault model, faultInbox
-// then applies each message's wire verdict.
+// and runs the node's Inbox callback. It walks the node's sorted neighbors
+// that sent this round (all of them when every node sent, else
+// compactSenders' selection), so every slot it reads is non-nil: a lone
+// broadcast adds its payload, and a sendList slot the sender's messages to
+// this node in send-call order. So every inbox is sorted by sender id,
+// same-sender messages in send-call order. Delivery runs along edges only,
+// which is why collect checks every SendTo target. Under a fault model,
+// faultInbox then applies each message's wire verdict.
 func (sh *shard) gather(e *Engine) {
 	alg, slots := e.alg, e.slots
 	for v := sh.lo; v < sh.hi; v++ {
+		senders := e.g.Neighbors(v)
+		if !e.allSent {
+			senders = sh.compactSenders(senders, e.sent)
+		}
 		in := sh.inbox[:0]
-		for _, u := range e.g.Neighbors(v) {
+		for _, u := range senders {
 			switch p := slots[u]; p.(type) {
-			case nil:
 			case sendList:
 				in = e.appendSends(in, int(u), v)
 			default:
@@ -360,6 +371,25 @@ func (sh *shard) gather(e *Engine) {
 		sh.inbox = in
 		alg.Inbox(v, in)
 	}
+}
+
+// compactSenders returns the neighbors in nbr whose sent byte is 1, in
+// order, in the shard's reused senders buffer. Every neighbor is stored
+// and the write position advances by its sent byte, so no branch depends
+// on which neighbors sent: in rounds where some but not all nodes send, a
+// branch per neighbor is mispredicted often enough to cost more than the
+// slot reads it would save.
+func (sh *shard) compactSenders(nbr []int32, sent []uint8) []int32 {
+	if cap(sh.senders) < len(nbr) {
+		sh.senders = slices.Grow(sh.senders[:0], len(nbr))
+	}
+	out := sh.senders[:len(nbr)]
+	k := 0
+	for _, u := range nbr {
+		out[k] = u
+		k += int(sent[u])
+	}
+	return out[:k]
 }
 
 // appendSends appends what sender u sent to its neighbor v this round — its
@@ -514,11 +544,14 @@ func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) 
 		}
 		e.round = round
 		e.phase(phaseCollect)
+		active := 0
 		for _, sh := range e.shards {
 			if sh.sendErr != nil {
 				return stats, sh.sendErr
 			}
+			active += sh.active
 		}
+		e.allSent = active == e.g.N()
 		bitsBefore := stats.TotalBits
 		e.phase(phaseRoute)
 		var delivered int64
@@ -559,10 +592,6 @@ func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) 
 				stats.Faults = append(stats.Faults, faults)
 			}
 			if observing {
-				active := 0
-				for _, sh := range e.shards {
-					active += sh.active
-				}
 				e.observeRound(round, active, delivered, stats.TotalBits-bitsBefore, roundMax, faults)
 			}
 		}

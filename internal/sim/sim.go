@@ -14,8 +14,9 @@
 // with barriers between the phases. A broadcast is encoded once per sender
 // per round while bit totals still count every wire. A shard then gathers
 // each of its nodes' inboxes by walking the node's own sorted neighbor
-// list over a per-node table of what every sender sent, applying a fault
-// model's per-wire verdicts on the way. Every inbox is sorted by sender id
+// list, cut down to the neighbors that sent, over a per-node table of
+// what every sender sent, applying a fault model's per-wire verdicts on
+// the way. Every inbox is sorted by sender id
 // and the Stats, traces and fault ledgers are bit-identical for every
 // worker count. See docs/SIMULATOR.md for the full concurrency contract.
 //
@@ -236,17 +237,23 @@ type Engine struct {
 	// count changes (builtN, builtFor record both at build time). chunk is
 	// the shard width: node v belongs to shards[v/chunk]. done collects
 	// the shard goroutines' phase completions. slots[v] says what node v
-	// sent this round, for gather delivery (see shard.collect).
+	// sent this round, for gather delivery (see shard.collect), and
+	// sent[v] is 1 exactly when slots[v] is non-nil; collect writes both
+	// for its own nodes, and other shards read them after the route
+	// barrier.
 	shards   []*shard
 	chunk    int
 	builtN   int
 	builtFor int
 	done     chan struct{}
 	slots    []Payload
+	sent     []uint8
 
 	// Per-run state, written by the coordinator between phase barriers.
-	alg   Algorithm
-	round int
+	// allSent records that every node sent something this round.
+	alg     Algorithm
+	round   int
+	allSent bool
 }
 
 // Options bundles optional engine configuration for NewEngineWith.
