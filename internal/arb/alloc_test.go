@@ -28,7 +28,7 @@ func TestArbAllocBudget(t *testing.T) {
 	g := graph.GNP(1024, 24.0/1023, 5)
 	init, m := bootstrap(t, g)
 	in := coloring.Standard(g)
-	cfg := Config{EngineHook: func(e *sim.Engine) { e.SetWorkers(1) }}
+	cfg := Config{Engine: sim.Options{Workers: 1}}
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := SolveListArbdefective(g, in, init, m, oldc.Solve, cfg); err != nil {
 			t.Fatal(err)

@@ -39,19 +39,12 @@ type Config struct {
 	// the deterministic fallback schedule takes over (0 = automatic; used
 	// by tests to exercise the fallback directly).
 	MaxStages int
-	// EngineHook, when non-nil, is applied to every simulator engine the
-	// driver creates (sub-instance batches, bootstraps, fallback). It lets
-	// callers enforce a CONGEST bandwidth assertion across the whole
-	// pipeline.
-	EngineHook func(*sim.Engine)
-	// Tracer, when non-nil, receives the driver's phase events (stages,
-	// batches, fallback) and is installed on every engine the driver
-	// creates, so per-round events from all sub-instances land in one
-	// trace stream.
-	Tracer obs.Tracer
-	// Metrics, when non-nil, is installed on every engine the driver
-	// creates.
-	Metrics *obs.Registry
+	// Engine configures every simulator engine the driver creates
+	// (sub-instance batches, bootstraps, fallback): a Bandwidth enforces
+	// the CONGEST assertion across the whole pipeline, and a Tracer also
+	// receives the driver's phase events (stages, batches, fallback), so
+	// per-round events from all sub-instances land in one trace stream.
+	Engine sim.Options
 	// Opts is handed to the OLDC solver.
 	Opts oldc.Options
 }
@@ -83,19 +76,6 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 				v, in.Lists[v].WeightSum(), g.Degree(v))
 		}
 	}
-	newEng := func(g2 *graph.Graph) *sim.Engine {
-		e := sim.NewEngine(g2)
-		if cfg.Tracer != nil {
-			e.SetTracer(cfg.Tracer)
-		}
-		if cfg.Metrics != nil {
-			e.SetMetrics(cfg.Metrics)
-		}
-		if cfg.EngineHook != nil {
-			cfg.EngineHook(e)
-		}
-		return e
-	}
 	phi := coloring.NewAssignment(n)
 	colorTime := make([]int, n) // global batch counter at coloring time
 	arcs := newBatchArcs(g)
@@ -126,7 +106,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 			// Commit-valid-subset drops stalled the halving argument;
 			// finish the leftovers with the deterministic fallback
 			// schedule (see DESIGN.md substitution 2).
-			st, err := fallbackSchedule(g, in, initColors, m, phi, av, colorTime, &batch, newEng, cfg.Tracer)
+			st, err := fallbackSchedule(g, in, initColors, m, phi, av, colorTime, &batch, cfg.Engine)
 			res.Stats = res.Stats.Add(st)
 			if err != nil {
 				return res, err
@@ -144,7 +124,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 		if len(unc) == 0 {
 			break
 		}
-		obs.EmitPhase(cfg.Tracer, "arb/stage", obs.Attrs{"stage": res.Stages, "uncolored": len(unc)})
+		obs.EmitPhase(cfg.Engine.Tracer, "arb/stage", obs.Attrs{"stage": res.Stages, "uncolored": len(unc)})
 		sub, orig := g.InducedSubgraph(unc)
 		subDelta := sub.MaxDegree()
 		if subDelta == 0 {
@@ -174,7 +154,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 			q = subDelta + 1
 		}
 		subInit := restrict(initColors, orig)
-		boot, bootStats, err := linial.Arbdefective(newEng(sub), sub, subInit, m, q+1)
+		boot, bootStats, err := linial.Arbdefective(sim.NewEngineWith(sub, cfg.Engine), sub, subInit, m, q+1)
 		res.Stats = res.Stats.Add(bootStats)
 		if err != nil {
 			return res, fmt.Errorf("arb: bootstrap failed: %w", err)
@@ -203,8 +183,8 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 				continue
 			}
 			batch++
-			obs.EmitPhase(cfg.Tracer, "arb/batch", obs.Attrs{"stage": res.Stages, "class": class, "members": len(members)})
-			st, colored, err := colorBatch(orig, members, boot.Orient, in, av, phi, arcs, subInit, m, solve, cfg, newEng)
+			obs.EmitPhase(cfg.Engine.Tracer, "arb/batch", obs.Attrs{"stage": res.Stages, "class": class, "members": len(members)})
+			st, colored, err := colorBatch(orig, members, boot.Orient, in, av, phi, arcs, subInit, m, solve, cfg)
 			res.Stats = res.Stats.Add(st)
 			if err != nil {
 				return res, fmt.Errorf("arb: stage %d class %d: %w", res.Stages, class, err)
@@ -248,7 +228,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 // committed nodes' original ids.
 func colorBatch(orig []int, members []int, bootOrient *graph.Oriented,
 	in *coloring.Instance, av *residualCounts, phi coloring.Assignment, arcs *batchArcs,
-	subInit []int, m int, solve Solver, cfg Config, newEng func(*graph.Graph) *sim.Engine) (sim.Stats, []int, error) {
+	subInit []int, m int, solve Solver, cfg Config) (sim.Stats, []int, error) {
 
 	var stats sim.Stats
 	// The class members' subgraph with the orientation inherited from the
@@ -288,7 +268,7 @@ func colorBatch(orig []int, members []int, bootOrient *graph.Oriented,
 	opts := cfg.Opts
 	opts.SkipValidate = true // validated globally at the end
 	oin := oldc.Input{O: batchO, SpaceSize: in.SpaceSize, Lists: lists, InitColors: init, M: m}
-	asg, st, err := solve(newEng(batchO.Graph()), oin, opts)
+	asg, st, err := solve(sim.NewEngineWith(batchO.Graph(), cfg.Engine), oin, opts)
 	stats = stats.Add(st)
 	if err != nil {
 		return stats, nil, err
@@ -376,7 +356,7 @@ func (b *batchArcs) has(u, w int) bool {
 // guaranteed by Σ(d_v(x)+1) > deg(v).
 func fallbackSchedule(g *graph.Graph, in *coloring.Instance, initColors []int, m int,
 	phi coloring.Assignment, av *residualCounts, colorTime []int, batch *int,
-	newEng func(*graph.Graph) *sim.Engine, tracer obs.Tracer) (sim.Stats, error) {
+	engOpts sim.Options) (sim.Stats, error) {
 
 	var stats sim.Stats
 	var unc []int
@@ -389,7 +369,7 @@ func fallbackSchedule(g *graph.Graph, in *coloring.Instance, initColors []int, m
 		return stats, nil
 	}
 	sub, orig := g.InducedSubgraph(unc)
-	eng := newEng(sub)
+	eng := sim.NewEngineWith(sub, engOpts)
 	c1, m1, s1, err := linial.Proper(eng, graph.OrientSymmetric(sub), restrict(initColors, orig), m)
 	stats = stats.Add(s1)
 	if err != nil {
@@ -403,7 +383,7 @@ func fallbackSchedule(g *graph.Graph, in *coloring.Instance, initColors []int, m
 	// The per-class picks below are zero-message rounds: they are counted
 	// against the round complexity but never enter an engine, so a trace
 	// records them as a phase attribute rather than round events.
-	obs.EmitPhase(tracer, "arb/fallback", obs.Attrs{"nodes": len(unc), "classes": p})
+	obs.EmitPhase(engOpts.Tracer, "arb/fallback", obs.Attrs{"nodes": len(unc), "classes": p})
 	stats.Rounds += p // one round per fallback class
 	for class := 0; class < p; class++ {
 		*batch++

@@ -29,19 +29,6 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 	if cfg.ClassFactor <= 0 {
 		cfg.ClassFactor = 1
 	}
-	newEng := func(g2 *graph.Graph) *sim.Engine {
-		e := sim.NewEngine(g2)
-		if cfg.Tracer != nil {
-			e.SetTracer(cfg.Tracer)
-		}
-		if cfg.Metrics != nil {
-			e.SetMetrics(cfg.Metrics)
-		}
-		if cfg.EngineHook != nil {
-			cfg.EngineHook(e)
-		}
-		return e
-	}
 	phi := coloring.NewAssignment(n)
 	colorTime := make([]int, n)
 	batch := 0
@@ -75,7 +62,7 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 		subDelta := sub.MaxDegree()
 		if subDelta == 0 || stage >= maxStages {
 			// Finish with the deterministic fallback.
-			st, err := fallbackSchedule(g, in, initColors, m, phi, av, colorTime, &batch, newEng, cfg.Tracer)
+			st, err := fallbackSchedule(g, in, initColors, m, phi, av, colorTime, &batch, cfg.Engine)
 			res.Stats = res.Stats.Add(st)
 			if err != nil {
 				return res, err
@@ -92,7 +79,7 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 		if delta < 1 {
 			delta = 1
 		}
-		eng := newEng(sub)
+		eng := sim.NewEngineWith(sub, cfg.Engine)
 		classes, q1, st, err := linial.Defective(eng, graph.OrientSymmetric(sub), restrict(initColors, orig), m, delta)
 		res.Stats = res.Stats.Add(st)
 		if err != nil {

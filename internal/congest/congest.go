@@ -73,10 +73,10 @@ type Result struct {
 // or more generally Σ(d_v(x)+1) > deg(v).
 func DegreePlusOneList(g *graph.Graph, in *coloring.Instance, cfg Config) (Result, error) {
 	var res Result
-	eng := sim.NewEngineWith(g, sim.Options{Tracer: cfg.Tracer, Metrics: cfg.Metrics})
-	if cfg.Bandwidth > 0 {
-		eng.Bandwidth = cfg.Bandwidth
-	}
+	// One engine template for the bootstrap and every engine the driver
+	// creates.
+	engOpts := sim.Options{Bandwidth: cfg.Bandwidth, Tracer: cfg.Tracer, Metrics: cfg.Metrics}
+	eng := sim.NewEngineWith(g, engOpts)
 	obs.EmitPhase(cfg.Tracer, "congest/linial-bootstrap", obs.Attrs{"n": g.N()})
 	init, m, bootStats, err := linial.Proper(eng, graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
 	res.Stats = res.Stats.Add(bootStats)
@@ -101,16 +101,10 @@ func DegreePlusOneList(g *graph.Graph, in *coloring.Instance, cfg Config) (Resul
 		}
 	}
 
-	var hook func(*sim.Engine)
-	if cfg.Bandwidth > 0 {
-		hook = func(e *sim.Engine) { e.Bandwidth = cfg.Bandwidth }
-	}
 	obs.EmitPhase(cfg.Tracer, "congest/arb-driver", obs.Attrs{"m": m})
 	ares, err := arb.SolveListArbdefective(g, in, init, m, solver, arb.Config{
 		ClassFactor: cfg.ClassFactor,
-		EngineHook:  hook,
-		Tracer:      cfg.Tracer,
-		Metrics:     cfg.Metrics,
+		Engine:      engOpts,
 		Opts:        cfg.Opts,
 	})
 	res.Stats = res.Stats.Add(ares.Stats)

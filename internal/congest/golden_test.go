@@ -129,7 +129,7 @@ func TestGoldenFallbackDriver(t *testing.T) {
 	in := coloring.DegreePlusOne(g, 2*g.MaxDegree()+2, 17)
 	var buf bytes.Buffer
 	tr := obs.NewJSONL(&buf)
-	res, err := arb.SolveListArbdefective(g, in, init, m, oldc.Solve, arb.Config{MaxStages: 1, Tracer: tr})
+	res, err := arb.SolveListArbdefective(g, in, init, m, oldc.Solve, arb.Config{MaxStages: 1, Engine: sim.Options{Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGoldenDriverOrientation(t *testing.T) {
 	init, m := idBootstrap(t, g)
 	var buf bytes.Buffer
 	tr := obs.NewJSONL(&buf)
-	res, err := arb.SolveListArbdefective(g, coloring.Standard(g), init, m, oldc.Solve, arb.Config{ClassFactor: 4, Tracer: tr})
+	res, err := arb.SolveListArbdefective(g, coloring.Standard(g), init, m, oldc.Solve, arb.Config{ClassFactor: 4, Engine: sim.Options{Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}

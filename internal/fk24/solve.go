@@ -40,9 +40,6 @@ type Options struct {
 	// SkipValidate disables the output validity check (used by ablations
 	// that intentionally under-provision parameters).
 	SkipValidate bool
-	// NoFamilyCache disables the type-keyed family memoization cache, as
-	// in oldc.Options.
-	NoFamilyCache bool
 }
 
 func resolveParams(opts Options) cover.Params {
@@ -78,7 +75,6 @@ type spec struct {
 	tau       int
 	kprime    int
 	pr        cover.Params
-	noCache   bool
 }
 
 // alg is the B+2-round bucketed framework (see the package comment for
@@ -127,9 +123,7 @@ func newAlg(sp spec) (*alg, error) {
 		sbSet:     make([][][]int, n),
 		committed: make([][]int32, n),
 		phi:       make([]int, n),
-	}
-	if !sp.noCache {
-		a.cache = cover.NewFamilyCache()
+		cache:     cover.NewFamilyCache(),
 	}
 	for v := 0; v < n; v++ {
 		if sp.lists[v].Len() == 0 {
@@ -157,9 +151,6 @@ func (a *alg) familyOf(initColor int, list []int) *cover.CachedFamily {
 		List:      list,
 		SetSize:   a.spec.pr.SetSize(1, a.spec.tau, len(list)),
 		NumSets:   a.spec.kprime,
-	}
-	if a.cache == nil {
-		return cover.NewCachedFamily(ty)
 	}
 	return a.cache.Get(ty)
 }
@@ -347,7 +338,6 @@ func Solve(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.St
 		tau:       tau,
 		kprime:    pr.KPrime(1, tau),
 		pr:        pr,
-		noCache:   opts.NoFamilyCache,
 	}
 	a, err := newAlg(sp)
 	if err != nil {

@@ -58,8 +58,7 @@ var goldenDigests = map[string]uint64{
 }
 
 // TestGoldenBitIdentity pins Solve to the embedded digests and checks the
-// output is bit-identical across engine worker counts and the family cache
-// toggle.
+// output is bit-identical across engine worker counts.
 func TestGoldenBitIdentity(t *testing.T) {
 	for _, tc := range goldenInstances() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,22 +73,20 @@ func TestGoldenBitIdentity(t *testing.T) {
 				t.Errorf("golden digest drifted: got %#x want %#x", got, want)
 			}
 			for _, workers := range []int{2, 4, 7, 0} {
-				for _, noCache := range []bool{false, true} {
-					eng := sim.NewEngine(tc.o.Graph())
-					if workers > 0 {
-						eng.SetWorkers(workers)
-					}
-					phi, stats, err := Solve(eng, in, Options{NoFamilyCache: noCache})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(wantPhi, phi) {
-						t.Errorf("workers=%d noCache=%v: coloring diverges", workers, noCache)
-					}
-					if !reflect.DeepEqual(wantStats, stats) {
-						t.Errorf("workers=%d noCache=%v: stats diverge:\n want %+v\n  got %+v",
-							workers, noCache, wantStats, stats)
-					}
+				eng := sim.NewEngine(tc.o.Graph())
+				if workers > 0 {
+					eng.SetWorkers(workers)
+				}
+				phi, stats, err := Solve(eng, in, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(wantPhi, phi) {
+					t.Errorf("workers=%d: coloring diverges", workers)
+				}
+				if !reflect.DeepEqual(wantStats, stats) {
+					t.Errorf("workers=%d: stats diverge:\n want %+v\n  got %+v",
+						workers, wantStats, stats)
 				}
 			}
 		})

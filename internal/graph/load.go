@@ -151,55 +151,3 @@ func LoadEdgeListFile(path string) (*Graph, error) {
 	defer f.Close()
 	return LoadEdgeList(f)
 }
-
-// EdgeListFile opens a SNAP-style edge-list file as a restartable
-// EdgeStream. The whole file is validated once up front (same checks as
-// LoadEdgeList, with line numbers in the error); each ForEachEdge then
-// re-reads the file, so the edges are never all held in memory — only the
-// duplicate-detection set during the initial validation scan.
-func EdgeListFile(path string) (EdgeStream, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	_, n, err := readEdgeList(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	return &fileStream{path: path, n: n}, nil
-}
-
-type fileStream struct {
-	path string
-	n    int
-}
-
-func (s *fileStream) N() int { return s.n }
-
-func (s *fileStream) ForEachEdge(emit func(u, v int) error) error {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		u, v, ok, err := parseEdgeLine(lineno, sc.Text())
-		if err != nil {
-			// The constructor validated the file; a parse error here means
-			// the file changed underneath us — surface it, don't panic.
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := emit(u, v); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
-}

@@ -85,8 +85,8 @@ func TestLoadEdgeListEmpty(t *testing.T) {
 	}
 }
 
-// TestEdgeListFileStream checks the file-backed stream: validated at open,
-// restartable, and equal to the materialized load of the same file.
+// TestEdgeListFileStream checks that LoadEdgeListFile reads a file as
+// LoadEdgeList reads the same bytes from a stream.
 func TestEdgeListFileStream(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "edges.txt")
@@ -94,49 +94,36 @@ func TestEdgeListFileStream(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	es, err := EdgeListFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es.N() != 4 {
-		t.Fatalf("inferred n=%d, want 4", es.N())
-	}
-	streamed, err := Materialize(es)
-	if err != nil {
-		t.Fatal(err)
-	}
 	loaded, err := LoadEdgeListFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed.N() != loaded.N() || streamed.M() != loaded.M() {
-		t.Fatalf("stream/load mismatch: n %d/%d m %d/%d", streamed.N(), loaded.N(), streamed.M(), loaded.M())
+	streamed, err := LoadEdgeList(strings.NewReader(content))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.N() != 4 || loaded.M() != 5 {
+		t.Fatalf("got n=%d m=%d, want n=4 m=5", loaded.N(), loaded.M())
 	}
 	for v := 0; v < loaded.N(); v++ {
 		if !reflect.DeepEqual(streamed.Neighbors(v), loaded.Neighbors(v)) {
 			t.Fatalf("adjacency of %d differs", v)
 		}
 	}
-	// Restartability: second traversal sees the same sequence.
-	var a, b [][2]int
-	es.ForEachEdge(func(u, v int) error { a = append(a, [2]int{u, v}); return nil })
-	es.ForEachEdge(func(u, v int) error { b = append(b, [2]int{u, v}); return nil })
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("file stream not restartable")
-	}
 }
 
-// TestEdgeListFileRejectsBad verifies constructor-time validation: a file
-// with a bad line never becomes a stream.
+// TestEdgeListFileRejectsBad verifies that a file with a bad line fails to
+// load with the typed error and its line number.
 func TestEdgeListFileRejectsBad(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.txt")
 	if err := os.WriteFile(path, []byte("0 1\n5 5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := EdgeListFile(path)
-	if !errors.Is(err, ErrSelfLoop) {
-		t.Fatalf("got %v, want ErrSelfLoop", err)
+	_, err := LoadEdgeListFile(path)
+	var le *LoadError
+	if !errors.Is(err, ErrSelfLoop) || !errors.As(err, &le) || le.Line != 2 {
+		t.Fatalf("got %v, want ErrSelfLoop on line 2", err)
 	}
 }
 

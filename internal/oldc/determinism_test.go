@@ -79,10 +79,12 @@ func identityColoring(g *graph.Graph) ([]int, int) {
 	return ids, g.N()
 }
 
-// TestFamilyCacheDeterminism pins the memoization cache to the uncached
-// derivation: the same coloring and Stats must come out with the cache on
-// and off, for every worker count — i.e. neither the sync.Map nor the
-// parallel Inbox interleaving may leak into outputs.
+// TestFamilyCacheDeterminism pins that the shared family cache keeps
+// outputs worker-count independent: the same coloring and Stats must come
+// out for every worker count — i.e. neither the order in which concurrent
+// Inbox callbacks fill the cache nor their interleaving may leak into
+// outputs. (cover's TestCachedFamilyMatchesFamily pins a cached family to
+// the uncached derivation.)
 func TestFamilyCacheDeterminism(t *testing.T) {
 	g := graph.RandomRegular(40, 8, 81)
 	o := graph.OrientByID(g)
@@ -90,31 +92,28 @@ func TestFamilyCacheDeterminism(t *testing.T) {
 		phi   coloring.Assignment
 		stats sim.Stats
 	}
-	run := func(workers int, noCache bool) result {
+	run := func(workers int) result {
 		in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 83)
 		if workers > 0 {
 			eng.SetWorkers(workers)
 		}
-		phi, stats, err := Solve(eng, in, Options{NoFamilyCache: noCache})
+		phi, stats, err := Solve(eng, in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return result{phi, stats}
 	}
-	want := run(1, true) // uncached serial run is the baseline
-	for _, workers := range []int{1, 2, 4, 0} {
-		for _, noCache := range []bool{false, true} {
-			got := run(workers, noCache)
-			for v := range want.phi {
-				if want.phi[v] != got.phi[v] {
-					t.Fatalf("workers=%d noCache=%v: color diverges at node %d", workers, noCache, v)
-				}
+	want := run(1) // the serial run is the baseline
+	for _, workers := range []int{2, 4, 0} {
+		got := run(workers)
+		for v := range want.phi {
+			if want.phi[v] != got.phi[v] {
+				t.Fatalf("workers=%d: color diverges at node %d", workers, v)
 			}
-			if want.stats.Messages != got.stats.Messages || want.stats.TotalBits != got.stats.TotalBits ||
-				want.stats.Rounds != got.stats.Rounds {
-				t.Fatalf("workers=%d noCache=%v: stats diverge: want %+v got %+v",
-					workers, noCache, want.stats, got.stats)
-			}
+		}
+		if want.stats.Messages != got.stats.Messages || want.stats.TotalBits != got.stats.TotalBits ||
+			want.stats.Rounds != got.stats.Rounds {
+			t.Fatalf("workers=%d: stats diverge: want %+v got %+v", workers, want.stats, got.stats)
 		}
 	}
 }
@@ -200,25 +199,23 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 func TestFamilyCacheDeterminismMulti(t *testing.T) {
 	g := graph.RandomRegular(36, 6, 91)
 	o := graph.OrientByID(g)
-	run := func(workers int, noCache bool) coloring.Assignment {
+	run := func(workers int) coloring.Assignment {
 		in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 93)
 		if workers > 0 {
 			eng.SetWorkers(workers)
 		}
-		phi, _, err := SolveMulti(eng, in, Options{Gap: 1, SkipValidate: true, NoFamilyCache: noCache})
+		phi, _, err := SolveMulti(eng, in, Options{Gap: 1, SkipValidate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return phi
 	}
-	want := run(1, true)
-	for _, workers := range []int{1, 4, 0} {
-		for _, noCache := range []bool{false, true} {
-			got := run(workers, noCache)
-			for v := range want {
-				if want[v] != got[v] {
-					t.Fatalf("workers=%d noCache=%v: color diverges at node %d", workers, noCache, v)
-				}
+	want := run(1)
+	for _, workers := range []int{4, 0} {
+		got := run(workers)
+		for v := range want {
+			if want[v] != got[v] {
+				t.Fatalf("workers=%d: color diverges at node %d", workers, v)
 			}
 		}
 	}

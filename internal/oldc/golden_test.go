@@ -621,7 +621,9 @@ func goldenInstances() []goldenInstance {
 
 // TestGoldenSolve pins Solve (two-phase + aux class selection) to the seed
 // implementation: identical colorings AND identical sim.Stats, for every
-// worker count and with the family cache both on and off.
+// worker count. Solve derives families through the shared cache and the
+// embedded seed algorithm derives them directly, so this also pins the
+// cached solve to the uncached one.
 func TestGoldenSolve(t *testing.T) {
 	for _, tc := range goldenInstances() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -631,22 +633,20 @@ func TestGoldenSolve(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4, 0} {
-				for _, noCache := range []bool{false, true} {
-					in2, eng2 := prepareInput(t, tc.o, 1<<12, 6.0, 3, tc.seed)
-					if workers > 0 {
-						eng2.SetWorkers(workers)
-					}
-					phi, stats, err := Solve(eng2, in2, Options{NoFamilyCache: noCache})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(wantPhi, phi) {
-						t.Errorf("workers=%d noCache=%v: coloring diverges from seed", workers, noCache)
-					}
-					if !reflect.DeepEqual(wantStats, stats) {
-						t.Errorf("workers=%d noCache=%v: stats diverge from seed:\n want %+v\n  got %+v",
-							workers, noCache, wantStats, stats)
-					}
+				in2, eng2 := prepareInput(t, tc.o, 1<<12, 6.0, 3, tc.seed)
+				if workers > 0 {
+					eng2.SetWorkers(workers)
+				}
+				phi, stats, err := Solve(eng2, in2, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(wantPhi, phi) {
+					t.Errorf("workers=%d: coloring diverges from seed", workers)
+				}
+				if !reflect.DeepEqual(wantStats, stats) {
+					t.Errorf("workers=%d: stats diverge from seed:\n want %+v\n  got %+v",
+						workers, wantStats, stats)
 				}
 			}
 		})

@@ -116,7 +116,7 @@ func prepareTwoPhase(eng *sim.Engine, in Input, opts Options) (*twoPhaseAlg, sim
 		}
 		obs.EmitPhase(eng.Tracer(), "oldc/class-selection", obs.Attrs{"h": h, "gap": gAux})
 		auxIn := Input{O: o, SpaceSize: h, Lists: auxLists, InitColors: in.InitColors, M: in.M}
-		auxPhi, auxStats, err := SolveMulti(eng, auxIn, Options{Params: pr, Gap: gAux, SkipValidate: true, NoFamilyCache: opts.NoFamilyCache})
+		auxPhi, auxStats, err := SolveMulti(eng, auxIn, Options{Params: pr, Gap: gAux, SkipValidate: true})
 		total = total.Add(auxStats)
 		if err != nil {
 			return nil, total, fmt.Errorf("oldc: γ-class selection failed: %w", err)
@@ -140,7 +140,6 @@ func prepareTwoPhase(eng *sim.Engine, in Input, opts Options) (*twoPhaseAlg, sim
 		tau:        tau,
 		kprime:     kprime,
 		pr:         pr,
-		noCache:    opts.NoFamilyCache,
 	}
 	for v := 0; v < n; v++ {
 		list, d := sel[v].listForClass(classes[v])
@@ -462,8 +461,8 @@ func sortInts(a []int) {
 // write without synchronization or allocation.
 type twoPhaseAlg struct {
 	spec    basicSpec
-	sink    sim.FaultSink      // decode-fault ledger (the engine); may be nil
-	cache   *cover.FamilyCache // nil when spec.noCache
+	sink    sim.FaultSink // decode-fault ledger (the engine); may be nil
+	cache   *cover.FamilyCache
 	csr     algkit.OutCSR
 	curList [][]int // list after bad-color removal (set at the class round)
 	listBuf []int   // arena backing curList; node v owns listOff[v]:listOff[v+1]
@@ -503,9 +502,7 @@ func newTwoPhase(spec basicSpec) *twoPhaseAlg {
 		nbrColor: make([]int32, csr.Arcs()),
 		phi:      make([]int, n),
 		pickedAt: make([]int, n),
-	}
-	if !spec.noCache {
-		a.cache = cover.NewFamilyCache()
+		cache:    cover.NewFamilyCache(),
 	}
 	total := 0
 	for v := 0; v < n; v++ {
@@ -530,9 +527,6 @@ func (a *twoPhaseAlg) familyOf(t typeInfo) *cover.CachedFamily {
 		List:      t.list,
 		SetSize:   a.spec.pr.SetSize(t.gclass, a.spec.tau, len(t.list)),
 		NumSets:   a.spec.kprime,
-	}
-	if a.cache == nil {
-		return cover.NewCachedFamily(ty)
 	}
 	return a.cache.Get(ty)
 }

@@ -13,7 +13,7 @@ import (
 // run (γ-class selection, Phase I, Phase II) on a fresh engine; the
 // instance is built once. `ldc-bench -suite oldc` runs the larger
 // machine-readable suite (internal/bench) built the same way.
-func benchmarkSolve(b *testing.B, n, delta, space int, kappa float64, noCache bool) {
+func benchmarkSolve(b *testing.B, n, delta, space int, kappa float64) {
 	g := graph.RandomRegular(n, delta, 1)
 	o := graph.OrientByID(g)
 	init := make([]int, n)
@@ -26,16 +26,12 @@ func benchmarkSolve(b *testing.B, n, delta, space int, kappa float64, noCache bo
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(g)
-		if _, _, err := Solve(eng, in, Options{NoFamilyCache: noCache}); err != nil {
+		if _, _, err := Solve(eng, in, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSolveDelta8(b *testing.B)   { benchmarkSolve(b, 256, 8, 1<<12, 5.0, false) }
-func BenchmarkSolveDelta64(b *testing.B)  { benchmarkSolve(b, 256, 64, 1<<14, 6.0, false) }
-func BenchmarkSolveDelta128(b *testing.B) { benchmarkSolve(b, 256, 128, 1<<15, 6.0, false) }
-
-// The NoCache variants quantify what the type-keyed family cache buys on
-// its own (the bitset kernels are active in both).
-func BenchmarkSolveDelta64NoCache(b *testing.B) { benchmarkSolve(b, 256, 64, 1<<14, 6.0, true) }
+func BenchmarkSolveDelta8(b *testing.B)   { benchmarkSolve(b, 256, 8, 1<<12, 5.0) }
+func BenchmarkSolveDelta64(b *testing.B)  { benchmarkSolve(b, 256, 64, 1<<14, 6.0) }
+func BenchmarkSolveDelta128(b *testing.B) { benchmarkSolve(b, 256, 128, 1<<15, 6.0) }

@@ -30,11 +30,6 @@ type Options struct {
 	// SkipValidate disables the output validity check (used by ablations
 	// that intentionally under-provision parameters).
 	SkipValidate bool
-	// NoFamilyCache disables the type-keyed family memoization cache and
-	// re-derives every family from its type (the paper's literal Lemma 3.6
-	// behavior). Outputs are identical either way — the determinism tests
-	// pin this — so the flag exists for benchmarking and equivalence tests.
-	NoFamilyCache bool
 }
 
 func resolveParams(opts Options) cover.Params {
@@ -72,7 +67,6 @@ func SolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, s
 		tau:        tau,
 		kprime:     kprime,
 		pr:         pr,
-		noCache:    opts.NoFamilyCache,
 	}
 	for v := 0; v < n; v++ {
 		list, d, err := restrictToBestDefectClass(o.OutDegree(v), in.Lists[v], h)
@@ -121,7 +115,6 @@ func SolveProperList(eng *sim.Engine, in Input, opts Options) (coloring.Assignme
 		tau:        tau,
 		kprime:     pr.KPrime(1, tau),
 		pr:         pr,
-		noCache:    opts.NoFamilyCache,
 	}
 	for v := 0; v < n; v++ {
 		l := in.Lists[v]

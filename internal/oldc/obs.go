@@ -7,15 +7,12 @@ import (
 )
 
 // publishCacheStats folds a run's family-cache figures into the engine's
-// metrics registry (a no-op when either is absent). Misses equal the
+// metrics registry (a no-op without a registry). Misses equal the
 // number of distinct types derived — derivation happens exactly once per
 // type under the cache's write lock — so for a fixed instance the split is
 // deterministic across worker counts; the arena gauges record the resident
 // cost of the memoized families.
 func publishCacheStats(eng *sim.Engine, cache *cover.FamilyCache) {
-	if cache == nil {
-		return
-	}
 	reg := eng.Metrics()
 	if reg == nil {
 		return

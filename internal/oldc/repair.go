@@ -168,7 +168,7 @@ func RepairRegion(in Input, phi coloring.Assignment, region []int, opts RegionOp
 		sc.inits[i] = in.InitColors[v]
 	}
 	rin := Input{O: subO, SpaceSize: in.SpaceSize, Lists: sc.lists, InitColors: sc.inits, M: in.M}
-	ropts := Options{Params: opts.Params, SkipValidate: true, NoFamilyCache: opts.NoFamilyCache}
+	ropts := Options{Params: opts.Params, SkipValidate: true}
 	reng := sim.NewEngineWith(subO.Graph(), sim.Options{Tracer: opts.Tracer, Metrics: opts.Metrics, Faults: opts.Faults})
 	subPhi, stats, err := SolveMulti(reng, rin, ropts)
 	if err != nil {

@@ -27,7 +27,6 @@ type basicSpec struct {
 	tau        int
 	kprime     int
 	pr         cover.Params
-	noCache    bool // disable the shared family cache (ablation/testing)
 }
 
 // basicAlg runs the basic algorithm:
@@ -44,8 +43,8 @@ type basicSpec struct {
 // form the batched conflict kernel consumes.
 type basicAlg struct {
 	spec    basicSpec
-	sink    sim.FaultSink      // decode-fault ledger (the engine); may be nil
-	cache   *cover.FamilyCache // nil when spec.noCache
+	sink    sim.FaultSink // decode-fault ledger (the engine); may be nil
+	cache   *cover.FamilyCache
 	csr     algkit.OutCSR
 	reslist [][]int // residue-restricted lists (Section 3.2.2)
 	ownK    []*cover.CachedFamily
@@ -87,9 +86,7 @@ func newBasicAlg(spec basicSpec) (*basicAlg, error) {
 		nbrColor: make([]int32, csr.Arcs()),
 		phi:      make([]int, n),
 		pickedAt: make([]int, n),
-	}
-	if !spec.noCache {
-		a.cache = cover.NewFamilyCache()
+		cache:    cover.NewFamilyCache(),
 	}
 	for i := range a.nbrColor {
 		a.nbrColor[i] = -1
@@ -127,9 +124,6 @@ func (a *basicAlg) familyOf(t typeInfo) *cover.CachedFamily {
 		List:      t.list,
 		SetSize:   a.spec.pr.SetSize(t.gclass, a.spec.tau, len(t.list)),
 		NumSets:   a.spec.kprime,
-	}
-	if a.cache == nil {
-		return cover.NewCachedFamily(ty)
 	}
 	return a.cache.Get(ty)
 }

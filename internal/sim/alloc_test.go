@@ -12,15 +12,13 @@ import (
 	"repro/internal/graph"
 )
 
-// preallocated broadcasts one fixed payload per node (plus, when
-// targeted, a send to the first neighbor; when sparse, from even nodes
-// only) for four rounds, allocating nothing itself, so every byte a run
-// allocates is the engine's.
+// preallocated broadcasts one fixed payload per node (when sparse, from
+// even nodes only) for four rounds, allocating nothing itself, so every
+// byte a run allocates is the engine's.
 type preallocated struct {
-	pl       []Payload
-	targeted bool
-	sparse   bool
-	round    int
+	pl     []Payload
+	sparse bool
+	round  int
 }
 
 func newPreallocated(n int) *preallocated {
@@ -36,9 +34,6 @@ func (a *preallocated) Outbox(v int, out *Outbox) {
 		return
 	}
 	out.Broadcast(a.pl[v])
-	if a.targeted && len(out.neighbors) > 0 {
-		out.SendTo(int(out.neighbors[0]), a.pl[v])
-	}
 }
 func (a *preallocated) Inbox(int, []Received) {}
 func (a *preallocated) Done() bool            { a.round++; return a.round > 4 }
@@ -74,9 +69,10 @@ func TestNewEngineAllocatesNothingPerNode(t *testing.T) {
 
 // TestWarmRunAllocGuard pins that an engine keeps its routing storage: a
 // second run of the same workload allocates no new slot or sent table,
-// sends, inbox or senders buffer — only the goroutine handoff and the
-// Stats slices, a few hundred bytes against the ~80 KB the first run
-// sizes. The sparse workload has gather compact each neighbor list.
+// inbox or senders buffer — only the goroutine handoff and the Stats
+// slices, about 0.2–1.7 KB against the 21–31 KB the first run sizes
+// (go1.24, linux/amd64). The sparse workload has gather compact each
+// neighbor list.
 func TestWarmRunAllocGuard(t *testing.T) {
 	g := graph.RandomRegular(1024, 16, 3)
 	for _, workers := range []int{1, 2, 4} {
@@ -91,7 +87,7 @@ func warmRunAllocGuard(t *testing.T, g *graph.Graph, workers int, sparse bool) {
 	// The algorithm and its payloads are built once, outside the measured
 	// runs, so the measurement is the engine's alone.
 	a := newPreallocated(g.N())
-	a.targeted, a.sparse = true, sparse
+	a.sparse = sparse
 	run := func() {
 		a.round = 0
 		if _, err := eng.Run(a, 8); err != nil {
@@ -109,28 +105,21 @@ func warmRunAllocGuard(t *testing.T, g *graph.Graph, workers int, sparse bool) {
 // TestFreshRunAllocBudget pins what an engine built per run — the regime
 // of congest, arb and oldc.RepairRegion — allocates: a fresh engine over a
 // 1024-node 16-regular graph with 2 workers, eight rounds of one broadcast
-// per node, with and without an extra targeted send. Delivery gathers, so
-// the slot and sent tables, the sends buffers and one node's inbox per
-// shard are all it sizes; every node sends, so gather compacts no neighbor
-// list. The budgets were set at the then-measured 62,284 and 90,514 B plus
-// about 25%; a run now allocates about 54,200 and 82,700 B (go1.24,
-// linux/amd64), the sent table's 1 B per node included.
+// per node. Delivery gathers, so the slot and sent tables and one node's
+// inbox per shard are all it sizes; every node sends, so gather compacts
+// no neighbor list. A run allocates about 22,100–22,600 B (go1.24,
+// linux/amd64); the budget is that plus about 25%.
 func TestFreshRunAllocBudget(t *testing.T) {
 	g := graph.RandomRegular(1024, 16, 3)
-	for _, tc := range []struct {
-		targeted bool
-		budget   uint64
-	}{{false, 78_000}, {true, 113_000}} {
-		a := newPreallocated(g.N())
-		a.targeted = tc.targeted
-		run := func() {
-			a.round = 0
-			if _, err := NewEngineWith(g, Options{Workers: 2}).Run(a, 8); err != nil {
-				t.Fatal(err)
-			}
+	a := newPreallocated(g.N())
+	run := func() {
+		a.round = 0
+		if _, err := NewEngineWith(g, Options{Workers: 2}).Run(a, 8); err != nil {
+			t.Fatal(err)
 		}
-		if got := allocBytes(10, run); got > tc.budget {
-			t.Errorf("targeted=%v: fresh engine run allocated %d bytes, budget %d", tc.targeted, got, tc.budget)
-		}
+	}
+	const budget = 28_000
+	if got := allocBytes(10, run); got > budget {
+		t.Errorf("fresh engine run allocated %d bytes, budget %d", got, budget)
 	}
 }

@@ -193,13 +193,6 @@ func (c *Checkpoint) Restore(alg Snapshotter) error {
 	return d.Done()
 }
 
-// WriteCheckpoint atomically writes the checkpoint image to path: readers
-// (and crashed writers) always see either the previous complete image or
-// the new one, never a torn file.
-func WriteCheckpoint(path string, c *Checkpoint) error {
-	return ckpt.WriteFileAtomic(path, c.Encode())
-}
-
 // ReadCheckpoint reads and decodes a checkpoint image from path.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)

@@ -86,38 +86,6 @@ func TestQuiescenceAllMessagesDropped(t *testing.T) {
 	}
 }
 
-// strayAlg sends to a fixed target whether or not it is adjacent.
-type strayAlg struct {
-	target int
-	done   bool
-}
-
-func (a *strayAlg) Outbox(v int, out *Outbox) {
-	if v == 0 {
-		out.SendTo(a.target, UintPayload{Value: 1, Width: 1})
-	}
-}
-func (a *strayAlg) Inbox(v int, in []Received) {}
-func (a *strayAlg) Done() bool                 { d := a.done; a.done = true; return d }
-
-func TestValidateCatchesNonNeighborSend(t *testing.T) {
-	g := graph.Path(5) // 0-1-2-3-4: node 0 is not adjacent to 3
-	e := NewEngine(g)
-	_, err := e.Run(&strayAlg{target: 3}, 10)
-	if err == nil || !strings.Contains(err.Error(), "non-neighbor") {
-		t.Fatalf("want non-neighbor validation error, got %v", err)
-	}
-}
-
-func TestValidateCatchesOutOfRangeSend(t *testing.T) {
-	g := graph.Path(5)
-	e := NewEngine(g)
-	_, err := e.Run(&strayAlg{target: 99}, 10)
-	if err == nil || !strings.Contains(err.Error(), "out-of-range") {
-		t.Fatalf("want out-of-range validation error, got %v", err)
-	}
-}
-
 func TestValidateAcceptsLegalTraffic(t *testing.T) {
 	g := graph.GNP(60, 0.1, 5)
 	e := NewEngine(g)
@@ -199,44 +167,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// orderAlg interleaves Broadcast and SendTo in one round to pin the
-// same-sender delivery-order contract: send-call order, broadcast expanded
-// at its call position.
-type orderAlg struct {
-	got  [][]uint64
-	done bool
-}
-
-func (a *orderAlg) Outbox(v int, out *Outbox) {
-	if v != 0 {
-		return
-	}
-	out.Broadcast(UintPayload{Value: 1, Width: 8})
-	out.SendTo(1, UintPayload{Value: 2, Width: 8})
-	out.Broadcast(UintPayload{Value: 3, Width: 8})
-}
-
-func (a *orderAlg) Inbox(v int, in []Received) {
-	for _, m := range in {
-		a.got[v] = append(a.got[v], m.Payload.(UintPayload).Value)
-	}
-}
-func (a *orderAlg) Done() bool { d := a.done; a.done = true; return d }
-
-func TestSameSenderDeliveryOrder(t *testing.T) {
-	g := graph.Clique(3)
-	a := &orderAlg{got: make([][]uint64, 3)}
-	if _, err := NewEngine(g).Run(a, 5); err != nil {
-		t.Fatal(err)
-	}
-	if want := []uint64{1, 2, 3}; !reflect.DeepEqual(a.got[1], want) {
-		t.Fatalf("node 1 inbox order = %v, want %v", a.got[1], want)
-	}
-	if want := []uint64{1, 3}; !reflect.DeepEqual(a.got[2], want) {
-		t.Fatalf("node 2 inbox order = %v, want %v", a.got[2], want)
-	}
-}
-
 func TestBandwidthDeterministicFirstViolation(t *testing.T) {
 	// Every node broadcasts an oversized message; the reported violation
 	// must be the globally first wire in sender order — node 0 to its first
@@ -271,44 +201,34 @@ func TestBandwidthDeterministicFirstViolation(t *testing.T) {
 	}
 }
 
-// oversizedFrom has one node send an 8-bit message in round 0, to one
-// neighbor or (to < 0) to all of them; every other node stays silent.
-type oversizedFrom struct{ from, to int }
+// oversizedFrom has one node broadcast an 8-bit message in round 0; every
+// other node stays silent.
+type oversizedFrom struct{ from int }
 
 func (a oversizedFrom) Outbox(v int, out *Outbox) {
-	if v != a.from {
-		return
-	}
-	p := UintPayload{Value: 1, Width: 8}
-	if a.to < 0 {
-		out.Broadcast(p)
-	} else {
-		out.SendTo(a.to, p)
+	if v == a.from {
+		out.Broadcast(UintPayload{Value: 1, Width: 8})
 	}
 }
 func (oversizedFrom) Inbox(int, []Received) {}
 func (oversizedFrom) Done() bool            { return false }
 
 // TestBandwidthViolationNamesItsWire pins the receiver a bandwidth error
-// names when the violating send's first wire is not its sender's first
-// neighbor: a SendTo names its target, and under a fault model a
-// broadcast names its first wire that was not dropped.
+// names: the sender's first neighbor, and under a fault model its first
+// wire that was not dropped.
 func TestBandwidthViolationNamesItsWire(t *testing.T) {
 	g := graph.Clique(6) // node 3's neighbors are 0, 1, 2, 4, 5
 	for _, tc := range []struct {
 		name   string
-		to     int
 		faults FaultModel
 		want   int
 	}{
-		{"broadcast", -1, nil, 0},
-		{"send-to", 4, nil, 4},
-		{"broadcast-first-wires-dropped", -1, drops(func(_, from, to int) bool { return from == 3 && to < 2 }), 2},
-		{"send-to-faulted", 5, drops(func(_, _, to int) bool { return to == 0 }), 5},
+		{"broadcast", nil, 0},
+		{"broadcast-first-wires-dropped", drops(func(_, from, to int) bool { return from == 3 && to < 2 }), 2},
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			e := NewEngineWith(g, Options{Workers: workers, Bandwidth: 4, Faults: tc.faults})
-			_, err := e.Run(oversizedFrom{from: 3, to: tc.to}, 2)
+			_, err := e.Run(oversizedFrom{from: 3}, 2)
 			var be *ErrBandwidth
 			if !errors.As(err, &be) {
 				t.Fatalf("%s workers=%d: got %v, want an ErrBandwidth", tc.name, workers, err)
@@ -437,12 +357,27 @@ func (a *inboxPanic) Inbox(v int, in []Received) {
 	a.floodAlg.Inbox(v, in)
 }
 
-// TestWorkerPanicRecoverable pins that a callback panic on a worker
-// shard, whose goroutine is not the caller's, reaches the caller of Run as
-// the first panic in shard order, where it can be recovered, and that the
-// engine then runs to the same Stats as a fresh one with no goroutine left
+// broadcastTwice has node 63 call Broadcast a second time in round 2.
+type broadcastTwice struct {
+	floodAlg
+	round int
+}
+
+func (a *broadcastTwice) Outbox(v int, out *Outbox) {
+	a.floodAlg.Outbox(v, out)
+	if v == 63 && a.round == 3 { // Done has run three times by round 2
+		out.Broadcast(UintPayload{Value: 1, Width: 1})
+	}
+}
+func (a *broadcastTwice) Done() bool { a.round++; return a.floodAlg.Done() }
+
+// TestWorkerPanicRecoverable pins that a panic on a worker shard, whose
+// goroutine is not the caller's, reaches the caller of Run as the first
+// panic in shard order, where it can be recovered, and that the engine
+// then runs to the same Stats as a fresh one with no goroutine left
 // behind. Node 63 of the ring lives on the last shard at every worker
-// count; panicking from node 40 on makes several shards panic at once.
+// count; panicking in Inbox from node 40 on makes several shards panic at
+// once, and a second Broadcast makes the engine's own collect phase panic.
 func TestWorkerPanicRecoverable(t *testing.T) {
 	g := graph.Ring(64)
 	for _, workers := range []int{1, 2, 4, 7} {
@@ -456,14 +391,21 @@ func TestWorkerPanicRecoverable(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			for _, from := range []int{63, 40} {
+			for _, tc := range []struct {
+				alg  Algorithm
+				want string
+			}{
+				{&inboxPanic{floodAlg: *newFlood(g.N()), from: 63}, "inbox 63"},
+				{&inboxPanic{floodAlg: *newFlood(g.N()), from: 40}, "inbox 40"},
+				{&broadcastTwice{floodAlg: *newFlood(g.N())}, "sim: round 2: node 63 called Broadcast 2 times; a node sends at most one message per round"},
+			} {
 				func() {
 					defer func() {
-						if r, want := recover(), fmt.Sprintf("inbox %d", from); r != want {
-							t.Errorf("workers=%d: recovered %v, want %q", workers, r, want)
+						if r := recover(); r != tc.want {
+							t.Errorf("workers=%d: recovered %v, want %q", workers, r, tc.want)
 						}
 					}()
-					eng.Run(&inboxPanic{floodAlg: *newFlood(g.N()), from: from}, 100)
+					eng.Run(tc.alg, 100)
 				}()
 			}
 			got, err = eng.Run(newFlood(g.N()), 100)
@@ -484,6 +426,59 @@ func TestWorkerPanicRecoverable(t *testing.T) {
 				t.Fatalf("workers=%d: %d goroutines after the runs, %d before", workers, runtime.NumGoroutine(), before)
 			}
 			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// silentSenders broadcasts a nil payload from node 0, a payload from node
+// 3, which has no neighbors, and a 5-bit payload from node 1, in round 0
+// only, and counts the messages that arrive from any other node than 1.
+type silentSenders struct {
+	round int
+	stray atomic.Int64
+}
+
+func (a *silentSenders) Outbox(v int, out *Outbox) {
+	if a.round != 1 {
+		return
+	}
+	switch v {
+	case 0:
+		out.Broadcast(nil)
+	case 1:
+		out.Broadcast(UintPayload{Value: 1, Width: 5})
+	case 3:
+		out.Broadcast(UintPayload{Value: 1, Width: 9})
+	}
+}
+func (a *silentSenders) Inbox(v int, in []Received) {
+	for _, m := range in {
+		if m.From != 1 {
+			a.stray.Add(1)
+		}
+	}
+}
+func (a *silentSenders) Done() bool { a.round++; return a.round > 1 }
+
+// TestSilentSenders pins that a nil payload and a node without neighbors
+// send nothing: only node 1's two wires are delivered and accounted.
+func TestSilentSenders(t *testing.T) {
+	b := graph.NewBuilder(4) // path 0-1-2, node 3 isolated
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	g := b.Build()
+	for _, workers := range []int{1, 2, 4} {
+		a := &silentSenders{}
+		stats, err := NewEngineWith(g, Options{Workers: workers}).Run(a, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := a.stray.Load(); n != 0 {
+			t.Errorf("workers=%d: %d messages from silent nodes delivered", workers, n)
+		}
+		want := Stats{Rounds: 1, Messages: 2, TotalBits: 10, MaxMessageBits: 5, RoundMaxBits: []int{5}}
+		if !reflect.DeepEqual(stats, want) {
+			t.Errorf("workers=%d: stats %+v, want %+v", workers, stats, want)
 		}
 	}
 }

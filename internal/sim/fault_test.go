@@ -192,6 +192,9 @@ func TestCorruptPayloadAccountsOriginalSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if clean.Messages != 1 || clean.TotalBits != 9 {
+		t.Fatalf("clean run delivered %d messages of %d bits in all, want one of 9", clean.Messages, clean.TotalBits)
+	}
 	if clean.TotalBits != dirty.TotalBits || clean.MaxMessageBits != dirty.MaxMessageBits {
 		t.Fatalf("corruption changed accounting: clean %+v dirty %+v", clean, dirty)
 	}
@@ -227,12 +230,13 @@ func (a *tolerantFlood) Inbox(v int, in []Received) {
 	}
 }
 
-// oneShot sends one fixed-width message in the first round and stops.
+// oneShot has node 0 broadcast one fixed-width message in the first round
+// and stops.
 type oneShot struct{ round int64 }
 
 func (a *oneShot) Outbox(v int, out *Outbox) {
 	if atomic.LoadInt64(&a.round) == 1 && v == 0 {
-		out.SendTo(1, UintPayload{Value: 0xAB, Width: 9})
+		out.Broadcast(UintPayload{Value: 0xAB, Width: 9})
 	}
 }
 func (a *oneShot) Inbox(v int, in []Received) {}

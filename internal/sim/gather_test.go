@@ -19,20 +19,20 @@ type noFaults struct{}
 
 func (noFaults) Wire(round, from, to int) (sim.FaultOutcome, uint64) { return sim.FaultNone, 0 }
 
-// inboxDigest sends every slot shape gather delivery distinguishes: silent
-// nodes, lone broadcasts, several broadcasts, SendTo alone, and SendTo
-// mixed with broadcasts, including two sends to one neighbor. Each node
-// folds every message it receives, (v, from, encoded payload, whether it
-// arrived as a CorruptPayload), into its own FNV-1a hash, so any change of
-// content or order changes the digest.
+// inboxDigest has each node, in each round, broadcast one message whose
+// kind depends on the node and the round — a varint, a composite of a
+// varint and a bitset, a fixed-width integer, a list — or fall silent
+// after sending in the round before. Each node folds every message it
+// receives, (v, from, encoded payload, whether it arrived as a
+// CorruptPayload), into its own FNV-1a hash, so any change of content or
+// order changes the digest.
 type inboxDigest struct {
-	g     *graph.Graph
 	round int
 	h     []uint64
 }
 
 func newInboxDigest(g *graph.Graph) *inboxDigest {
-	a := &inboxDigest{g: g, h: make([]uint64, g.N())}
+	a := &inboxDigest{h: make([]uint64, g.N())}
 	for v := range a.h {
 		a.h[v] = 14695981039346656037
 	}
@@ -40,27 +40,16 @@ func newInboxDigest(g *graph.Graph) *inboxDigest {
 }
 
 func (a *inboxDigest) Outbox(v int, out *sim.Outbox) {
-	nbr := a.g.Neighbors(v)
 	switch (v + a.round) % 6 {
 	case 0: // silent
 	case 1:
 		out.Broadcast(sim.VarintPayload{Value: uint64(v*a.round + 1)})
 	case 2:
-		out.Broadcast(sim.VarintPayload{Value: uint64(v)})
-		out.Broadcast(sim.BitsetPayload{Set: []int{v % 5, 6}, Universe: 7})
+		out.Broadcast(sim.Composite{sim.VarintPayload{Value: uint64(v)}, sim.BitsetPayload{Set: []int{v % 5, 6}, Universe: 7}})
 	case 3:
-		if len(nbr) > 0 {
-			out.SendTo(int(nbr[len(nbr)-1]), sim.UintPayload{Value: uint64(v % 64), Width: 6})
-		}
+		out.Broadcast(sim.UintPayload{Value: uint64(v % 64), Width: 6})
 	case 4:
-		if len(nbr) > 0 {
-			out.SendTo(int(nbr[0]), sim.UintPayload{Value: 1, Width: 3})
-		}
 		out.Broadcast(sim.ListPayload{Values: []int{v, a.round}, Width: 12})
-		if len(nbr) > 0 {
-			out.SendTo(int(nbr[0]), sim.UintPayload{Value: 2, Width: 3})
-			out.SendTo(int(nbr[len(nbr)/2]), sim.VarintPayload{Value: uint64(a.round)})
-		}
 	case 5:
 		out.Broadcast(sim.UintPayload{Value: uint64(v % 8), Width: 3})
 	}
@@ -96,11 +85,11 @@ func (a *inboxDigest) Done() bool {
 	return a.round > 9
 }
 
-// TestNoOpFaultModelChangesOnlyLedger runs mixed traffic and DegreeLuby
-// once fault-free and once under a fault model that faults nothing, at
-// every golden worker count. Every inbox, every coloring and the Stats
-// apart from the fault ledger must agree — with each other and with the
-// one-worker fault-free run — and the ledger must be all zeros.
+// TestNoOpFaultModelChangesOnlyLedger runs inboxDigest's traffic and
+// DegreeLuby once fault-free and once under a fault model that faults
+// nothing, at every golden worker count. Every inbox, every coloring and
+// the Stats apart from the fault ledger must agree — with each other and
+// with the one-worker fault-free run — and the ledger must be all zeros.
 func TestNoOpFaultModelChangesOnlyLedger(t *testing.T) {
 	g := graph.GNP(240, 0.05, 13)
 	luby := graph.PreferentialAttachment(300, 3, 21)
@@ -144,8 +133,9 @@ func TestNoOpFaultModelChangesOnlyLedger(t *testing.T) {
 
 // digestFaultedInbox pins every inbox of inboxDigest's traffic under a
 // drop+flip model: receiver, sender, encoded payload (a CorruptPayload's
-// damaged bits, marked as such) and the Stats with the fault ledger.
-const digestFaultedInbox = "c8e8e9ccd61e8a0f"
+// damaged bits, marked as such) and the Stats with the fault ledger;
+// recorded at a9c9a87, where the engine still kept per-node send lists.
+const digestFaultedInbox = "1eb6f07cfd908dd4"
 
 // TestFaultedInboxDigest checks faulted delivery at every golden worker
 // count against digestFaultedInbox: which wires a drop removes, which
@@ -166,12 +156,11 @@ func TestFaultedInboxDigest(t *testing.T) {
 	}
 }
 
-// sparseRounds sends inboxDigest's message shapes under each kind of
+// sparseRounds sends inboxDigest's message kinds under each kind of
 // round gather treats apart: rounds in which one block of six consecutive
-// nodes in eight sends (every shape, sendList senders included) or no
-// node does, a round in which every node sends, and a round in which all
-// nodes but sparseSilent send, the fullest round that must still skip a
-// silent sender.
+// nodes in eight sends (every kind) or no node does, a round in which
+// every node sends, and a round in which all nodes but sparseSilent send,
+// the fullest round that must still skip a silent sender.
 type sparseRounds struct{ *inboxDigest }
 
 // sparseSilent sends in the every-node round 3 and falls silent in the
@@ -184,7 +173,7 @@ func (a sparseRounds) Outbox(v int, out *sim.Outbox) {
 		if a.round == 4 && v == sparseSilent {
 			return
 		}
-		if (v+a.round)%6 == 0 { // inboxDigest's silent shape
+		if (v+a.round)%6 == 0 { // inboxDigest's silent kind
 			out.Broadcast(sim.VarintPayload{Value: uint64(v)})
 			return
 		}
@@ -198,8 +187,9 @@ func (a sparseRounds) Outbox(v int, out *sim.Outbox) {
 }
 
 // digestSparseInbox pins every inbox and the Stats of sparseRounds'
-// traffic; recorded at 9751012, where gather read every neighbor's slot.
-const digestSparseInbox = "6c40fa856a7ad942"
+// traffic; recorded at a9c9a87, where the engine still kept per-node send
+// lists.
+const digestSparseInbox = "70a61d6196cae77b"
 
 // TestSparseInboxDigest checks gather delivery at every golden worker
 // count in rounds where few, all, all but one and no nodes send.

@@ -22,7 +22,7 @@ func referenceRun(g *graph.Graph, alg Algorithm, maxRounds int, fault func(round
 			return stats, nil
 		}
 		for v := 0; v < n; v++ {
-			outboxes[v] = Outbox{node: v, neighbors: g.Neighbors(v), sends: outboxes[v].sends[:0]}
+			outboxes[v] = Outbox{}
 			alg.Outbox(v, &outboxes[v])
 		}
 		roundMax := 0
@@ -30,30 +30,28 @@ func referenceRun(g *graph.Graph, alg Algorithm, maxRounds int, fault func(round
 			inboxes[v] = inboxes[v][:0]
 		}
 		for v := 0; v < n; v++ {
-			// Expand broadcast sentinels into per-neighbor wires in place,
-			// matching the seed Outbox that appended one send per neighbor.
-			for _, s := range outboxes[v].sends {
-				targets := []int32{s.to}
-				if s.to == broadcastTo {
-					targets = outboxes[v].neighbors
+			p := outboxes[v].payload
+			if p == nil {
+				continue
+			}
+			// One wire per neighbor, as the seed Outbox appended one send
+			// per neighbor.
+			for _, to := range g.Neighbors(v) {
+				if fault != nil && fault(round, v, int(to)) {
+					continue
 				}
-				for _, to := range targets {
-					if fault != nil && fault(round, v, int(to)) {
-						continue
-					}
-					stats.Messages++
-					w := bitio.NewWriter()
-					s.payload.EncodeBits(w)
-					bits := w.Len()
-					stats.TotalBits += int64(bits)
-					if bits > roundMax {
-						roundMax = bits
-					}
-					if bits > stats.MaxMessageBits {
-						stats.MaxMessageBits = bits
-					}
-					inboxes[to] = append(inboxes[to], Received{From: v, Payload: s.payload})
+				stats.Messages++
+				w := bitio.NewWriter()
+				p.EncodeBits(w)
+				bits := w.Len()
+				stats.TotalBits += int64(bits)
+				if bits > roundMax {
+					roundMax = bits
 				}
+				if bits > stats.MaxMessageBits {
+					stats.MaxMessageBits = bits
+				}
+				inboxes[to] = append(inboxes[to], Received{From: v, Payload: p})
 			}
 		}
 		stats.RoundMaxBits = append(stats.RoundMaxBits, roundMax)
@@ -65,10 +63,10 @@ func referenceRun(g *graph.Graph, alg Algorithm, maxRounds int, fault func(round
 	return stats, nil
 }
 
-// mixedAlg exercises every messaging shape at once: a broadcast (hits the
-// encode-once path), a targeted send to the first neighbor (targeted path),
-// and, every third round, a second broadcast (multiple messages from the
-// same sender to the same receiver in one round).
+// mixedAlg varies each node's message by round: a composite of a varint
+// and a bitset, a fixed-width integer, a list, or silence. The seen sums
+// are weighted by inbox position, so any reordering of an inbox changes
+// them.
 type mixedAlg struct {
 	n     int
 	round int
@@ -78,18 +76,19 @@ type mixedAlg struct {
 func newMixed(n int) *mixedAlg { return &mixedAlg{n: n, seen: make([]int64, n)} }
 
 func (a *mixedAlg) Outbox(v int, out *Outbox) {
-	out.Broadcast(VarintPayload{Value: uint64(v + a.round)})
-	if len(out.neighbors) > 0 {
-		out.SendTo(int(out.neighbors[0]), UintPayload{Value: uint64(v % 16), Width: 4})
-	}
-	if a.round%3 == 0 {
-		out.Broadcast(BitsetPayload{Set: []int{v % 7}, Universe: 7})
+	switch (v + a.round) % 4 {
+	case 0:
+		out.Broadcast(Composite{VarintPayload{Value: uint64(v + a.round)}, BitsetPayload{Set: []int{v % 7}, Universe: 7}})
+	case 1:
+		out.Broadcast(UintPayload{Value: uint64(v % 16), Width: 4})
+	case 2:
+		out.Broadcast(ListPayload{Values: []int{v, a.round}, Width: 8})
 	}
 }
 
 func (a *mixedAlg) Inbox(v int, in []Received) {
-	for _, m := range in {
-		a.seen[v] += int64(m.From) + 1
+	for i, m := range in {
+		a.seen[v] += int64(m.From+1) * int64(i+1)
 	}
 }
 

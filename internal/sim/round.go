@@ -36,33 +36,22 @@ var writerPool = sync.Pool{New: func() any { return bitio.NewWriter() }}
 type phase uint8
 
 const (
-	phaseCollect phase = iota // run Outbox callbacks, check targets, fill slots
+	phaseCollect phase = iota // run Outbox callbacks, fill slots
 	phaseRoute                // encode, account, count faulted wires
 	phaseDeliver              // gather inboxes, run Inbox callbacks
 	phaseExit                 // end the shard goroutine
 )
 
-// sendList is the slot of a sender whose round is anything but one
-// Broadcast of a non-nil payload — several sends, a SendTo, a nil payload:
-// its receivers walk the sender's send entries instead (appendSends).
-type sendList struct{}
-
-// EncodeBits implements Payload; a sendList never reaches a wire.
-func (sendList) EncodeBits(*bitio.Writer) {}
-
 // shard is one worker: a contiguous node range and all the routing state
 // its goroutine owns. Exactly one goroutine touches a shard's mutable state
-// in a phase; other shards read its sends only in the deliver phase, after
-// the route barrier.
+// in a phase; other shards read its nodes' slots and sent bytes only in
+// the deliver phase, after the route barrier.
 type shard struct {
 	id     int
 	lo, hi int // owned node range [lo, hi)
 
-	ob      Outbox  // collection handle, re-pointed at each local node
-	sends   []send  // this round's send entries of all local nodes, in node order
-	sendOff []int32 // node lo+i's entries are sends[sendOff[i]:sendOff[i+1]]
+	ob      Outbox // collection handle, reset for each local node
 	w       *bitio.Writer
-	one     [1]int32   // receiver list of a targeted send
 	inbox   []Received // one node's inbox, reused for the next
 	senders []int32    // one node's neighbors that sent, reused for the next
 
@@ -76,8 +65,7 @@ type shard struct {
 	boundary  int64 // wires to other shards; only metrics read it, so fault-free rounds count it only for them
 	active    int   // local nodes that sent something this round
 	bwErr     *ErrBandwidth
-	sendErr   error // first invalid SendTo target of the round
-	panicked  any   // value of a panic recovered in the last phase, re-raised by Engine.phase
+	panicked  any // value of a panic recovered in the last phase, re-raised by Engine.phase
 
 	cmd chan phase
 }
@@ -98,7 +86,7 @@ func partition(n, workers int) (chunk, count int) {
 // prepare builds the slot table and the per-shard state on the first run
 // and keeps them for later runs, re-partitioning only when the node count
 // or the worker count has changed since they were built. Buffers sized by
-// traffic (sends, inboxes) grow on demand and are reused from then on.
+// degree (inbox, senders) grow on demand and are reused from then on.
 func (e *Engine) prepare() {
 	n := e.g.N()
 	if e.shards != nil && e.builtN == n && e.builtFor == e.workers {
@@ -112,13 +100,7 @@ func (e *Engine) prepare() {
 	for i := range e.shards {
 		lo := min(i*chunk, n)
 		hi := min(lo+chunk, n)
-		e.shards[i] = &shard{
-			id:      i,
-			lo:      lo,
-			hi:      hi,
-			sendOff: make([]int32, hi-lo+1),
-			cmd:     make(chan phase),
-		}
+		e.shards[i] = &shard{id: i, lo: lo, hi: hi, cmd: make(chan phase)}
 	}
 	e.done = make(chan struct{}, count)
 }
@@ -200,38 +182,24 @@ func (e *Engine) phase(p phase) {
 	}
 }
 
-// collect runs the Outbox callback for every local node, appending all
-// their sends to the shard's one sends buffer, and sets each node's slot:
-// nil when it sent nothing, the payload of a lone Broadcast, and sendList
-// otherwise; its sent byte says whether the slot is non-nil. Only sendList
-// nodes can have targeted sends; their targets are checked against the
-// sorted neighbor list, and the shard records its first violation in node
-// order.
+// collect runs the Outbox callback for every local node and records its
+// round in the slot table: slots[v] is the payload v broadcast, nil when
+// it broadcast none, a nil payload or has no neighbors, and sent[v] is 1
+// exactly when the slot is non-nil. A node that broadcasts twice panics
+// here, naming the node and the round.
 func (sh *shard) collect(e *Engine) {
 	alg := e.alg
-	sh.sendErr = nil
 	sh.active = 0
-	sh.sends = sh.sends[:0]
 	ob := &sh.ob
 	for v := sh.lo; v < sh.hi; v++ {
-		before := len(sh.sends)
-		if room, done := cap(sh.sends)-before, v-sh.lo; room < 8 && done > 0 && room < before/done {
-			// About to run out: grow once to the projected round total
-			// rather than letting the callbacks' appends double the buffer.
-			sh.sends = slices.Grow(sh.sends, before/done*(sh.hi-v)+1)
-		}
-		ob.node, ob.neighbors, ob.sends = v, e.g.Neighbors(v), sh.sends
+		*ob = Outbox{}
 		alg.Outbox(v, ob)
-		sh.sends = ob.sends
-		sh.sendOff[v-sh.lo+1] = int32(len(sh.sends))
-		var slot Payload
-		if s := sh.sends[before:]; len(s) == 1 && s[0].to == broadcastTo && s[0].payload != nil {
-			slot = s[0].payload
-		} else if len(s) > 0 {
-			slot = sendList{}
-			if err := checkSends(e.round, e.g.N(), v, ob.neighbors, s); err != nil && sh.sendErr == nil {
-				sh.sendErr = err
-			}
+		if ob.calls > 1 {
+			panic(fmt.Sprintf("sim: round %d: node %d called Broadcast %d times; a node sends at most one message per round", e.round, v, ob.calls))
+		}
+		slot := ob.payload
+		if e.g.Degree(v) == 0 {
+			slot = nil // no wire to send on
 		}
 		var sent uint8
 		if slot != nil {
@@ -240,37 +208,14 @@ func (sh *shard) collect(e *Engine) {
 		}
 		e.slots[v], e.sent[v] = slot, sent
 	}
-	ob.neighbors, ob.sends = nil, nil
+	ob.payload = nil
 }
 
-// nodeSends returns local node v's send entries of the current round.
-func (sh *shard) nodeSends(v int) []send {
-	return sh.sends[sh.sendOff[v-sh.lo]:sh.sendOff[v-sh.lo+1]]
-}
-
-// checkSends validates node v's targeted sends against its sorted neighbor
-// list, returning a descriptive error for an out-of-range or non-adjacent
-// target. n is the vertex count; round only labels the error.
-func checkSends(round, n, v int, nbr []int32, sends []send) error {
-	for _, sd := range sends {
-		if sd.to == broadcastTo {
-			continue
-		}
-		if sd.to < 0 || int(sd.to) >= n {
-			return fmt.Errorf("sim: round %d: node %d sent to out-of-range node %d", round, v, sd.to)
-		}
-		if _, ok := slices.BinarySearch(nbr, sd.to); !ok {
-			return fmt.Errorf("sim: round %d: node %d sent to non-neighbor %d", round, v, sd.to)
-		}
-	}
-	return nil
-}
-
-// route encodes and accounts the shard's outgoing messages. Each send
-// entry is encoded exactly once (a broadcast costs one EncodeBits
-// regardless of degree) while accounting charges every wire; receivers
-// then gather from the slot table. Under a fault model every wire has its
-// own verdict, so faultWires accounts the wires one by one.
+// route encodes and accounts the shard's outgoing messages. Each slot is
+// encoded exactly once (a broadcast costs one EncodeBits regardless of
+// degree) while accounting charges it to every wire; receivers then
+// gather from the slot table. Under a fault model every wire has its own
+// verdict, so faultWires accounts the wires one by one.
 func (sh *shard) route(e *Engine) {
 	round := e.round
 	sh.messages, sh.totalBits, sh.roundMax = 0, 0, 0
@@ -278,33 +223,30 @@ func (sh *shard) route(e *Engine) {
 	sh.bwErr = nil
 	w := sh.w
 	for v := sh.lo; v < sh.hi; v++ {
+		p := e.slots[v]
+		if p == nil {
+			continue
+		}
+		w.Reset()
+		p.EncodeBits(w)
+		bits := w.Len()
 		nbr := e.g.Neighbors(v)
-		for _, sd := range sh.nodeSends(v) {
-			w.Reset()
-			sd.payload.EncodeBits(w)
-			bits := w.Len()
-			targets := nbr
-			if sd.to != broadcastTo {
-				sh.one[0] = sd.to
-				targets = sh.one[:]
-			}
-			if e.Faults != nil {
-				sh.faultWires(e, round, v, targets, bits)
-				continue
-			}
-			sh.account(e, round, v, targets, bits)
-			if e.metrics != nil {
-				// targets is ascending, so the wires that stay on this
-				// shard are one run of it.
-				lo, _ := slices.BinarySearch(targets, int32(sh.lo))
-				hi, _ := slices.BinarySearch(targets, int32(sh.hi))
-				sh.boundary += int64(len(targets) - (hi - lo))
-			}
+		if e.Faults != nil {
+			sh.faultWires(e, round, v, nbr, bits)
+			continue
+		}
+		sh.account(e, round, v, nbr, bits)
+		if e.metrics != nil {
+			// nbr is ascending, so the wires that stay on this shard are
+			// one run of it.
+			lo, _ := slices.BinarySearch(nbr, int32(sh.lo))
+			hi, _ := slices.BinarySearch(nbr, int32(sh.hi))
+			sh.boundary += int64(len(nbr) - (hi - lo))
 		}
 	}
 }
 
-// account charges the wires to targets of one bits-long send from v
+// account charges the wires to targets of one bits-long message from v
 // against the shard's round accounting: message count, bit totals, and the
 // bandwidth assertion, which names the first of the wires. Only a
 // violation reads targets[0]: for a broadcast it is the sender's first
@@ -320,7 +262,7 @@ func (sh *shard) account(e *Engine, round, v int, targets []int32, bits int) {
 	}
 }
 
-// faultWires accounts one send entry wire by wire under the fault model: a
+// faultWires accounts one message wire by wire under the fault model: a
 // dropped wire counts only in the ledger, a corrupted one in the ledger and
 // as delivered with its original size. faultInbox asks the model again when
 // the wire's message is gathered.
@@ -343,12 +285,10 @@ func (sh *shard) faultWires(e *Engine, round, v int, targets []int32, bits int) 
 // gather builds each local node's inbox in the shard's reused inbox buffer
 // and runs the node's Inbox callback. It walks the node's sorted neighbors
 // that sent this round (all of them when every node sent, else
-// compactSenders' selection), so every slot it reads is non-nil: a lone
-// broadcast adds its payload, and a sendList slot the sender's messages to
-// this node in send-call order. So every inbox is sorted by sender id,
-// same-sender messages in send-call order. Delivery runs along edges only,
-// which is why collect checks every SendTo target. Under a fault model,
-// faultInbox then applies each message's wire verdict.
+// compactSenders' selection), so every slot it reads is non-nil and every
+// inbox holds one message per sending neighbor, in ascending sender
+// order. Under a fault model, faultInbox then applies each message's wire
+// verdict.
 func (sh *shard) gather(e *Engine) {
 	alg, slots := e.alg, e.slots
 	for v := sh.lo; v < sh.hi; v++ {
@@ -358,12 +298,7 @@ func (sh *shard) gather(e *Engine) {
 		}
 		in := sh.inbox[:0]
 		for _, u := range senders {
-			switch p := slots[u]; p.(type) {
-			case sendList:
-				in = e.appendSends(in, int(u), v)
-			default:
-				in = append(in, Received{From: int(u), Payload: p})
-			}
+			in = append(in, Received{From: int(u), Payload: slots[u]})
 		}
 		if e.Faults != nil {
 			in = sh.faultInbox(e, in, v)
@@ -390,18 +325,6 @@ func (sh *shard) compactSenders(nbr []int32, sent []uint8) []int32 {
 		k += int(sent[u])
 	}
 	return out[:k]
-}
-
-// appendSends appends what sender u sent to its neighbor v this round — its
-// broadcasts and its SendTo calls at v, in call order — read from u's
-// shard, which wrote them in the collect phase.
-func (e *Engine) appendSends(in []Received, u, v int) []Received {
-	for _, sd := range e.shards[u/e.chunk].nodeSends(u) {
-		if sd.to == broadcastTo || int(sd.to) == v {
-			in = append(in, Received{From: u, Payload: sd.payload})
-		}
-	}
-	return in
 }
 
 // faultInbox applies to v's gathered inbox, in place, the verdicts route
@@ -493,11 +416,11 @@ func (e *Engine) Run(alg Algorithm, maxRounds int) (Stats, error) {
 // Round boundaries carry no routing state, so a checkpoint written at one
 // worker count resumes at any other.
 //
-// Shard accounting merges with sums and maxes only; bandwidth and
-// SendTo target errors surface the first violating wire in (sender,
-// send-call) order, because shards cover increasing sender ranges. A
-// callback panic on any shard is re-raised on the caller's goroutine (see
-// Engine.phase).
+// Shard accounting merges with sums and maxes only; a bandwidth error
+// names the first violating sender in id order, because shards cover
+// increasing sender ranges, with its first wire that was not dropped. A
+// callback panic on any shard, or a node's second Broadcast in a round,
+// is re-raised on the caller's goroutine (see Engine.phase).
 func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) (Stats, error) {
 	e.prepare()
 	stats := prior
@@ -546,9 +469,6 @@ func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) 
 		e.phase(phaseCollect)
 		active := 0
 		for _, sh := range e.shards {
-			if sh.sendErr != nil {
-				return stats, sh.sendErr
-			}
 			active += sh.active
 		}
 		e.allSent = active == e.g.N()

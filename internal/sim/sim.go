@@ -3,22 +3,24 @@
 // distributed algorithm in this repository.
 //
 // Execution proceeds in synchronous rounds. In each round every node first
-// produces its outgoing messages, then the engine routes and delivers
-// them, then every node consumes its inbox. The engine measures the exact
-// bit size of every message by running its bitio encoding, so CONGEST
-// bandwidth claims are checked against real encodings rather than struct
-// sizes.
+// produces its outgoing message, then the engine routes and delivers it,
+// then every node consumes its inbox. A node sends at most one message per
+// round, to all its neighbors (Outbox.Broadcast), so one table with a slot
+// per node is the engine's whole record of a round's traffic. The engine
+// measures the exact bit size of every message by running its bitio
+// encoding, so CONGEST bandwidth claims are checked against real encodings
+// rather than struct sizes.
 //
 // The node space is split into one contiguous range per worker (a shard),
 // and each shard runs all three phases for its own nodes on one goroutine,
-// with barriers between the phases. A broadcast is encoded once per sender
+// with barriers between the phases. A message is encoded once per sender
 // per round while bit totals still count every wire. A shard then gathers
 // each of its nodes' inboxes by walking the node's own sorted neighbor
-// list, cut down to the neighbors that sent, over a per-node table of
-// what every sender sent, applying a fault model's per-wire verdicts on
-// the way. Every inbox is sorted by sender id
-// and the Stats, traces and fault ledgers are bit-identical for every
-// worker count. See docs/SIMULATOR.md for the full concurrency contract.
+// list, cut down to the neighbors that sent, over the slot table,
+// applying a fault model's per-wire verdicts on the way. Every inbox holds
+// at most one message per neighbor, in ascending sender order, and the
+// Stats, traces and fault ledgers are bit-identical for every worker
+// count. See docs/SIMULATOR.md for the full concurrency contract.
 //
 // The per-node callbacks of an Algorithm must only touch the state of the
 // node they are invoked for (plus read-only shared configuration); the
@@ -51,12 +53,13 @@ type Received struct {
 
 // Algorithm is a distributed algorithm over all nodes of a network.
 type Algorithm interface {
-	// Outbox is called once per node per round to collect the messages
-	// node v sends this round.
+	// Outbox is called once per node per round to collect the message
+	// node v broadcasts this round, if any (see Outbox.Broadcast).
 	Outbox(v int, out *Outbox)
 	// Inbox is called once per node per round with the messages delivered
-	// to v, sorted by sender id. in is valid only during the call: the
-	// engine reuses its storage for the next node.
+	// to v: at most one per neighbor, in ascending sender order. in is
+	// valid only during the call: the engine reuses its storage for the
+	// next node.
 	Inbox(v int, in []Received)
 	// Done reports global termination; checked between rounds. It must be
 	// safe to call while no Outbox/Inbox call is in flight.
@@ -74,40 +77,23 @@ type Quiescent interface {
 	Quiesced() bool
 }
 
-// Outbox collects one node's outgoing messages for a round. The engine
-// hands each Outbox callback a handle that is only valid for that call.
+// Outbox takes one node's message for a round. The engine hands each
+// Outbox callback a handle that is only valid for that call.
 type Outbox struct {
-	node      int
-	neighbors []int32
-	sends     []send
-}
-
-// broadcastTo marks a send entry that fans out to every neighbor of the
-// sender. Keeping the single entry in the sends list (rather than a
-// separate broadcast list) preserves the delivery order of interleaved
-// Broadcast and SendTo calls.
-const broadcastTo int32 = -1
-
-type send struct {
-	to      int32 // receiver id, or broadcastTo
 	payload Payload
+	calls   int // Broadcast calls in this callback; collect rejects a second
 }
 
 // Broadcast sends p to every neighbor of the node. The engine encodes p
 // once and accounts its size once per wire, so broadcasting is O(1) encode
-// work regardless of degree.
+// work regardless of degree. A node sends at most one message per round;
+// to send several values, it broadcasts one Composite. A second Broadcast
+// in one round is a programmer error: Run panics with a message that names
+// the node and the round. A nil p keeps the node silent, and so does
+// having no neighbors.
 func (o *Outbox) Broadcast(p Payload) {
-	if len(o.neighbors) == 0 {
-		return
-	}
-	o.sends = append(o.sends, send{to: broadcastTo, payload: p})
-}
-
-// SendTo sends p to the specific neighbor u. The engine checks every
-// target after the Outbox phase and fails the run with a descriptive error
-// if u is out of range or not adjacent to the node.
-func (o *Outbox) SendTo(u int, p Payload) {
-	o.sends = append(o.sends, send{to: int32(u), payload: p})
+	o.payload = p
+	o.calls++
 }
 
 // Stats aggregates execution metrics.
@@ -236,11 +222,10 @@ type Engine struct {
 	// first run and kept for later ones until the node count or the worker
 	// count changes (builtN, builtFor record both at build time). chunk is
 	// the shard width: node v belongs to shards[v/chunk]. done collects
-	// the shard goroutines' phase completions. slots[v] says what node v
-	// sent this round, for gather delivery (see shard.collect), and
-	// sent[v] is 1 exactly when slots[v] is non-nil; collect writes both
-	// for its own nodes, and other shards read them after the route
-	// barrier.
+	// the shard goroutines' phase completions. slots[v] is the message
+	// node v broadcast this round (nil when it sent none), and sent[v] is
+	// 1 exactly when slots[v] is non-nil; collect writes both for its own
+	// nodes, and other shards read them after the route barrier.
 	shards   []*shard
 	chunk    int
 	builtN   int
@@ -294,17 +279,8 @@ func NewEngineWith(g *graph.Graph, opts Options) *Engine {
 // it (see RoundHook and ChainHooks).
 func (e *Engine) SetAfterRound(h RoundHook) { e.afterRound = h }
 
-// SetTracer installs (or, with nil, removes) the engine's round tracer.
-// Multi-phase solvers use it to propagate observability onto the fresh
-// engines they create for sub-instances.
-func (e *Engine) SetTracer(t obs.Tracer) { e.tracer = t }
-
 // Tracer returns the installed round tracer (nil when tracing is off).
 func (e *Engine) Tracer() obs.Tracer { return e.tracer }
-
-// SetMetrics installs (or, with nil, removes) the engine's metrics
-// registry.
-func (e *Engine) SetMetrics(r *obs.Registry) { e.metrics = r }
 
 // Metrics returns the installed metrics registry (nil when metrics are
 // off).

@@ -120,58 +120,6 @@ func (a *neverDone) Outbox(v int, out *Outbox)  {}
 func (a *neverDone) Inbox(v int, in []Received) {}
 func (a *neverDone) Done() bool                 { return false }
 
-// pingAlg checks SendTo targeting and inbox ordering. Done is polled once
-// before each round, so the first Outbox call observes round == 1.
-type pingAlg struct {
-	n     int
-	round int
-	got   [][]int
-	done  bool
-}
-
-func (a *pingAlg) Outbox(v int, out *Outbox) {
-	if a.round == 1 && v != 0 {
-		// Everyone except node 0 sends its id to node 0 if adjacent.
-		out.SendTo(0, UintPayload{Value: uint64(v), Width: 8})
-	}
-}
-
-func (a *pingAlg) Inbox(v int, in []Received) {
-	for _, m := range in {
-		a.got[v] = append(a.got[v], m.From)
-	}
-}
-
-func (a *pingAlg) Done() bool {
-	a.round++
-	if a.round > 2 {
-		a.done = true
-	}
-	return a.done
-}
-
-func TestSendToAndOrdering(t *testing.T) {
-	g := graph.Clique(5)
-	e := NewEngine(g)
-	a := &pingAlg{n: 5, got: make([][]int, 5)}
-	if _, err := e.Run(a, 10); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.got[0]) != 4 {
-		t.Fatalf("node 0 got %d messages", len(a.got[0]))
-	}
-	for i := 1; i < len(a.got[0]); i++ {
-		if a.got[0][i] <= a.got[0][i-1] {
-			t.Fatal("inbox not sorted by sender id")
-		}
-	}
-	for v := 1; v < 5; v++ {
-		if len(a.got[v]) != 0 {
-			t.Fatalf("node %d got stray messages", v)
-		}
-	}
-}
-
 func TestFaultInjectionDropsMessages(t *testing.T) {
 	g := graph.Ring(10)
 	e := NewEngine(g)
