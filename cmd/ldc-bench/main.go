@@ -9,7 +9,9 @@
 //	ldc-bench -suite all        # re-record every BENCH_<suite>.json here
 //	ldc-bench -suite claims     # the E1–E13 claims only
 //	ldc-bench -quick -suite shard,matrix -out /tmp/b -docs /tmp/d
-//	ldc-bench -trace run.jsonl  # the canonical traced Δ=64 solve
+//
+// A traced solve is `ldc-run -algo oldc -trace F` followed by
+// `ldc-trace F`, which exits 1 when the trace does not reconcile.
 package main
 
 import (
@@ -42,7 +44,6 @@ func run(args []string, stderr io.Writer) int {
 	suites := fs.String("suite", "", "run these comma-separated benchmark suites ('all', or any of "+strings.Join(bench.Suites, ",")+"), write each to <out>/BENCH_<suite>.json (schema "+bench.Schema+"); honors -quick")
 	outDir := fs.String("out", ".", "with -suite: directory for the BENCH_<suite>.json files")
 	docDir := fs.String("docs", "", "with -suite: also write one ldc-verify document per row that has a coloring into this directory")
-	tracePath := fs.String("trace", "", "run the canonical traced Δ=64 solve, write its ldc-trace/v1 JSONL to this path ('-' for stdout), verify reconciliation, then exit")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address during the run")
@@ -56,7 +57,7 @@ func run(args []string, stderr io.Writer) int {
 		names = strings.Split(strings.ReplaceAll(*suites, " ", ""), ",")
 	}
 	for _, name := range names {
-		if *tracePath == "" && !slices.Contains(bench.Suites, name) {
+		if !slices.Contains(bench.Suites, name) {
 			if *suites != "" {
 				fmt.Fprintf(stderr, "ldc-bench: unknown suite %q\n", name)
 			}
@@ -94,13 +95,6 @@ func run(args []string, stderr io.Writer) int {
 		}()
 	}
 
-	if *tracePath != "" {
-		if err := bench.RunTraced(*tracePath); err != nil {
-			fmt.Fprintf(stderr, "trace: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	return runSuites(names, *quick, *outDir, *docDir, stderr)
 }
 

@@ -406,7 +406,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// chaos harness and the tracer target the committing phase only.
 		init, m, _, err := linial.Proper(sim.NewEngineWith(g, sim.Options{Workers: *shards}), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
 		die(err)
-		in := fk24.Input{O: o, SpaceSize: 4096, Lists: squareSumLists(o, *kappa, *seed), InitColors: init, M: m}
+		in := oldc.Input{O: o, SpaceSize: 4096, Lists: squareSumLists(o, *kappa, *seed), InitColors: init, M: m}
 		simOpts := engineOpts
 		if plan != nil {
 			simOpts.Faults = plan.Model

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // writeEdgeFile drops a small valid edge-list file (a 6-ring) into a temp
@@ -90,5 +92,33 @@ func TestRunOutputs(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "survival=") || !strings.Contains(out.String(), "chaos=drop:0.2") {
 		t.Fatalf("missing chaos/repair summary:\n%s", out.String())
+	}
+}
+
+// TestOldcTraceReconciles checks, on a smaller instance, the traced solve
+// that CI's trace smoke runs through ldc-trace: the trace -algo oldc writes
+// must parse, end with its totals, and have per-round events that sum to
+// them.
+func TestOldcTraceReconciles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	args := []string{"-algo", "oldc", "-graph", "regular", "-n", "256", "-deg", "16", "-kappa", "6", "-trace", path}
+	if code := run(args, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("run(%v) = %d, want 0", args, code)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ParseTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reconcile passes a trace without an end event, so require one.
+	if len(events) < 3 || events[len(events)-1].T != "end" {
+		t.Fatalf("trace of %d events does not end with its totals", len(events))
+	}
+	if err := obs.Reconcile(events); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -26,10 +26,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Solver solves OLDC instances (typically oldc.Solve, i.e. Theorem 1.1, or
-// a csr.Reduce wrapper of it).
-type Solver func(eng *sim.Engine, in oldc.Input, opts oldc.Options) (coloring.Assignment, sim.Stats, error)
-
 // Config tunes the Theorem 1.3 driver.
 type Config struct {
 	// ClassFactor scales the per-stage class count q ≈ ClassFactor·√Λ
@@ -64,7 +60,7 @@ type Result struct {
 // SolveListArbdefective solves a (degree+1)-list arbdefective coloring
 // instance: Σ_{x∈L_v}(d_v(x)+1) > deg_G(v) must hold at every node. The
 // returned orientation certifies the arbdefects.
-func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []int, m int, solve Solver, cfg Config) (Result, error) {
+func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []int, m int, solve oldc.Solver, cfg Config) (Result, error) {
 	var res Result
 	n := g.N()
 	if cfg.ClassFactor <= 0 {
@@ -228,7 +224,7 @@ func SolveListArbdefective(g *graph.Graph, in *coloring.Instance, initColors []i
 // committed nodes' original ids.
 func colorBatch(orig []int, members []int, bootOrient *graph.Oriented,
 	in *coloring.Instance, av *residualCounts, phi coloring.Assignment, arcs *batchArcs,
-	subInit []int, m int, solve Solver, cfg Config) (sim.Stats, []int, error) {
+	subInit []int, m int, solve oldc.Solver, cfg Config) (sim.Stats, []int, error) {
 
 	var stats sim.Stats
 	// The class members' subgraph with the orientation inherited from the

@@ -104,7 +104,7 @@ func bootstrap(g *graph.Graph) (*sim.Engine, []int, int, error) {
 
 // viaCSR solves through the color space reduction of Theorem 1.2 with
 // arity p and slack κ, every level by oldc.Solve.
-func viaCSR(p int, kappa float64) csr.Solver {
+func viaCSR(p int, kappa float64) oldc.Solver {
 	return func(eng *sim.Engine, in oldc.Input, _ oldc.Options) (coloring.Assignment, sim.Stats, error) {
 		return csr.Reduce(eng, in, csr.Config{P: p, Kappa: kappa}, oldc.Solve)
 	}
@@ -136,7 +136,7 @@ type oldcRow struct {
 	name  string
 	w     workload
 	extra map[string]any // params beyond the workload's
-	solve csr.Solver
+	solve oldc.Solver
 	opts  oldc.Options
 	check func(in oldc.Input, st sim.Stats, counts map[string]any) bool
 	doc   bool // write the document ldc-verify re-checks
@@ -224,7 +224,7 @@ func e3(cases []benchCase, quick bool) []benchCase {
 			var phis []coloring.Assignment
 			var rounds, bits, bounds []int
 			for i, r := range depths {
-				solve := csr.Solver(oldc.Solve)
+				solve := oldc.Solver(oldc.Solve)
 				if r > 1 {
 					solve = viaCSR(ps[i], 1.1)
 				}
@@ -479,7 +479,7 @@ func e10(cases []benchCase, quick bool) []benchCase {
 	}
 	for _, l := range []struct {
 		lemma string
-		solve csr.Solver
+		solve oldc.Solver
 	}{{"3.6", oldc.SolveMulti}, {"3.8", oldc.Solve}} {
 		cases = append(cases, oldcRow{
 			name: "E10/lemma=" + l.lemma, w: workload{16, 128, 1 << 13, 5.0, 1, 3, 37}, extra: map[string]any{"lemma": l.lemma},
@@ -556,7 +556,7 @@ func e12(cases []benchCase, _ bool) []benchCase {
 	for _, mode := range []struct {
 		name  string
 		p     int
-		solve csr.Solver
+		solve oldc.Solver
 	}{{"direct", 1 << 12, oldc.Solve}, {"csr-r=2", 64, viaCSR(64, 1.1)}, {"csr-r=3", 16, viaCSR(16, 1.1)}} {
 		cases = append(cases, oldcRow{
 			name: "E12/" + mode.name, w: workload{8, 64, 1 << 12, 14.0, 1, 3, 1234}, extra: map[string]any{"p": mode.p},

@@ -90,8 +90,8 @@ func simCases(quick bool) []benchCase {
 // shardCases is the worker-count suite. The curve routes the flood over
 // one uniform G(n,p) graph at each worker count; its average degree is far
 // above the largest count, so splitting a broadcast into per-shard runs
-// stays amortized. The big run colors a streamed n=1.2M power-law graph
-// with DegreeLuby on 8 workers.
+// stays amortized. The big run colors an n=1.2M power-law graph with
+// DegreeLuby on 8 workers.
 func shardCases(quick bool) []benchCase {
 	curveN, curveDeg, counts := 262_144, 96.0, []int{1, 2, 4, 8}
 	bigN, bigShards := 1_200_000, 8
@@ -109,10 +109,7 @@ func shardCases(quick bool) []benchCase {
 			name:   fmt.Sprintf("curve/shards=%d", s),
 			params: map[string]any{"n": curveN, "avg_degree": curveDeg, "seed": curveSeed, "shards": s, "rounds": curveRounds},
 			build: func() (benchOp, error) {
-				g, err := graph.Materialize(graph.StreamGNP(curveN, curveDeg/float64(curveN), curveSeed))
-				if err != nil {
-					return nil, err
-				}
+				g := graph.GNP(curveN, curveDeg/float64(curveN), curveSeed)
 				eng := sim.NewEngineWith(g, sim.Options{Workers: s})
 				flood := floodOp(g, eng, curveRounds)
 				return func() (result, error) {
@@ -131,10 +128,7 @@ func shardCases(quick bool) []benchCase {
 		name:   "big/powerlaw",
 		params: map[string]any{"n": bigN, "k": bigK, "seed": bigSeed, "shards": bigShards, "luby_seed": lubySeed},
 		build: func() (benchOp, error) {
-			g, err := graph.Materialize(graph.StreamPreferentialAttachment(bigN, bigK, bigSeed))
-			if err != nil {
-				return nil, err
-			}
+			g := graph.PreferentialAttachment(bigN, bigK, bigSeed)
 			eng := sim.NewEngineWith(g, sim.Options{Workers: bigShards})
 			return func() (result, error) {
 				start := time.Now()

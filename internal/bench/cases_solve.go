@@ -25,10 +25,6 @@ type instance struct {
 	kappa           float64
 }
 
-// tracedInstance is the oldc suite's Δ=64 case, which is also the
-// canonical traced solve of RunTraced.
-var tracedInstance = instance{1024, 64, 1 << 14, 6.0}
-
 // quickInstances are the reduced instances of every -quick OLDC suite.
 var quickInstances = []instance{{128, 8, 1 << 12, 5.0}, {128, 16, 1 << 13, 5.5}, {96, 32, 1 << 14, 6.0}}
 
@@ -57,7 +53,7 @@ func solveCounts(st sim.Stats, phi coloring.Assignment) map[string]any {
 // oldcCases is the Theorem 1.1 suite: oldc.Solve end to end (γ-class
 // selection, two-phase algorithm and validation) on one reused engine.
 func oldcCases(quick bool) []benchCase {
-	specs := []instance{{2048, 8, 1 << 12, 5.0}, tracedInstance, {1024, 128, 1 << 15, 6.0}}
+	specs := []instance{{2048, 8, 1 << 12, 5.0}, {1024, 64, 1 << 14, 6.0}, {1024, 128, 1 << 15, 6.0}}
 	if quick {
 		specs = quickInstances
 	}
@@ -177,11 +173,11 @@ var matrixSolvers = []matrixSolver{
 		return phi, st, 0, err
 	}, nil},
 	{"fk24", "buckets=default", "oldc", func(g *graph.Graph, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-		phi, st, err := fk24.Solve(sim.NewEngine(g), fk24Input(in), fk24.Options{})
+		phi, st, err := fk24.Solve(sim.NewEngine(g), in, fk24.Options{})
 		return phi, st, 0, err
 	}, fk24Rounds(func(in oldc.Input) int { return fk24.DefaultBuckets(in.O, in.M) })},
 	{"fk24", "buckets=m", "oldc", func(g *graph.Graph, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-		phi, st, err := fk24.Solve(sim.NewEngine(g), fk24Input(in), fk24.Options{Buckets: in.M})
+		phi, st, err := fk24.Solve(sim.NewEngine(g), in, fk24.Options{Buckets: in.M})
 		return phi, st, 0, err
 	}, fk24Rounds(func(in oldc.Input) int { return in.M })},
 	{"maus21", "k=2", "proper", func(g *graph.Graph, _ oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
@@ -200,10 +196,6 @@ var matrixSolvers = []matrixSolver{
 		phi, st, err := baseline.DegreeLuby(sim.NewEngine(g), g, 1)
 		return phi, st, g.MaxDegree() + 1, err
 	}, colorsDelta1},
-}
-
-func fk24Input(in oldc.Input) fk24.Input {
-	return fk24.Input{O: in.O, SpaceSize: in.SpaceSize, Lists: in.Lists, InitColors: in.InitColors, M: in.M}
 }
 
 // matrixCases is the E14 who-wins matrix: every contender on the same

@@ -86,7 +86,7 @@ func DegreePlusOneList(g *graph.Graph, in *coloring.Instance, cfg Config) (Resul
 	res.InitM = m
 	res.Phases = append(res.Phases, Phase{Name: "linial-bootstrap", Stats: bootStats})
 
-	solver := arb.Solver(oldc.Solve)
+	solver := oldc.Solver(oldc.Solve)
 	if cfg.CSRDepth > 1 {
 		r := cfg.CSRDepth
 		solver = func(e *sim.Engine, oin oldc.Input, opts oldc.Options) (coloring.Assignment, sim.Stats, error) {

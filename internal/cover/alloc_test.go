@@ -22,8 +22,8 @@ func TestFamilyCacheHitAllocs(t *testing.T) {
 
 func TestConflictKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	f1 := NewCachedFamily(Type{InitColor: 1, List: randSet(rng, 256, 1<<14), SetSize: 32, NumSets: 16})
-	f2 := NewCachedFamily(Type{InitColor: 2, List: randSet(rng, 256, 1<<14), SetSize: 32, NumSets: 16})
+	f1 := NewFamilyCache().Get(Type{InitColor: 1, List: randSet(rng, 256, 1<<14), SetSize: 32, NumSets: 16})
+	f2 := NewFamilyCache().Get(Type{InitColor: 2, List: randSet(rng, 256, 1<<14), SetSize: 32, NumSets: 16})
 	var k ConflictKernel
 	k.FamilyConflictMask(f1, f2, 2, 0)
 	allocs := testing.AllocsPerRun(100, func() { k.FamilyConflictMask(f1, f2, 2, 0) })

@@ -27,14 +27,6 @@ type CachedFamily struct {
 	NzMask   []uint64
 }
 
-// NewCachedFamily derives the family of the type in all representations;
-// it is the uncached constructor behind FamilyCache.
-func NewCachedFamily(t Type) *CachedFamily {
-	f := &CachedFamily{}
-	deriveFamily(t, f, nil)
-	return f
-}
-
 // deriveFamily fills f with the family of t. The set contents replay
 // Family(t) exactly — same seed, same partial Fisher–Yates draw order — so
 // the cached form is bit-identical to the reference derivation; the
@@ -45,8 +37,8 @@ func NewCachedFamily(t Type) *CachedFamily {
 // set's draws start from. Where Family sorts each set, this marks the
 // drawn positions in a bitmap and reads them back in position order: the
 // list ascends, so position order is color order. Backing storage is
-// carved from the arena when one is given (the caller must hold the cache
-// lock) and freshly allocated otherwise. f.List aliases t.List.
+// carved from the arena (the caller must hold the cache lock). f.List
+// aliases t.List.
 func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 	setSize := t.SetSize
 	if setSize > len(t.List) {
@@ -147,11 +139,8 @@ const (
 	arenaFamChunk  = 256
 )
 
-// ints returns a zeroed int block of length n (nil arena: fresh alloc).
+// ints returns a zeroed int block of length n.
 func (a *familyArena) ints(n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
 	if len(a.ints64)+n > cap(a.ints64) {
 		c := arenaIntChunk
 		if n > c {
@@ -167,9 +156,6 @@ func (a *familyArena) ints(n int) []int {
 
 // words returns a zeroed uint64 block of length n.
 func (a *familyArena) words(n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
 	if len(a.words64)+n > cap(a.words64) {
 		c := arenaWordChunk
 		if n > c {
@@ -185,9 +171,6 @@ func (a *familyArena) words(n int) []uint64 {
 
 // setHeaders returns a non-nil slice-header block of length n.
 func (a *familyArena) setHeaders(n int) [][]int {
-	if a == nil {
-		return make([][]int, n)
-	}
 	if len(a.hdrs)+n > cap(a.hdrs) {
 		c := arenaHdrChunk
 		if n > c {
@@ -205,9 +188,6 @@ func (a *familyArena) setHeaders(n int) [][]int {
 // reallocated once carved, so the pointer stays valid for the arena's
 // lifetime.
 func (a *familyArena) family() *CachedFamily {
-	if a == nil {
-		return &CachedFamily{}
-	}
 	if len(a.fams) == cap(a.fams) {
 		a.fams = make([]CachedFamily, 0, arenaFamChunk)
 		a.bytes += int64(arenaFamChunk) * 72
@@ -218,9 +198,6 @@ func (a *familyArena) family() *CachedFamily {
 
 // indexScratch returns a reusable length-n index buffer.
 func (a *familyArena) indexScratch(n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
 	if cap(a.idx) < n {
 		a.idx = make([]int, n)
 		a.bytes += int64(n) * 8
@@ -232,9 +209,6 @@ func (a *familyArena) indexScratch(n int) []int {
 // leave it zeroed.
 func (a *familyArena) bitmapScratch(n int) []uint64 {
 	words := (n + 63) / 64
-	if a == nil {
-		return make([]uint64, words)
-	}
 	if cap(a.bitmap) < words {
 		a.bitmap = make([]uint64, words)
 		a.bytes += int64(words) * 8
@@ -246,9 +220,6 @@ func (a *familyArena) bitmapScratch(n int) []uint64 {
 // scratch only — never stored on entries, so list-length masks don't make
 // the arena grow with Σ|list|).
 func (a *familyArena) maskScratch(n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
 	if cap(a.mask) < n {
 		a.mask = make([]uint64, n)
 		a.bytes += int64(n) * 8

@@ -41,7 +41,7 @@ func TestDigestFamilies(t *testing.T) {
 	h := sha256.New()
 	cache := NewFamilyCache()
 	for _, ty := range digestTypes() {
-		cf := NewCachedFamily(ty)
+		cf := NewFamilyCache().Get(ty)
 		fmt.Fprintf(h, "%#v|%#v|%#v|%#v|%#v|%#v\x00", ty.seed(), Family(ty), cf.Sets, cf.NzColors, cf.NzMask, cache.Get(ty).Sets)
 	}
 	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != digestFamilies {

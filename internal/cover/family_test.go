@@ -19,7 +19,7 @@ func TestCachedFamilyMatchesFamily(t *testing.T) {
 			SetSize:   1 + rng.Intn(20),
 			NumSets:   1 + rng.Intn(10),
 		}
-		cf := NewCachedFamily(ty)
+		cf := NewFamilyCache().Get(ty)
 		want := Family(ty)
 		if !reflect.DeepEqual(cf.Sets, want) {
 			t.Fatalf("type %d: cached sets diverge from Family", i)
@@ -63,7 +63,7 @@ func TestFamilyConflictMaskMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			space := 64 + rng.Intn(1500)
 			mk := func() *CachedFamily {
-				return NewCachedFamily(Type{
+				return NewFamilyCache().Get(Type{
 					InitColor: rng.Intn(100),
 					List:      randSet(rng, 1+rng.Intn(60), space),
 					SetSize:   1 + rng.Intn(16),
@@ -100,11 +100,11 @@ func TestFamilyConflictMaskMatchesReference(t *testing.T) {
 	t.Run("alternating-own", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(51))
 		fams := []*CachedFamily{
-			NewCachedFamily(Type{InitColor: 1, List: randSet(rng, 50, 400), SetSize: 8, NumSets: 12}),
-			NewCachedFamily(Type{InitColor: 2, List: randSet(rng, 200, 400), SetSize: 30, NumSets: 40}),
-			NewCachedFamily(Type{InitColor: 3, List: randSet(rng, 9, 400), SetSize: 4, NumSets: 64}),
-			NewCachedFamily(Type{InitColor: 4, List: randSet(rng, 30, 400), SetSize: 5, NumSets: 0}),
-			NewCachedFamily(Type{InitColor: 5, List: nil, SetSize: 5, NumSets: 8}),
+			NewFamilyCache().Get(Type{InitColor: 1, List: randSet(rng, 50, 400), SetSize: 8, NumSets: 12}),
+			NewFamilyCache().Get(Type{InitColor: 2, List: randSet(rng, 200, 400), SetSize: 30, NumSets: 40}),
+			NewFamilyCache().Get(Type{InitColor: 3, List: randSet(rng, 9, 400), SetSize: 4, NumSets: 64}),
+			NewFamilyCache().Get(Type{InitColor: 4, List: randSet(rng, 30, 400), SetSize: 5, NumSets: 0}),
+			NewFamilyCache().Get(Type{InitColor: 5, List: nil, SetSize: 5, NumSets: 8}),
 		}
 		var k ConflictKernel
 		for i := 0; i < 2000; i++ {
@@ -136,8 +136,8 @@ func TestFamilyConflictMaskMatchesReference(t *testing.T) {
 			}
 			sort.Ints(nbr)
 			nbr = slices.Compact(nbr)
-			f1 := NewCachedFamily(Type{InitColor: 1, List: own, SetSize: 8, NumSets: 16})
-			f2 := NewCachedFamily(Type{InitColor: 2, List: nbr, SetSize: 8, NumSets: 16})
+			f1 := NewFamilyCache().Get(Type{InitColor: 1, List: own, SetSize: 8, NumSets: 16})
+			f2 := NewFamilyCache().Get(Type{InitColor: 2, List: nbr, SetSize: 8, NumSets: 16})
 			var k ConflictKernel
 			for _, g := range []int{0, 1, 2, 5} {
 				for _, tau := range tauEdges(f1, f2, g) {
@@ -155,8 +155,8 @@ func TestFamilyConflictMaskMatchesReference(t *testing.T) {
 	t.Run("aliased-hashed", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(54))
 		for trial := 0; trial < 200; trial++ {
-			f1 := NewCachedFamily(Type{InitColor: 1, List: randSet(rng, 24, 1<<16), SetSize: 8, NumSets: 16})
-			f2 := NewCachedFamily(Type{InitColor: 2, List: aliasedList(rng, f1), SetSize: 8, NumSets: 16})
+			f1 := NewFamilyCache().Get(Type{InitColor: 1, List: randSet(rng, 24, 1<<16), SetSize: 8, NumSets: 16})
+			f2 := NewFamilyCache().Get(Type{InitColor: 2, List: aliasedList(rng, f1), SetSize: 8, NumSets: 16})
 			var k ConflictKernel
 			checkKernelModes(t, &k, f1, f2, false)
 		}
@@ -288,12 +288,12 @@ func FuzzFamilyConflictMask(f *testing.F) {
 			return l
 		}
 		ty := Type{InitColor: 1, List: list(ownLen), SetSize: 1 + int(setSize%64), NumSets: int(numSets % 72)}
-		f1 := NewCachedFamily(ty)
+		f1 := NewFamilyCache().Get(ty)
 		ty.InitColor, ty.List = 2, list(nbrLen)
 		if alias {
 			ty.List = aliasedList(rng, f1)
 		}
-		f2 := NewCachedFamily(ty)
+		f2 := NewFamilyCache().Get(ty)
 		gap, th := int(g%4), 1+int(tau%8)
 		var k ConflictKernel
 		for _, p := range [][2]*CachedFamily{{f1, f2}, {f1, f2}, {f2, f1}, {f1, f1}} {
@@ -338,8 +338,8 @@ func TestConflictKernelFilterBounded(t *testing.T) {
 			list[i] += 1<<30 - spread
 		}
 		for _, numSets := range []int{1, 16, 64} {
-			own := NewCachedFamily(Type{InitColor: 1, List: list, SetSize: 32, NumSets: numSets})
-			nbr := NewCachedFamily(Type{InitColor: 2, List: list, SetSize: 32, NumSets: 16})
+			own := NewFamilyCache().Get(Type{InitColor: 1, List: list, SetSize: 32, NumSets: numSets})
+			nbr := NewFamilyCache().Get(Type{InitColor: 2, List: list, SetSize: 32, NumSets: 16})
 			var k ConflictKernel
 			k.FamilyConflictMask(own, nbr, 2, 0)
 			nz := len(own.NzColors)
@@ -361,11 +361,11 @@ func TestConflictKernelFilterBounded(t *testing.T) {
 // index) and τ beyond the counter range.
 func TestFamilyConflictMaskFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	big := NewCachedFamily(Type{InitColor: 1, List: randSet(rng, 50, 900), SetSize: 6, NumSets: 70})
+	big := NewFamilyCache().Get(Type{InitColor: 1, List: randSet(rng, 50, 900), SetSize: 6, NumSets: 70})
 	if big.NzMask != nil {
 		t.Fatal("families beyond 64 sets must not carry the compact membership index")
 	}
-	small := NewCachedFamily(Type{InitColor: 2, List: randSet(rng, 50, 900), SetSize: 6, NumSets: 8})
+	small := NewFamilyCache().Get(Type{InitColor: 2, List: randSet(rng, 50, 900), SetSize: 6, NumSets: 8})
 	for _, pair := range [][2]*CachedFamily{{big, small}, {small, big}, {big, big}} {
 		if got, want := FamilyConflictMask(pair[0], pair[1], 2, 0), familyConflictMaskSlow(pair[0], pair[1], 2, 0); got != want {
 			t.Fatalf("fallback mask %x want %x", got, want)
@@ -374,7 +374,7 @@ func TestFamilyConflictMaskFallbacks(t *testing.T) {
 	if got, want := FamilyConflictMask(small, small, kernelMaxTau+1, 0), familyConflictMaskSlow(small, small, kernelMaxTau+1, 0); got != want {
 		t.Fatalf("large-τ fallback mask %x want %x", got, want)
 	}
-	empty := NewCachedFamily(Type{InitColor: 3, List: nil, SetSize: 4, NumSets: 8})
+	empty := NewFamilyCache().Get(Type{InitColor: 3, List: nil, SetSize: 4, NumSets: 8})
 	if FamilyConflictMask(empty, small, 2, 0) != 0 || FamilyConflictMask(small, empty, 2, 0) != 0 {
 		t.Fatal("empty families conflict with nothing")
 	}

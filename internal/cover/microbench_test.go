@@ -91,8 +91,8 @@ func BenchmarkFamilyConflictMask(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(8))
-			f1 := NewCachedFamily(Type{InitColor: 1, List: randSet(rng, c.list, c.space), SetSize: c.setSize, NumSets: c.numSets})
-			f2 := NewCachedFamily(Type{InitColor: 2, List: randSet(rng, c.list, c.space), SetSize: c.setSize, NumSets: c.numSets})
+			f1 := NewFamilyCache().Get(Type{InitColor: 1, List: randSet(rng, c.list, c.space), SetSize: c.setSize, NumSets: c.numSets})
+			f2 := NewFamilyCache().Get(Type{InitColor: 2, List: randSet(rng, c.list, c.space), SetSize: c.setSize, NumSets: c.numSets})
 			common := 0
 			for _, x := range f2.NzColors {
 				if _, ok := slices.BinarySearch(f1.NzColors, x); ok {

@@ -18,9 +18,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Solver is any OLDC solver (e.g. oldc.Solve, the Theorem 1.1 algorithm).
-type Solver func(eng *sim.Engine, in oldc.Input, opts oldc.Options) (coloring.Assignment, sim.Stats, error)
-
 // Config controls the reduction.
 type Config struct {
 	// P is the arity of the color-space partition (Theorem 1.2's p).
@@ -35,7 +32,7 @@ type Config struct {
 
 // Reduce solves the OLDC instance by recursive color space reduction,
 // returning the coloring and the summed statistics of all levels.
-func Reduce(eng *sim.Engine, in oldc.Input, cfg Config, solve Solver) (coloring.Assignment, sim.Stats, error) {
+func Reduce(eng *sim.Engine, in oldc.Input, cfg Config, solve oldc.Solver) (coloring.Assignment, sim.Stats, error) {
 	if cfg.P < 2 {
 		return nil, sim.Stats{}, fmt.Errorf("csr: partition arity p=%d must be ≥ 2", cfg.P)
 	}
@@ -90,7 +87,7 @@ func levelsFor(spaceSize, p int) int {
 	return k
 }
 
-func reduce(eng *sim.Engine, in oldc.Input, cfg Config, solve Solver, levels int) (coloring.Assignment, sim.Stats, error) {
+func reduce(eng *sim.Engine, in oldc.Input, cfg Config, solve oldc.Solver, levels int) (coloring.Assignment, sim.Stats, error) {
 	var total sim.Stats
 	if in.SpaceSize <= cfg.P || levels <= 1 {
 		opts := cfg.Opts

@@ -9,24 +9,9 @@ import (
 	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/oldc"
 	"repro/internal/sim"
 )
-
-// Input is an OLDC instance, shaped like oldc.Input: an orientation, the
-// color space, per-node lists with per-color defect budgets, and an initial
-// m-coloring that seeds the bucket schedule.
-type Input struct {
-	// O is the arc orientation; defects are counted over out-neighbors.
-	O *graph.Oriented
-	// SpaceSize is |C|, the size of the global color space.
-	SpaceSize int
-	// Lists holds each node's color list with per-color defect budgets.
-	Lists []coloring.NodeList
-	// InitColors is a proper m-coloring (e.g. unique ids) driving buckets.
-	InitColors []int
-	// M is the size of the initial color space.
-	M int
-}
 
 // Options controls the framework.
 type Options struct {
@@ -309,9 +294,11 @@ func (a *alg) Done() bool {
 // scheduled rounds plus quiesce slack.
 func MaxRounds(buckets int) int { return buckets + 4 }
 
-// Solve runs the framework on eng and returns the coloring. The output is validated against the OLDC condition
-// unless opts.SkipValidate is set.
-func Solve(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
+// Solve runs the framework on eng and returns the coloring. Defects count
+// over in.O's out-neighbors, and in.InitColors, a proper in.M-coloring such
+// as the node ids, seeds the bucket schedule. The output is validated
+// against the OLDC condition unless opts.SkipValidate is set.
+func Solve(eng *sim.Engine, in oldc.Input, opts Options) (coloring.Assignment, sim.Stats, error) {
 	n := in.O.N()
 	if len(in.Lists) != n || len(in.InitColors) != n {
 		return nil, sim.Stats{}, fmt.Errorf("fk24: instance shape mismatch: n=%d, %d lists, %d init colors", n, len(in.Lists), len(in.InitColors))

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
+	"repro/internal/oldc"
 	"repro/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func goldenInstances() []goldenInstance {
 
 // prepareInput builds an fk24 instance over o: square-sum lists with
 // defect budgets in [1, maxDefect] and node ids as the initial coloring.
-func prepareInput(o *graph.Oriented, spaceSize int, kappa float64, maxDefect int, seed int64) Input {
+func prepareInput(o *graph.Oriented, spaceSize int, kappa float64, maxDefect int, seed int64) oldc.Input {
 	inst, err := coloring.SquareSumOrientedRange(o, spaceSize, kappa, 1, maxDefect, seed)
 	if err != nil {
 		panic(err)
@@ -38,7 +39,7 @@ func prepareInput(o *graph.Oriented, spaceSize int, kappa float64, maxDefect int
 	for v := range init {
 		init[v] = v
 	}
-	return Input{O: o, SpaceSize: spaceSize, Lists: inst.Lists, InitColors: init, M: n}
+	return oldc.Input{O: o, SpaceSize: spaceSize, Lists: inst.Lists, InitColors: init, M: n}
 }
 
 // digest folds a coloring and its stats into one pinned value.
@@ -108,7 +109,7 @@ func TestSequentialPigeonhole(t *testing.T) {
 		for v := range init {
 			init[v] = v
 		}
-		in := Input{O: o, SpaceSize: 4*(g.MaxDegree()+1) + 8, Lists: inst.Lists, InitColors: init, M: n}
+		in := oldc.Input{O: o, SpaceSize: 4*(g.MaxDegree()+1) + 8, Lists: inst.Lists, InitColors: init, M: n}
 		phi, _, err := Solve(sim.NewEngine(g), in, Options{Buckets: n})
 		if err != nil {
 			t.Logf("n=%d p=%.2f seed=%d: %v", n, p, seed, err)
@@ -182,7 +183,7 @@ func TestAdversarialClique(t *testing.T) {
 	for v := range init {
 		init[v] = v
 	}
-	in := Input{O: o, SpaceSize: n, Lists: inst.Lists, InitColors: init, M: n}
+	in := oldc.Input{O: o, SpaceSize: n, Lists: inst.Lists, InitColors: init, M: n}
 	if _, _, err := Solve(sim.NewEngine(g), in, Options{Buckets: n}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,15 @@ package graph
 
 import "testing"
 
-// TestInducedViewAllocs pins that Orient, InducedSubgraph and
-// InducedOriented allocate a constant number of times, whatever the graph's
-// size: their lists are carved from flat arrays. With per-vertex appends,
-// a Builder and a per-list sort they made several allocations per vertex.
+// TestInducedViewAllocs pins that Builder.Build, Orient, InducedSubgraph
+// and InducedOriented allocate a constant number of times, whatever the
+// graph's size: their lists are carved from flat arrays, not appended and
+// sorted one vertex at a time.
 func TestInducedViewAllocs(t *testing.T) {
 	for _, n := range []int{64, 2048} {
 		g := GNP(n, 16.0/float64(n-1), 3)
+		b := NewBuilder(n)
+		g.ForEachEdge(func(u, v int) { b.AddEdge(u, v) })
 		o := OrientByID(g)
 		sym := OrientSymmetric(g)
 		var half []int
@@ -26,6 +28,9 @@ func TestInducedViewAllocs(t *testing.T) {
 			budget float64
 			run    func()
 		}{
+			// The result, its header table, the flat array, the offsets
+			// and the two passes' closures.
+			{"Builder.Build", 6, func() { b.Build() }},
 			// The result, its two list-header tables, the flat array and
 			// two fill cursors.
 			{"Orient", 6, func() { Orient(g, func(u, v int) bool { return u > v }) }},

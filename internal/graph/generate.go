@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 )
 
 // The generators below are all deterministic given their seed, so tests and
@@ -115,16 +117,47 @@ func CompleteKary(k, levels int) *Graph {
 	return b.Build()
 }
 
-// GNP returns an Erdős–Rényi G(n, p) sample. It is defined as the
-// materialization of StreamGNP, so the streamed and materialized variants
-// produce the identical graph for the same parameters (pinned by
-// TestStreamMaterializedEquivalence).
+// GNP returns an Erdős–Rényi G(n, p) sample, drawn by geometric skip
+// sampling: instead of flipping a coin per vertex pair, the draw jumps
+// directly to the next present edge, so a sparse sample costs O(m) work.
+// Pairs (i, j), i < j, come in lexicographic order, fixed by the seed.
 func GNP(n int, p float64, seed int64) *Graph {
-	g, err := Materialize(StreamGNP(n, p, seed))
-	if err != nil {
-		panic(err) // generator streams never fail
+	if n < 0 {
+		panic("graph: negative vertex count")
 	}
-	return g
+	return build(n, func(emit func(u, v int32)) {
+		if n < 2 || p <= 0 {
+			return
+		}
+		if p >= 1 {
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					emit(int32(i), int32(j))
+				}
+			}
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		logq := math.Log1p(-p) // log(1-p) < 0
+		total := int64(n) * int64(n-1) / 2
+		// k is the linear index of the current pair in lexicographic order;
+		// row i covers indices [rowStart, rowStart + n-1-i).
+		k := int64(-1)
+		i, rowStart := 0, int64(0)
+		for {
+			// Geometric gap ≥ 1: trials until the next present pair.
+			u := rng.Float64()
+			k += int64(math.Log(1-u)/logq) + 1
+			if k >= total || k < 0 { // k < 0 guards float overflow on tiny p
+				return
+			}
+			for k >= rowStart+int64(n-1-i) {
+				rowStart += int64(n - 1 - i)
+				i++
+			}
+			emit(int32(i), int32(i+1+int(k-rowStart)))
+		}
+	})
 }
 
 // RandomRegular returns a d-regular graph on n vertices sampled via the
@@ -245,18 +278,42 @@ func repairPairs(pairs [][2]int, rng *rand.Rand) bool {
 }
 
 // PreferentialAttachment returns a Barabási–Albert style power-law graph:
-// each new vertex attaches to k distinct earlier vertices chosen with
-// probability proportional to their degree. It is defined as the
-// materialization of StreamPreferentialAttachment, which also fixed a
-// long-standing reproducibility bug: the previous implementation appended
-// sampling endpoints in Go map iteration order, so the same seed could
-// yield different graphs between runs.
+// an initial (k+1)-clique, then vertices k+1..n-1 each attach to k
+// distinct earlier vertices chosen proportionally to degree
+// (repeated-endpoint sampling over a 2m-entry endpoint list). Endpoints
+// are appended in pick order, never in map order, so the graph is a pure
+// function of (n, k, seed).
 func PreferentialAttachment(n, k int, seed int64) *Graph {
-	g, err := Materialize(StreamPreferentialAttachment(n, k, seed))
-	if err != nil {
-		panic(err) // generator streams never fail
+	if n < k+1 {
+		panic("graph: PreferentialAttachment needs n > k")
 	}
-	return g
+	if k < 1 {
+		panic("graph: PreferentialAttachment needs k >= 1")
+	}
+	endpoints := make([]int32, 0, k*(k+1)+2*k*(n-k-1))
+	chosen := make([]int32, 0, k)
+	return build(n, func(emit func(u, v int32)) {
+		rng := rand.New(rand.NewSource(seed))
+		endpoints = endpoints[:0]
+		for i := int32(0); i <= int32(k); i++ {
+			for j := i + 1; j <= int32(k); j++ {
+				emit(i, j)
+				endpoints = append(endpoints, i, j)
+			}
+		}
+		for v := int32(k + 1); v < int32(n); v++ {
+			chosen = chosen[:0]
+			for len(chosen) < k {
+				if c := endpoints[rng.Intn(len(endpoints))]; !slices.Contains(chosen, c) {
+					chosen = append(chosen, c)
+				}
+			}
+			for _, u := range chosen {
+				emit(v, u)
+				endpoints = append(endpoints, v, u)
+			}
+		}
+	})
 }
 
 // RandomTree returns a uniformly random labeled tree (Prüfer sequence).

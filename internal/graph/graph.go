@@ -23,8 +23,9 @@ type Graph struct {
 	m   int
 }
 
-// Builder accumulates edges and produces a Graph. Duplicate edges and self
-// loops are rejected at Build time.
+// Builder accumulates edges and produces a Graph. AddEdge panics on a self
+// loop or an endpoint outside [0, n); Build drops repeated edges, in
+// either orientation.
 type Builder struct {
 	n     int
 	edges [][2]int32
@@ -46,36 +47,53 @@ func (b *Builder) AddEdge(u, v int) *Builder {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
 	}
-	if u > v {
-		u, v = v, u
-	}
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
 	return b
 }
 
-// Build finalizes the graph. It deduplicates edges and sorts adjacency
-// lists.
+// Build finalizes the graph: sorted neighbor lists, repeated edges dropped.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
+	return build(b.n, func(emit func(u, v int32)) {
+		for _, e := range b.edges {
+			emit(e[0], e[1])
 		}
-		return b.edges[i][1] < b.edges[j][1]
 	})
-	g := &Graph{n: b.n, adj: make([][]int32, b.n)}
-	var last [2]int32 = [2]int32{-1, -1}
-	for _, e := range b.edges {
-		if e == last {
-			continue
+}
+
+// build returns the graph on n vertices with the edges that edges emits,
+// calling it twice: once to count degrees and lay out one flat adjacency
+// array, once to fill it. Both calls must emit the same edges, none a self
+// loop or out of range; an edge may repeat. Each vertex's list is a cap-limited window
+// of the flat array, sorted and compacted in place, so the mutation API's
+// in-place insert reallocates instead of overwriting the next vertex's
+// neighbors; an isolated vertex's list is nil.
+func build(n int, edges func(emit func(u, v int32))) *Graph {
+	// off[v] starts as v's window start; the fill advances it to the end.
+	off := make([]int, n+1)
+	edges(func(u, v int32) { off[u+1]++; off[v+1]++ })
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	flat := make([]int32, off[n])
+	edges(func(u, v int32) {
+		flat[off[u]] = v
+		off[u]++
+		flat[off[v]] = u
+		off[v]++
+	})
+	g := &Graph{n: n, adj: make([][]int32, n)}
+	start := 0
+	for v := 0; v < n; v++ {
+		end := off[v]
+		if end > start {
+			a := flat[start:end:end]
+			slices.Sort(a)
+			g.adj[v] = slices.Compact(a)
+			g.m += len(g.adj[v])
 		}
-		last = e
-		g.adj[e[0]] = append(g.adj[e[0]], e[1])
-		g.adj[e[1]] = append(g.adj[e[1]], e[0])
-		g.m++
+		start = end
 	}
-	for v := range g.adj {
-		sort.Slice(g.adj[v], func(i, j int) bool { return g.adj[v][i] < g.adj[v][j] })
-	}
+	g.m /= 2
 	return g
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +157,36 @@ func TestPreferentialAttachment(t *testing.T) {
 	}
 	if !isConnected(g) {
 		t.Fatal("PA graph disconnected")
+	}
+}
+
+// TestPADeterministicAcrossRuns guards the reproducibility fix: an
+// earlier PreferentialAttachment appended endpoints in map iteration
+// order, so the same seed could produce different graphs. The graph must
+// be a pure function of (n, k, seed).
+func TestPADeterministicAcrossRuns(t *testing.T) {
+	first := PreferentialAttachment(300, 3, 1234)
+	for run := 1; run < 5; run++ {
+		g := PreferentialAttachment(300, 3, 1234)
+		if g.M() != first.M() {
+			t.Fatalf("run %d: m=%d, first run m=%d", run, g.M(), first.M())
+		}
+		for v := 0; v < g.N(); v++ {
+			if !slices.Equal(g.Neighbors(v), first.Neighbors(v)) {
+				t.Fatalf("run %d: neighbors of %d differ", run, v)
+			}
+		}
+	}
+}
+
+// TestGNPDegreeSanity spot-checks the skip-sampling math: the edge count
+// of a large sparse sample must land near n(n-1)/2 · p.
+func TestGNPDegreeSanity(t *testing.T) {
+	n, p := 2000, 0.01
+	g := GNP(n, p, 77)
+	expected := float64(n) * float64(n-1) / 2 * p
+	if ratio := float64(g.M()) / expected; ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("m=%d, expected ≈%.0f (ratio %.3f)", g.M(), expected, ratio)
 	}
 }
 

@@ -127,19 +127,14 @@ func readEdgeList(r io.Reader) (edges [][2]int32, n int, err error) {
 
 // LoadEdgeList reads a SNAP-style edge list ("u v" per line, '#'/'%'
 // comments and blank lines skipped, vertex count inferred as max id + 1)
-// and returns the materialized graph. Malformed lines, out-of-range ids,
-// self loops, and duplicate edges are rejected with a *LoadError rather
-// than a panic.
+// and returns the graph. Malformed lines, out-of-range ids, self loops,
+// and duplicate edges are rejected with a *LoadError rather than a panic.
 func LoadEdgeList(r io.Reader) (*Graph, error) {
 	edges, n, err := readEdgeList(r)
 	if err != nil {
 		return nil, err
 	}
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(int(e[0]), int(e[1]))
-	}
-	return b.Build(), nil
+	return (&Builder{n: n, edges: edges}).Build(), nil
 }
 
 // LoadEdgeListFile is LoadEdgeList over a file path.

@@ -17,8 +17,8 @@ import (
 // The digests below pin the observable output of Solve, SolveMulti and
 // RepairRegion: colorings, Stats and JSONL trace bytes. The seed
 // references in golden_test.go derive families, type seeds, class
-// candidates and wire bits through the same cover, analyzeNode and bitio
-// code as production, so a drift in any of those moves both sides of
+// candidates and wire bits through the same cover, analyzeNodeInto and
+// bitio code as production, so a drift in any of those moves both sides of
 // those comparisons alike; these fixed strings do not move with the code.
 //
 // The Δ=128 Solve runs over |C| = 2^15 with ≈3.5k-color lists, so every

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bitio"
@@ -18,7 +19,7 @@ import (
 // same colorings, same sim.Stats, across worker counts. The reference
 // algorithms below replicate the seed semantics exactly — map-keyed
 // neighbor state, a fresh cover.Family derivation per familyOf call, the
-// sameSlice rescan for the announced set index, and slice-based conflict
+// slices.Equal rescan for the announced set index, and slice-based conflict
 // kernels.
 
 // refBasicAlg is the seed basic algorithm (Section 3.2.3).
@@ -102,7 +103,7 @@ func (a *refBasicAlg) Outbox(v int, out *sim.Outbox) {
 	case a.round == 2:
 		idx := 0
 		for i, c := range a.ownK[v] {
-			if sameSlice(c, a.cv[v]) {
+			if slices.Equal(c, a.cv[v]) {
 				idx = i
 				break
 			}
@@ -194,7 +195,7 @@ func (a *refBasicAlg) pickColor(v int) {
 			}
 		}
 		for _, xu := range a.nbrColor[v] {
-			if abs(xu-x) <= a.spec.gap {
+			if absInt(xu-x) <= a.spec.gap {
 				f++
 			}
 		}
@@ -319,7 +320,7 @@ func (a *refTwoPhaseAlg) Outbox(v int, out *sim.Outbox) {
 		} else {
 			idx := 0
 			for i, c := range a.ownK[v] {
-				if sameSlice(c, a.cv[v]) {
+				if slices.Equal(c, a.cv[v]) {
 					idx = i
 					break
 				}
@@ -543,7 +544,7 @@ func refSolve(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim
 	auxLists := make([]coloring.NodeList, n)
 	trivial := true
 	for v := 0; v < n; v++ {
-		s, err := analyzeNode(o.OutDegree(v), in.Lists[v], h, hPrime, tauBar, pr.Alpha)
+		s, err := analyzeNodeInto(newAnalyzeScratch(h, in.Lists[v].Len()), o.OutDegree(v), in.Lists[v], h, hPrime, tauBar, pr.Alpha)
 		if err != nil {
 			return nil, total, err
 		}

@@ -254,15 +254,11 @@ func (sc *analyzeScratch) reserveColors(n int) []int {
 	return sc.colors[base : base+n]
 }
 
-// analyzeNode performs the local computation of Lemma 3.8: it partitions
-// the list by the scale μ with (d+1)² ≈ R_v/4^μ, computes the mass ratios
-// λ_{v,μ}, and produces the class candidates of Case I / Case II. This
-// fresh-scratch form is the reference entry point (tests, golden
-// references); Solve's sequential loop passes one reused scratch instead.
-func analyzeNode(beta int, l coloring.NodeList, h, hPrime, tauBar, alpha int) (classSelection, error) {
-	return analyzeNodeInto(newAnalyzeScratch(h, l.Len()), beta, l, h, hPrime, tauBar, alpha)
-}
-
+// analyzeNodeInto performs the local computation of Lemma 3.8: it
+// partitions the list by the scale μ with (d+1)² ≈ R_v/4^μ, computes the
+// mass ratios λ_{v,μ}, and produces the class candidates of Case I /
+// Case II. Solve's sequential loop passes one reused scratch; a fresh one
+// is newAnalyzeScratch(h, l.Len()).
 func analyzeNodeInto(sc *analyzeScratch, beta int, l coloring.NodeList, h, hPrime, tauBar, alpha int) (classSelection, error) {
 	if l.Len() == 0 {
 		return classSelection{}, fmt.Errorf("empty color list")
@@ -433,14 +429,6 @@ func absInt(x int) int {
 		return -x
 	}
 	return x
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // --- The two-phase algorithm of Lemma 3.7 ---

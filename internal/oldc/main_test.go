@@ -34,7 +34,7 @@ func TestAnalyzeNodeCaseII(t *testing.T) {
 	// A uniform-defect list puts all mass at one scale: Case II, one
 	// candidate class.
 	l := coloring.NodeList{Colors: []int{0, 1, 2, 3}, Defect: []int{1, 1, 1, 1}}
-	s, err := analyzeNode(8, l, 4, 4, 2, 1)
+	s, err := analyzeNodeInto(newAnalyzeScratch(4, l.Len()), 8, l, 4, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAnalyzeNodeCaseII(t *testing.T) {
 }
 
 func TestAnalyzeNodeEmptyList(t *testing.T) {
-	if _, err := analyzeNode(4, coloring.NodeList{}, 4, 4, 2, 1); err == nil {
+	if _, err := analyzeNodeInto(newAnalyzeScratch(4, 0), 4, coloring.NodeList{}, 4, 4, 2, 1); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -32,6 +32,11 @@ type Options struct {
 	SkipValidate bool
 }
 
+// Solver is any OLDC solver: Solve (Theorem 1.1) or a wrapper of it, such
+// as a csr.Reduce closure. The color space reduction (Theorem 1.2) and the
+// list arbdefective driver (Theorem 1.3) take one.
+type Solver func(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error)
+
 func resolveParams(opts Options) cover.Params {
 	if opts.Params.TauScale == 0 {
 		return cover.Practical()

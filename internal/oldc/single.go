@@ -311,25 +311,6 @@ func runBasic(eng *sim.Engine, spec basicSpec) ([]int, sim.Stats, error) {
 	return alg.phi, stats, nil
 }
 
-func sameSlice(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // gammaClass returns the smallest i ≥ 1 with 2^i ≥ 2β/(d+1), clamped to h
 // (Section 3.2.3).
 func gammaClass(beta, d, h int) int {

@@ -1,6 +1,7 @@
 package oldc
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/algkit"
@@ -149,11 +150,11 @@ func TestFamilyOfConsistency(t *testing.T) {
 		t.Fatalf("family sizes %d vs %d", len(k1.Sets), len(k2.Sets))
 	}
 	for i := range k1.Sets {
-		if !sameSlice(k1.Sets[i], k2.Sets[i]) {
+		if !slices.Equal(k1.Sets[i], k2.Sets[i]) {
 			t.Fatal("family derivation not deterministic")
 		}
 	}
-	if a.ownK[0] == nil || !sameSlice(a.ownK[0].Sets[0], k1.Sets[0]) {
+	if a.ownK[0] == nil || !slices.Equal(a.ownK[0].Sets[0], k1.Sets[0]) {
 		t.Fatal("own family must match the type derivation")
 	}
 	// With the cache on, both derivations must be the same memoized entry.

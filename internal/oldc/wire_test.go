@@ -2,6 +2,7 @@ package oldc
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,7 +79,7 @@ func TestTypeMsgRoundTripProperty(t *testing.T) {
 				list = append(list, c)
 			}
 		}
-		sortInts(list)
+		slices.Sort(list)
 		msg := typeMsg{
 			initColor: int(init), gclass: int(gclass)%h + 1, defect: int(defect),
 			list:   list,

@@ -179,10 +179,9 @@ type Server struct {
 // batch — but any other error is returned.
 func New(g *graph.Graph, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	g, err := graph.Materialize(graph.Stream(g))
-	if err != nil {
-		return nil, fmt.Errorf("serve: copy graph: %w", err)
-	}
+	b := graph.NewBuilder(g.N())
+	g.ForEachEdge(func(u, v int) { b.AddEdge(u, v) })
+	g = b.Build()
 	o := graph.OrientByID(g)
 	inst, err := coloring.SquareSumOrientedRange(o, cfg.SpaceSize, cfg.Kappa, cfg.MinDefect, cfg.MaxDefect, cfg.Seed)
 	if err != nil {
