@@ -16,6 +16,7 @@
 //	ldc-run -graph regular -n 256 -deg 8 -algo fk24 -buckets 18
 //	ldc-run -graph regular -n 512 -deg 8 -algo maus21 -k 2
 //	ldc-run -algo oldc -trace run.jsonl          # then: ldc-trace run.jsonl
+//	ldc-run -algo oldc -trace - | ldc-trace      # the report goes to stderr
 //	ldc-run -algo delta1 -cpuprofile cpu.out
 //
 // Exit status 0 = the run produced a valid output, 1 = the run failed or
@@ -123,7 +124,7 @@ func fatalf(code int, format string, args ...interface{}) {
 // run is the real main; it returns the process exit code so deferred
 // cleanups execute before os.Exit and so the exit-code contract is
 // testable in-process. It writes results to stdout and diagnostics to
-// stderr.
+// stderr; with -trace -, the trace owns stdout and results go to stderr.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("ldc-run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -150,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		ckptEvery   = fs.Int("ckpt-every", 1, "checkpoint cadence in rounds for -ckpt")
 		maxRestarts = fs.Int("max-restarts", 5, "restarts allowed after injected kills (-chaos kill:/killshard:) before giving up")
 
-		tracePath   = fs.String("trace", "", "write an ldc-trace/v1 JSONL round trace to this path ('-' = stdout); summarize with ldc-trace")
+		tracePath   = fs.String("trace", "", "write an ldc-trace/v1 JSONL round trace to this path ('-' = stdout, with the report on stderr); summarize with ldc-trace")
 		metricsAddr = fs.String("metrics-addr", "", "after a successful run, serve Prometheus-style text metrics on this address at /metrics (keeps the process alive)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -187,6 +188,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	var tracer *obs.JSONL
 	var traceFile *os.File
+	report := stdout
 	if *tracePath != "" {
 		switch *algo {
 		case "mis", "greedy":
@@ -199,6 +201,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			defer f.Close()
 			w = f
 			traceFile = f
+		} else {
+			report = stderr
 		}
 		tracer = obs.NewJSONL(w)
 		defer tracer.Close()
@@ -442,31 +446,31 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// Include the edge list so the document is self-contained and can
 		// be piped into ldc-verify.
 		g.ForEachEdge(func(u, v int) { out.Edges = append(out.Edges, [2]int{u, v}) })
-		enc := json.NewEncoder(stdout)
+		enc := json.NewEncoder(report)
 		enc.SetIndent("", "  ")
 		die(enc.Encode(out))
 	} else {
-		fmt.Fprintf(stdout, "graph=%s n=%d m=%d Δ=%d\n", out.Graph, out.N, out.M, out.MaxDegree)
-		fmt.Fprintf(stdout, "algo=%s rounds=%d messages=%d total=%d bits max-msg=%d bits\n",
+		fmt.Fprintf(report, "graph=%s n=%d m=%d Δ=%d\n", out.Graph, out.N, out.M, out.MaxDegree)
+		fmt.Fprintf(report, "algo=%s rounds=%d messages=%d total=%d bits max-msg=%d bits\n",
 			out.Algorithm, out.Rounds, out.Messages, out.TotalBits, out.MaxMsgBits)
 		if out.ColorsUsed > 0 {
-			fmt.Fprintf(stdout, "colors used: %d\n", out.ColorsUsed)
+			fmt.Fprintf(report, "colors used: %d\n", out.ColorsUsed)
 		}
 		if out.MISSize > 0 {
-			fmt.Fprintf(stdout, "MIS size: %d\n", out.MISSize)
+			fmt.Fprintf(report, "MIS size: %d\n", out.MISSize)
 		}
 		if out.ChaosSpec != "" {
-			fmt.Fprintf(stdout, "chaos=%s dropped=%d corrupted=%d decode-faults=%d\n",
+			fmt.Fprintf(report, "chaos=%s dropped=%d corrupted=%d decode-faults=%d\n",
 				out.ChaosSpec, out.Dropped, out.Corrupted, out.DecodeFaults)
 		}
 		if out.Restarts > 0 {
-			fmt.Fprintf(stdout, "restarts: %d\n", out.Restarts)
+			fmt.Fprintf(report, "restarts: %d\n", out.Restarts)
 		}
 		if out.SurvivalRate != nil {
-			fmt.Fprintf(stdout, "survival=%.3f initial-bad=%d repairs=%d repair-rounds=%d fallback=%d residual=%d\n",
+			fmt.Fprintf(report, "survival=%.3f initial-bad=%d repairs=%d repair-rounds=%d fallback=%d residual=%d\n",
 				*out.SurvivalRate, out.InitialBad, out.Repairs, out.RepairRounds, out.Fallback, len(out.ResidualBad))
 		}
-		fmt.Fprintf(stdout, "valid: %v\n", out.Valid)
+		fmt.Fprintf(report, "valid: %v\n", out.Valid)
 	}
 
 	if *memprofile != "" {

@@ -96,29 +96,39 @@ func TestRunOutputs(t *testing.T) {
 }
 
 // TestOldcTraceReconciles checks, on a smaller instance, the traced solve
-// that CI's trace smoke runs through ldc-trace: the trace -algo oldc writes
-// must parse, end with its totals, and have per-round events that sum to
-// them.
+// that CI's trace smoke runs through ldc-trace: the trace -algo oldc writes,
+// to a file or to stdout, must parse, end with its totals, and have
+// per-round events that sum to them. With -trace -, the report goes to
+// stderr.
 func TestOldcTraceReconciles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	args := []string{"-algo", "oldc", "-graph", "regular", "-n", "256", "-deg", "16", "-kappa", "6", "-trace", path}
-	if code := run(args, io.Discard, io.Discard); code != 0 {
-		t.Fatalf("run(%v) = %d, want 0", args, code)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ParseTrace(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reconcile passes a trace without an end event, so require one.
-	if len(events) < 3 || events[len(events)-1].T != "end" {
-		t.Fatalf("trace of %d events does not end with its totals", len(events))
-	}
-	if err := obs.Reconcile(events); err != nil {
-		t.Fatal(err)
+	args := []string{"-algo", "oldc", "-graph", "regular", "-n", "256", "-deg", "16", "-kappa", "6", "-trace"}
+	for _, dest := range []string{path, "-"} {
+		var stdout, stderr strings.Builder
+		if code := run(append(args, dest), &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v %s) = %d, want 0", args, dest, code)
+		}
+		trace := stdout.String()
+		if dest == "-" && !strings.Contains(stderr.String(), "valid: true") {
+			t.Fatalf("-trace -: report missing from stderr:\n%s", stderr.String())
+		}
+		if dest != "-" {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace = string(b)
+		}
+		events, err := obs.ParseTrace(strings.NewReader(trace))
+		if err != nil {
+			t.Fatalf("-trace %s: %v", dest, err)
+		}
+		// Reconcile passes a trace without an end event, so require one.
+		if len(events) < 3 || events[len(events)-1].T != "end" {
+			t.Fatalf("-trace %s: trace of %d events does not end with its totals", dest, len(events))
+		}
+		if err := obs.Reconcile(events); err != nil {
+			t.Fatalf("-trace %s: %v", dest, err)
+		}
 	}
 }

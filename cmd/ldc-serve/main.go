@@ -43,6 +43,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/coloring"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -89,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed  = fs.Int64("seed", 1, "generator + list seed")
 
 		kappa  = fs.Float64("kappa", 5.0, "square-sum slack of the generated lists")
-		space  = fs.Int("space", 4096, "color space size")
+		space  = fs.Int("space", 4096, "color space size, at most 16777216")
 		verify = fs.Bool("verify-every-batch", false, "full-graph CheckOLDC after every batch")
 
 		addr   = fs.String("addr", "", "serve the HTTP API on this address")
@@ -118,6 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *maxBatch < 1 {
 		fmt.Fprintln(stderr, "ldc-serve: -max-batch must be at least 1")
+		return 2
+	}
+	if *space > coloring.MaxListSpace {
+		fmt.Fprintf(stderr, "ldc-serve: -space must be at most %d\n", coloring.MaxListSpace)
 		return 2
 	}
 	reg := obs.NewRegistry()

@@ -37,6 +37,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"no mode", []string{"-graph", "ring", "-n", "16"}, "", 2},
 		{"unknown graph", []string{"-graph", "moebius", "-script", "-"}, "", 2},
 		{"unknown flag", []string{"-frobnicate"}, "", 2},
+		{"space over the bound", []string{"-graph", "ring", "-n", "16", "-space", "16777217", "-script", "-"}, "", 2},
 	}
 	for _, tc := range cases {
 		tc := tc

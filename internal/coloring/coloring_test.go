@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -228,6 +229,17 @@ func TestSquareSumSpaceExhausted(t *testing.T) {
 		}
 	}()
 	SquareSumOriented(o, 4096, 50, 3, 1)
+}
+
+// TestSquareSumSpaceBound checks that a space over MaxListSpace is refused
+// with an error naming the bound, before any list is drawn.
+func TestSquareSumSpaceBound(t *testing.T) {
+	o := graph.OrientByID(graph.Ring(8))
+	in, err := SquareSumOrientedRange(o, MaxListSpace+1, 5, 1, 3, 1)
+	var se *ErrSpaceExhausted
+	if err == nil || in != nil || errors.As(err, &se) || !strings.Contains(err.Error(), "16777216") {
+		t.Fatalf("got %v, %v; want an error naming the bound 16777216", in, err)
+	}
 }
 
 func TestAssignment(t *testing.T) {

@@ -14,7 +14,9 @@ package coloring
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -251,8 +253,9 @@ func UniformDefective(g *graph.Graph, spaceSize, listSize, defect int, seed int6
 // satisfies Σ(d_v(x)+1)² ≥ β_v²·kappa at every node, with defects varying
 // across the list (mixing powers of two between 0 and maxDefect). It
 // returns the instance over a space of the given size. The space must be
-// large enough for every node's target; SquareSumOriented panics with an
-// *ErrSpaceExhausted when it is not (SquareSumOrientedRange returns it).
+// large enough for every node's target and at most MaxListSpace;
+// SquareSumOriented panics with the error SquareSumOrientedRange returns
+// when it is not (an *ErrSpaceExhausted when it is too small).
 func SquareSumOriented(o *graph.Oriented, spaceSize int, kappa float64, maxDefect int, seed int64) *Instance {
 	in, err := SquareSumOrientedRange(o, spaceSize, kappa, 0, maxDefect, seed)
 	if err != nil {
@@ -275,29 +278,46 @@ func (e *ErrSpaceExhausted) Error() string {
 		e.SpaceSize, e.Node, e.Kappa, e.OutDegree)
 }
 
+// MaxListSpace is the largest color space SquareSumOrientedRange draws
+// lists from. Its scratch, allocated once per call, is one bit per color
+// and one rank per 64 colors: 3 MiB at this bound.
+const MaxListSpace = 1 << 24
+
 // SquareSumOrientedRange is SquareSumOriented with a lower bound on the
 // per-color defects (robustness experiments use minDefect ≥ 1 so that a
 // single stray collision is absorbed). It returns an *ErrSpaceExhausted
-// when the space cannot meet some node's target.
+// when the space cannot meet some node's target, and an error when
+// spaceSize is over MaxListSpace.
+//
+// Each node draws colors uniformly, skipping repeats, until its target is
+// met. The seed fixes the sequence of draws (a color, then its defect's
+// exponent when maxDefect > minDefect), and so every list. Repeats are
+// found in one spaceSize-bit set of drawn colors, shared by every node
+// and cleared after each; see sortedList for how a list is put in order.
 func SquareSumOrientedRange(o *graph.Oriented, spaceSize int, kappa float64, minDefect, maxDefect int, seed int64) (*Instance, error) {
+	if spaceSize > MaxListSpace {
+		return nil, fmt.Errorf("coloring: color space of %d is over the %d that square-sum lists support", spaceSize, MaxListSpace)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	in := &Instance{G: o.Graph(), SpaceSize: spaceSize, Lists: make([]NodeList, o.N())}
+	words := (max(spaceSize, 0) + 63) / 64
+	drawn := make([]uint64, words)
+	rank := make([]int32, words)
+	var colors, defs []int // the node's draws, in draw order
 	for v := 0; v < o.N(); v++ {
 		beta := o.OutDegree(v)
 		target := float64(beta*beta) * kappa
-		var colors []int
-		var defs []int
-		used := map[int]bool{}
+		colors, defs = colors[:0], defs[:0]
 		var sum float64
 		for sum < target {
 			c := rng.Intn(spaceSize)
-			if used[c] {
-				if len(used) >= spaceSize {
+			if drawn[c>>6]&(1<<(c&63)) != 0 {
+				if len(colors) >= spaceSize {
 					return nil, &ErrSpaceExhausted{Node: v, OutDegree: beta, SpaceSize: spaceSize, Kappa: kappa}
 				}
 				continue
 			}
-			used[c] = true
+			drawn[c>>6] |= 1 << (c & 63)
 			d := minDefect
 			if maxDefect > minDefect {
 				d = (1 << uint(rng.Intn(log2floor(maxDefect)+2))) - 1
@@ -312,10 +332,47 @@ func SquareSumOrientedRange(o *graph.Oriented, spaceSize int, kappa float64, min
 			defs = append(defs, d)
 			sum += float64((d + 1) * (d + 1))
 		}
-		sortPair(colors, defs)
-		in.Lists[v] = NodeList{Colors: colors, Defect: defs}
+		if len(colors) > 0 {
+			in.Lists[v] = sortedList(drawn, rank, colors, defs)
+		}
 	}
 	return in, nil
+}
+
+// sortedList returns the drawn colors with their defects, in color order,
+// as one exactly sized list, and clears them from the set drawn. A list
+// with a color for every 16 words of the set or more is read off the set:
+// one walk up to its largest color records in rank the number of colors
+// below each word, and each defect then lands at its color's rank plus a
+// popcount. A sparser list is sorted instead, so its cost follows the
+// list's length, not the space's size.
+func sortedList(drawn []uint64, rank []int32, colors, defs []int) NodeList {
+	k := len(colors)
+	l := NodeList{Colors: make([]int, k), Defect: make([]int, k)}
+	if 16*k < len(drawn) {
+		copy(l.Colors, colors)
+		slices.Sort(l.Colors)
+		for i, c := range colors {
+			j, _ := slices.BinarySearch(l.Colors, c)
+			l.Defect[j] = defs[i]
+			drawn[c>>6] &^= 1 << (c & 63)
+		}
+		return l
+	}
+	j, w := 0, 0
+	for ; j < k; w++ {
+		rank[w] = int32(j)
+		for word := drawn[w]; word != 0; word &= word - 1 {
+			l.Colors[j] = w<<6 | bits.TrailingZeros64(word)
+			j++
+		}
+	}
+	for i, c := range colors {
+		below := drawn[c>>6] & (1<<(c&63) - 1)
+		l.Defect[int(rank[c>>6])+bits.OnesCount64(below)] = defs[i]
+	}
+	clear(drawn[:w])
+	return l
 }
 
 // CliqueUniform returns the tightness gadget from Appendix A: the clique
@@ -365,22 +422,6 @@ func sampleDistinct(rng *rand.Rand, space, k int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func sortPair(colors, defs []int) {
-	idx := make([]int, len(colors))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return colors[idx[a]] < colors[idx[b]] })
-	nc := make([]int, len(colors))
-	nd := make([]int, len(defs))
-	for i, j := range idx {
-		nc[i] = colors[j]
-		nd[i] = defs[j]
-	}
-	copy(colors, nc)
-	copy(defs, nd)
 }
 
 func log2floor(x int) int {

@@ -6,7 +6,11 @@
 
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // TestInducedViewAllocs pins that Builder.Build, Orient, InducedSubgraph
 // and InducedOriented allocate a constant number of times, whatever the
@@ -53,6 +57,28 @@ func TestInducedViewAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(20, c.run); allocs > c.budget {
 				t.Errorf("%s on n=%d made %.1f allocations per call, budget %.0f", c.name, n, allocs, c.budget)
 			}
+		}
+	}
+}
+
+// TestLoadEdgeListAllocs pins that LoadEdgeList allocates as often for
+// about 10,000 lines as for about 100, and nothing per canonical line.
+func TestLoadEdgeListAllocs(t *testing.T) {
+	// The buffer and its storage, the edge list, the comment line's
+	// string, the Builder and the six of Builder.Build above.
+	const budget = 11
+	for _, g := range []*Graph{GNP(200, 1.0/199, 5), GNP(2000, 10.0/1999, 5)} {
+		var b strings.Builder
+		b.WriteString("# G(n, p)\n")
+		g.ForEachEdge(func(u, v int) { fmt.Fprintf(&b, "%d %d\n", u, v) })
+		text := b.String()
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := LoadEdgeList(strings.NewReader(text)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > budget {
+			t.Errorf("LoadEdgeList of %d lines made %.1f allocations per call, budget %d", g.M()+1, allocs, budget)
 		}
 	}
 }

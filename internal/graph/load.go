@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -94,7 +95,7 @@ func packEdge(u, v int) uint64 {
 // order plus the inferred vertex count (max id + 1).
 func readEdgeList(r io.Reader) (edges [][2]int32, n int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	seen := make(map[uint64]struct{})
 	lineno := 0
 	for sc.Scan() {
@@ -125,16 +126,111 @@ func readEdgeList(r io.Reader) (edges [][2]int32, n int, err error) {
 	return edges, n, nil
 }
 
-// LoadEdgeList reads a SNAP-style edge list ("u v" per line, '#'/'%'
-// comments and blank lines skipped, vertex count inferred as max id + 1)
-// and returns the graph. Malformed lines, out-of-range ids, self loops,
-// and duplicate edges are rejected with a *LoadError rather than a panic.
-func LoadEdgeList(r io.Reader) (*Graph, error) {
+// maxLine is the longest line, counting its newline, that readEdgeList's
+// scanner buffer holds.
+const maxLine = 1024 * 1024
+
+// scanEdges parses data as readEdgeList does, without allocating per line:
+// a canonical line (1–9 digits, one space or tab, 1–9 digits) is read in
+// place, and every other line goes to parseEdgeLine. It returns ok=false,
+// leaving the verdict to readEdgeList, on any bad line and on any line of
+// maxLine bytes or more. It does not look for repeats.
+func scanEdges(data []byte) (edges [][2]int32, n int, ok bool) {
+	edges = make([][2]int32, 0, bytes.Count(data, []byte{'\n'})+1)
+	for i := 0; i < len(data); {
+		u, j := digits9(data, i)
+		if j > i && j < len(data) && (data[j] == ' ' || data[j] == '\t') {
+			v, k := digits9(data, j+1)
+			if k > j+1 && (k == len(data) || data[k] == '\n') && u != v {
+				edges = append(edges, [2]int32{u, v})
+				n = max(n, int(u)+1, int(v)+1)
+				i = k + 1
+				continue
+			}
+		}
+		end := len(data)
+		if k := bytes.IndexByte(data[i:], '\n'); k >= 0 {
+			end = i + k
+		}
+		if end-i+1 >= maxLine {
+			return nil, 0, false
+		}
+		a, b, keep, err := parseEdgeLine(0, string(data[i:end]))
+		if err != nil {
+			return nil, 0, false
+		}
+		if keep {
+			edges = append(edges, [2]int32{int32(a), int32(b)})
+			n = max(n, a+1, b+1)
+		}
+		i = end + 1
+	}
+	return edges, n, true
+}
+
+// digits9 parses the run of at most 9 decimal digits starting at data[i]
+// and returns its value and the index after it (i when there is none).
+func digits9(data []byte, i int) (int32, int) {
+	var x int32
+	j := i
+	for ; j < len(data) && j-i < 9; j++ {
+		d := data[j] - '0'
+		if d > 9 {
+			break
+		}
+		x = x*10 + int32(d)
+	}
+	return x, j
+}
+
+// failedRead is a reader whose every read fails with err.
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
+
+// load builds the graph of the edge-list text data, whose read ended with
+// readErr (nil at the end of input). An input the scan does not accept, a
+// repeated edge and a failed read go whole to readEdgeList, whose error
+// names the first bad line in input order, or else the read error. The
+// build is sized by the largest id, not by the input, so a scanned input
+// with more vertices than bytes goes to readEdgeList too: before every
+// line is accepted, no graph is built out of proportion to the input.
+func load(data []byte, readErr error) (*Graph, error) {
+	if readErr == nil {
+		if edges, n, ok := scanEdges(data); ok && n <= len(data) {
+			if g := (&Builder{n: n, edges: edges}).Build(); g.M() == len(edges) {
+				return g, nil
+			}
+		}
+	}
+	var r io.Reader = bytes.NewReader(data)
+	if readErr != nil {
+		r = io.MultiReader(r, failedRead{readErr})
+	}
 	edges, n, err := readEdgeList(r)
 	if err != nil {
 		return nil, err
 	}
 	return (&Builder{n: n, edges: edges}).Build(), nil
+}
+
+// LoadEdgeList reads a SNAP-style edge list ("u v" per line, '#'/'%'
+// comments and blank lines skipped, vertex count inferred as max id + 1)
+// and returns the graph. Malformed lines, out-of-range ids, self loops,
+// and duplicate edges are rejected with a *LoadError rather than a panic.
+//
+// The input is read into one buffer that doubles as it grows (one exact
+// copy for an in-memory reader) and parsed in place. Repeats are found
+// without a set of seen edges: the build sorts and compacts every vertex's
+// list, so the input repeats an edge exactly when the graph has fewer
+// edges than the input has edge lines. Only then, on a bad line, or when
+// the largest id is over the input's length in bytes, is the input parsed
+// again line by line, which names the first bad line; so a graph out of
+// proportion to the input is built only once every line is accepted.
+func LoadEdgeList(r io.Reader) (*Graph, error) {
+	var buf bytes.Buffer
+	_, err := io.Copy(&buf, r)
+	return load(buf.Bytes(), err)
 }
 
 // LoadEdgeListFile is LoadEdgeList over a file path.

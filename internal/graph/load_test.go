@@ -2,11 +2,14 @@ package graph
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestLoadEdgeListValid parses a SNAP-style document with comments, blank
@@ -45,17 +48,21 @@ func TestLoadEdgeListErrors(t *testing.T) {
 		input string
 		cause error
 		line  int
+		text  string
 	}{
-		{"three-fields", "0 1\n1 2 3\n", ErrMalformedLine, 2},
-		{"one-field", "7\n", ErrMalformedLine, 1},
-		{"not-a-number", "0 x\n", ErrMalformedLine, 1},
-		{"float", "0 1.5\n", ErrMalformedLine, 1},
-		{"negative", "0 -1\n", ErrIDOverflow, 1},
-		{"id-over-int32", "0 2147483648\n", ErrIDOverflow, 1},
-		{"id-over-int64", "0 99999999999999999999\n", ErrIDOverflow, 1},
-		{"self-loop", "0 1\n2 2\n", ErrSelfLoop, 2},
-		{"duplicate", "0 1\n1 0\n", ErrDuplicateEdge, 2},
-		{"duplicate-same-orientation", "# c\n0 1\n0 1\n", ErrDuplicateEdge, 3},
+		{"three-fields", "0 1\n1 2 3\n", ErrMalformedLine, 2, "1 2 3"},
+		{"one-field", "7\n", ErrMalformedLine, 1, "7"},
+		{"not-a-number", "0 x\n", ErrMalformedLine, 1, "0 x"},
+		{"float", "0 1.5\n", ErrMalformedLine, 1, "0 1.5"},
+		{"negative", "0 -1\n", ErrIDOverflow, 1, "0 -1"},
+		{"id-over-int32", "0 2147483648\n", ErrIDOverflow, 1, "0 2147483648"},
+		{"id-over-int64", "0 99999999999999999999\n", ErrIDOverflow, 1, "0 99999999999999999999"},
+		{"self-loop", "0 1\n2 2\n", ErrSelfLoop, 2, "2 2"},
+		{"duplicate", "0 1\n1 0\n", ErrDuplicateEdge, 2, "1 0"},
+		{"duplicate-same-orientation", "# c\n0 1\n0 1\n", ErrDuplicateEdge, 3, "0 1"},
+		// The first bad line in input order is named, whichever kind.
+		{"duplicate-before-malformed", "0 1\n1 0\n1 x\n", ErrDuplicateEdge, 2, "1 0"},
+		{"malformed-before-duplicate", "0 1\n1 x\n1 0\n", ErrMalformedLine, 2, "1 x"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -67,10 +74,42 @@ func TestLoadEdgeListErrors(t *testing.T) {
 			if !errors.Is(err, c.cause) {
 				t.Fatalf("got cause %v, want %v", le.Err, c.cause)
 			}
-			if le.Line != c.line {
-				t.Fatalf("got line %d, want %d", le.Line, c.line)
+			if le.Line != c.line || le.Text != c.text {
+				t.Fatalf("got line %d %q, want %d %q", le.Line, le.Text, c.line, c.text)
 			}
 		})
+	}
+}
+
+// TestLoadEdgeListReadError checks a read that fails after some lines:
+// as for the line-by-line reader, a bad line among them is the error, and
+// otherwise the read error is.
+func TestLoadEdgeListReadError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, text := range []string{"0 1\n1 2\n", "0 1\n1 x\n", "0 1\n1 0\n2"} {
+		failing := func() io.Reader { return io.MultiReader(strings.NewReader(text), iotest.ErrReader(boom)) }
+		_, err := LoadEdgeList(failing())
+		_, _, ref := readEdgeList(failing())
+		if err == nil || err.Error() != ref.Error() || errors.Is(err, boom) != errors.Is(ref, boom) {
+			t.Errorf("%q: got %v, reference %v", text, err, ref)
+		}
+	}
+}
+
+// TestLoadEdgeListBadLineBeforeLargeID checks that a bad line before a
+// large id fails as the line-by-line reader fails, at the bad line, without
+// first building the 4M-vertex graph the id asks for.
+func TestLoadEdgeListBadLineBeforeLargeID(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadEdgeList(strings.NewReader("0 1\n1 0\n4000000 0\n"))
+	runtime.ReadMemStats(&after)
+	var le *LoadError
+	if !errors.As(err, &le) || !errors.Is(err, ErrDuplicateEdge) || le.Line != 2 {
+		t.Fatalf("got %v, want ErrDuplicateEdge on line 2", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("allocated %d bytes, want under 1 MiB", got)
 	}
 }
 
@@ -127,9 +166,14 @@ func TestEdgeListFileRejectsBad(t *testing.T) {
 	}
 }
 
-// FuzzLoadEdgeList is the hardened-decoder fuzz target for the loader: no
-// input may panic, failures must be *LoadError, and successes must build a
-// graph that passes Validate.
+// FuzzLoadEdgeList checks LoadEdgeList on every input against
+// readEdgeList, the line-by-line reader that keeps a set of seen edges.
+// No input may panic, and an error must be a *LoadError or a read error.
+// The loader must fail where the reference fails, with its error (for a
+// *LoadError its line, text and cause); otherwise its graph must pass
+// Validate and hold the reference's vertex count, edge count and edges.
+// Validate keeps every list strictly sorted and symmetric, so that is the
+// graph the reference's edges build, without building a second one.
 func FuzzLoadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# c\n0\t1\n")
@@ -138,17 +182,53 @@ func FuzzLoadEdgeList(f *testing.F) {
 	f.Add("0 99999999999999999999\n")
 	f.Add("a b\n")
 	f.Add("")
+	f.Add("0 1\r\n1 2\r\n")                                  // CRLF
+	f.Add("007 0001\n01 2\n")                                // leading zeros
+	f.Add("1000000000 1\n1 x\n")                             // 10-digit id, then a bad line
+	f.Add("2147483647 0\n0 0\n")                             // largest id, then a self loop
+	f.Add("0 2147483648\n")                                  // 10 digits, over int32
+	f.Add("+5 1\n")                                          // a sign
+	f.Add("5\u00a07\n")                                      // U+00A0 separator
+	f.Add("0 1 \n1 2\t\n2  3\n")                             // trailing and doubled blanks
+	f.Add("0 1\n1 2")                                        // last line without newline
+	f.Add("0 1\n#" + strings.Repeat("x", 1<<20) + "\n1 2\n") // comment over the scanner's limit
+	f.Add("#" + strings.Repeat("x", maxLine-3) + "\n0 1\n")  // one byte short of filling it
+	f.Add("#" + strings.Repeat("x", maxLine-2) + "\n0 1\n")  // comment filling it exactly
+	f.Add("0 1\n1 0\n1 x\n")                                 // duplicate before malformed
+	f.Add("0 1\n1 x\n1 0\n")                                 // malformed before duplicate
 	f.Fuzz(func(t *testing.T, data string) {
 		g, err := LoadEdgeList(strings.NewReader(data))
+		edges, n, refErr := readEdgeList(strings.NewReader(data))
 		if err != nil {
-			var le *LoadError
+			var le, ref *LoadError
 			if !errors.As(err, &le) && !strings.Contains(err.Error(), "reading edge list") {
 				t.Fatalf("untyped loader error: %v", err)
 			}
+			switch {
+			case refErr == nil:
+				t.Fatalf("got %v, reference loads %d edges", err, len(edges))
+			case errors.As(refErr, &ref):
+				if le == nil || le.Line != ref.Line || le.Text != ref.Text || !errors.Is(err, ref.Err) {
+					t.Fatalf("got %v, reference %v", err, refErr)
+				}
+			case err.Error() != refErr.Error():
+				t.Fatalf("got %v, reference %v", err, refErr)
+			}
 			return
+		}
+		if refErr != nil {
+			t.Fatalf("loaded n=%d m=%d, reference fails with %v", g.N(), g.M(), refErr)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("loaded graph fails Validate: %v", err)
+		}
+		if g.N() != n || g.M() != len(edges) {
+			t.Fatalf("got n=%d m=%d, reference n=%d m=%d", g.N(), g.M(), n, len(edges))
+		}
+		for _, e := range edges {
+			if !g.HasEdge(int(e[0]), int(e[1])) {
+				t.Fatalf("reference edge %v missing", e)
+			}
 		}
 	})
 }

@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"bytes"
+	"strconv"
+	"testing"
+)
 
 func BenchmarkRandomRegular(b *testing.B) {
 	b.ReportAllocs()
@@ -65,5 +69,25 @@ func BenchmarkInducedSubgraph(b *testing.B) {
 				g.InducedSubgraph(c.vs)
 			}
 		})
+	}
+}
+
+// BenchmarkLoadEdgeList loads the text of one G(n,p) graph, n=16384 and
+// average degree 64 (about 524K lines).
+func BenchmarkLoadEdgeList(b *testing.B) {
+	var text []byte
+	GNP(16384, 64.0/16383, 1).ForEachEdge(func(u, v int) {
+		text = strconv.AppendInt(text, int64(u), 10)
+		text = append(text, ' ')
+		text = strconv.AppendInt(text, int64(v), 10)
+		text = append(text, '\n')
+	})
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadEdgeList(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -66,7 +66,9 @@ type Config struct {
 	MinDefect int
 	// MaxDefect is the per-color defect cap (≤0 = 2).
 	MaxDefect int
-	// SpaceSize is the color space size (≤0 = 4096).
+	// SpaceSize is the color space size (≤0 = 4096). New, and OpenDurable
+	// on a store's first boot, refuse one over coloring.MaxListSpace; a
+	// reopened store restores its lists from its snapshot instead.
 	SpaceSize int
 	// Seed drives list generation — both the initial
 	// coloring.SquareSumOrientedRange lists and the deterministic per-node

@@ -205,6 +205,14 @@ func TestServeLeavesCallerGraph(t *testing.T) {
 	}
 }
 
+// TestServeRefusesOversizedSpace checks that New refuses a color space
+// over the bound of the list generator rather than drawing from it.
+func TestServeRefusesOversizedSpace(t *testing.T) {
+	if _, err := New(graph.Path(6), Config{SpaceSize: coloring.MaxListSpace + 1}); err == nil {
+		t.Fatal("New accepted a color space over coloring.MaxListSpace")
+	}
+}
+
 func TestServeApplyErrorsFailFast(t *testing.T) {
 	g := graph.Path(6)
 	s, err := New(g, Config{Seed: 1})
