@@ -1,6 +1,6 @@
 // Package algkit is the shared algorithm toolkit: the fast-path building
-// blocks the coloring algorithm families (internal/oldc, internal/fk24,
-// internal/maus21) have in common.
+// blocks the coloring algorithm families internal/oldc and internal/fk24
+// have in common.
 //
 // The pieces were originally grown inside internal/oldc (PRs 3 and 6) and
 // are lifted here so new families consume one implementation instead of
@@ -17,6 +17,8 @@
 //   - CountWindow / CountMerge / Scratch.CountMergeBelow: per-color
 //     occurrence counting against sorted color lists (windowed for gap-g
 //     instances, two-pointer merged for gap 0).
+//   - WriteList / ReadList: the color-list field of the type messages
+//     both oldc and fk24 send, and its hardened decoder.
 //
 // Everything here is deterministic and safe for concurrent use from
 // different engine worker goroutines, which is what keeps algorithm output
@@ -28,8 +30,10 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/bitio"
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // OutCSR is a CSR snapshot of an orientation's out-adjacency (mirroring
@@ -230,4 +234,69 @@ func MaxOutDegreePow2(o *graph.Oriented) int {
 		}
 	}
 	return b
+}
+
+// WriteList writes a sorted color list over the space [0, spaceSize) as
+// the cheaper of a characteristic vector (|C| bits) or an explicit list (a
+// varint length, then bitio.WidthFor(|C|) bits per color), behind a one-bit
+// flag: the min{|C|, Λ·log|C|} term of Theorem 1.1's message bound.
+func WriteList(w *bitio.Writer, list []int, spaceSize int) {
+	width := bitio.WidthFor(spaceSize)
+	if spaceSize <= 1+len(list)*width {
+		w.WriteBit(0)
+		w.WriteBitset(list, spaceSize)
+		return
+	}
+	w.WriteBit(1)
+	w.WriteVarint(uint64(len(list)))
+	for _, c := range list {
+		w.WriteUint(uint64(c), width)
+	}
+}
+
+// ReadList parses WriteList's encoding. The list it returns is non-empty,
+// strictly ascending and inside the space; anything else, or too few
+// bits, is a *sim.DecodeError.
+func ReadList(r *bitio.Reader, spaceSize int) ([]int, error) {
+	fail := func(reason string) ([]int, error) {
+		return nil, &sim.DecodeError{Kind: "algkit list", Reason: reason, Err: r.Err()}
+	}
+	var list []int
+	if r.ReadBit() == 0 {
+		list = r.ReadBitset(spaceSize)
+		if r.Err() != nil {
+			return fail("truncated bitset list")
+		}
+	} else {
+		n := r.ReadVarint()
+		if r.Err() != nil {
+			return fail("truncated list length")
+		}
+		// A strictly-ascending in-range list has at most |C| entries, and
+		// its encoding needs n·width more bits; checking both before the
+		// loop bounds work and allocation on hostile input. n is compared
+		// unconverted: a varint can exceed the int range.
+		width := bitio.WidthFor(spaceSize)
+		if n > uint64(max(spaceSize, 0)) || int(n)*width > r.Remaining() {
+			return fail("list length exceeds the color space or the payload")
+		}
+		list = make([]int, 0, n)
+		for i := 0; i < int(n); i++ {
+			c := int(r.ReadUint(width))
+			if c >= spaceSize {
+				return fail("list color outside the space")
+			}
+			if i > 0 && c <= list[i-1] {
+				return fail("list not strictly ascending")
+			}
+			list = append(list, c)
+		}
+		if r.Err() != nil {
+			return fail("truncated list")
+		}
+	}
+	if len(list) == 0 {
+		return fail("empty color list")
+	}
+	return list, nil
 }

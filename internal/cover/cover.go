@@ -161,6 +161,16 @@ func Practical() Params {
 	return Params{Gap: 0, TauScale: 24, TauFloor: 2, KPrimeCap: 16, KPrimeFloor: 8, SetSizeCap: 64, Alpha: 1}
 }
 
+// OrPractical returns p, or Practical() when p leaves TauScale at zero:
+// the zero value of an algorithm's Params option selects the practical
+// profile.
+func (p Params) OrPractical() Params {
+	if p.TauScale == 0 {
+		return Practical()
+	}
+	return p
+}
+
 // TauTheory returns the paper's τ(h, |C|, m) from equation (4):
 // ⌈8h + 2·loglog|C| + 2·loglog m + 16⌉.
 func TauTheory(h, spaceSize, m int) int {

@@ -27,13 +27,6 @@ type Options struct {
 	SkipValidate bool
 }
 
-func resolveParams(opts Options) cover.Params {
-	if opts.Params.TauScale == 0 {
-		return cover.Practical()
-	}
-	return opts.Params
-}
-
 // DefaultBuckets returns the default schedule width: 2β̂ + 2 buckets
 // (capped at m), enough that a node shares each bucket with few neighbors
 // in expectation over the initial coloring while keeping the round count
@@ -72,7 +65,6 @@ type alg struct {
 	spec  spec
 	sink  sim.FaultSink
 	cache *cover.FamilyCache
-	csr   algkit.OutCSR
 
 	ownK  []*cover.CachedFamily
 	cv    [][]int // chosen candidate set (sorted)
@@ -98,7 +90,6 @@ func newAlg(sp spec) (*alg, error) {
 	n := sp.o.N()
 	a := &alg{
 		spec:      sp,
-		csr:       algkit.NewOutCSR(sp.o),
 		ownK:      make([]*cover.CachedFamily, n),
 		cv:        make([][]int, n),
 		cvDef:     make([][]int32, n),
@@ -144,18 +135,17 @@ func (a *alg) Outbox(v int, out *sim.Outbox) {
 	switch {
 	case a.round == 1:
 		out.Broadcast(typeMsg{
-			initColor:  a.spec.init[v],
-			list:       a.spec.lists[v].Colors,
-			mWidth:     bitio.WidthFor(a.spec.m),
-			spaceSize:  a.spec.spaceSize,
-			colorWidth: bitio.WidthFor(a.spec.spaceSize),
+			initColor: a.spec.init[v],
+			list:      a.spec.lists[v].Colors,
+			mWidth:    bitio.WidthFor(a.spec.m),
+			spaceSize: a.spec.spaceSize,
 		})
 	case a.round == 2:
-		out.Broadcast(setMsg{index: a.cvIdx[v], width: bitio.WidthFor(a.spec.kprime)})
+		out.Broadcast(sim.UintPayload{Value: uint64(a.cvIdx[v]), Width: bitio.WidthFor(a.spec.kprime)})
 	default:
 		if a.bucketOf(a.spec.init[v]) == a.round-3 {
 			a.pickColor(v)
-			out.Broadcast(commitMsg{color: a.phi[v], width: bitio.WidthFor(a.spec.spaceSize)})
+			out.Broadcast(sim.UintPayload{Value: uint64(a.phi[v]), Width: bitio.WidthFor(a.spec.spaceSize)})
 		}
 	}
 }
@@ -190,12 +180,12 @@ func (a *alg) Inbox(v int, in []sim.Received) {
 			if i >= len(sb) || sb[i] != int32(msg.From) {
 				continue
 			}
-			m, ok := asSetMsg(msg.Payload, a.spec.kprime, a.sink)
+			idx, ok := sim.AsUint(msg.Payload, a.spec.kprime, a.sink)
 			if !ok {
 				continue
 			}
-			if fam := a.sbFam[v][i]; fam != nil && m.index < len(fam.Sets) {
-				a.sbSet[v][i] = fam.Sets[m.index]
+			if fam := a.sbFam[v][i]; fam != nil && idx < len(fam.Sets) {
+				a.sbSet[v][i] = fam.Sets[idx]
 			}
 		}
 	default:
@@ -203,8 +193,8 @@ func (a *alg) Inbox(v int, in []sim.Received) {
 			return
 		}
 		for _, msg := range in {
-			if m, ok := asCommitMsg(msg.Payload, a.spec.spaceSize, a.sink); ok {
-				algkit.CountWindow(a.committed[v], a.cv[v], m.color, 0)
+			if c, ok := sim.AsUint(msg.Payload, a.spec.spaceSize, a.sink); ok {
+				algkit.CountWindow(a.committed[v], a.cv[v], c, 0)
 			}
 		}
 	}
@@ -306,7 +296,7 @@ func Solve(eng *sim.Engine, in oldc.Input, opts Options) (coloring.Assignment, s
 	if in.M < 1 || in.SpaceSize < 1 {
 		return nil, sim.Stats{}, fmt.Errorf("fk24: need m ≥ 1 and |C| ≥ 1 (got m=%d, |C|=%d)", in.M, in.SpaceSize)
 	}
-	pr := resolveParams(opts)
+	pr := opts.Params.OrPractical()
 	b := opts.Buckets
 	if b <= 0 {
 		b = DefaultBuckets(in.O, in.M)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/chaos"
 	"repro/internal/coloring"
 	"repro/internal/graph"
 	"repro/internal/oldc"
@@ -214,5 +215,41 @@ func TestInputValidation(t *testing.T) {
 	bad.Lists = lists
 	if _, _, err := Solve(sim.NewEngine(g), bad, Options{}); err == nil {
 		t.Error("empty list accepted")
+	}
+}
+
+// TestFaultedDigest pins Solve under a drop+flip schedule, the only run
+// that takes the corrupted-wire path of all three message kinds: the
+// coloring, Stats and fault ledger must match the recorded digest at every
+// worker count, and some corrupted payloads must have been rejected.
+func TestFaultedDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		o      *graph.Oriented
+		seed   int64
+		want   uint64
+		faults int64
+	}{
+		{"regular-64-16", graph.OrientByID(graph.RandomRegular(64, 16, 51)), 53, 0xf657a56995d9ef1, 60},
+		{"gnp-96", graph.OrientByID(graph.GNP(96, 0.2, 7)), 9, 0x3b7ceef1d7bc822f, 123},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := prepareInput(tc.o, 1<<12, 5.0, 3, tc.seed)
+			for _, workers := range []int{1, 2, 4} {
+				eng := sim.NewEngine(tc.o.Graph())
+				eng.SetWorkers(workers)
+				eng.Faults = chaos.Compose(chaos.Drop(7, 0.08), chaos.Flip(8, 0.15))
+				phi, stats, err := Solve(eng, in, Options{SkipValidate: true})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if got := digest(phi, stats); got != tc.want {
+					t.Errorf("workers=%d: digest %#x, want %#x", workers, got, tc.want)
+				}
+				if stats.TotalFaults().DecodeFaults != tc.faults {
+					t.Errorf("workers=%d: %d decode faults, want %d", workers, stats.TotalFaults().DecodeFaults, tc.faults)
+				}
+			}
+		})
 	}
 }

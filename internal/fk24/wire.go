@@ -30,14 +30,17 @@
 // validates the output against the OLDC condition unless SkipValidate is
 // set.
 //
-// All three message kinds have hardened decoders: a corrupted payload
-// (sim.CorruptPayload) is re-parsed through sim.Reparse, validated field by
-// field against the shared global parameters, and dropped — reported to
-// the engine's fault ledger — when malformed, exactly like internal/oldc's
-// wire layer.
+// The three message kinds are internal/oldc's, with the type cut to the
+// initial color and the list: the list field is algkit.WriteList's, and
+// the candidate-set index and the committed color are sim.UintPayloads. A
+// corrupted payload (sim.CorruptPayload) is re-parsed through sim.Reparse
+// (by decodeTypeMsg, or by sim.AsUint for the other two), validated field
+// by field against the shared global parameters, and dropped — reported
+// to the engine's fault ledger — when malformed.
 package fk24
 
 import (
+	"repro/internal/algkit"
 	"repro/internal/bitio"
 	"repro/internal/sim"
 )
@@ -50,147 +53,43 @@ type typeMsg struct {
 	initColor int
 	list      []int
 	// encoding widths (global knowledge)
-	mWidth     int
-	spaceSize  int
-	colorWidth int
+	mWidth    int
+	spaceSize int
 }
 
-// EncodeBits writes the wire form: the initial color followed by the
-// cheaper of a characteristic vector or an explicit color list.
+// EncodeBits writes the wire form: the initial color followed by
+// algkit.WriteList's list field.
 func (m typeMsg) EncodeBits(w *bitio.Writer) {
 	w.WriteUint(uint64(m.initColor), m.mWidth)
-	explicit := 1 + len(m.list)*m.colorWidth
-	if m.spaceSize <= explicit {
-		w.WriteBit(0)
-		w.WriteBitset(m.list, m.spaceSize)
-	} else {
-		w.WriteBit(1)
-		w.WriteVarint(uint64(len(m.list)))
-		for _, c := range m.list {
-			w.WriteUint(uint64(c), m.colorWidth)
-		}
-	}
+	algkit.WriteList(w, m.list, m.spaceSize)
 }
 
-// setMsg announces the chosen candidate set as an index into the sender's
-// family (receivers re-derive the family from the round-1 type).
-type setMsg struct {
-	index int
-	width int
-}
-
-// EncodeBits writes the candidate-set index.
-func (m setMsg) EncodeBits(w *bitio.Writer) {
-	w.WriteUint(uint64(m.index), m.width)
-}
-
-// commitMsg announces a node's final color choice.
-type commitMsg struct {
-	color int
-	width int
-}
-
-// EncodeBits writes the committed color.
-func (m commitMsg) EncodeBits(w *bitio.Writer) {
-	w.WriteUint(uint64(m.color), m.width)
-}
-
-var (
-	_ sim.Payload = typeMsg{}
-	_ sim.Payload = setMsg{}
-	_ sim.Payload = commitMsg{}
-)
+var _ sim.Payload = typeMsg{}
 
 // decodeTypeMsg parses the wire form of a typeMsg given the shared global
 // parameters (m, |C|). The returned message is fully validated: initColor
-// ∈ [0, m) and a non-empty strictly-ascending color list inside the space.
+// ∈ [0, m) and the list checks of algkit.ReadList.
 func decodeTypeMsg(r *bitio.Reader, m, spaceSize int) (typeMsg, error) {
-	fail := func(reason string) (typeMsg, error) {
-		return typeMsg{}, &sim.DecodeError{Kind: "fk24 type", Reason: reason, Err: r.Err()}
-	}
-	out := typeMsg{
-		mWidth:     bitio.WidthFor(m),
-		spaceSize:  spaceSize,
-		colorWidth: bitio.WidthFor(spaceSize),
-	}
+	out := typeMsg{mWidth: bitio.WidthFor(m), spaceSize: spaceSize}
 	out.initColor = int(r.ReadUint(out.mWidth))
 	if r.Err() != nil {
-		return fail("truncated header")
+		return typeMsg{}, &sim.DecodeError{Kind: "fk24 type", Reason: "truncated header", Err: r.Err()}
 	}
 	if out.initColor >= m {
-		return fail("initial color outside [0, m)")
+		return typeMsg{}, &sim.DecodeError{Kind: "fk24 type", Reason: "initial color outside [0, m)"}
 	}
-	if r.ReadBit() == 0 {
-		out.list = r.ReadBitset(spaceSize)
-		if r.Err() != nil {
-			return fail("truncated bitset list")
-		}
-	} else {
-		n := int(r.ReadVarint())
-		if r.Err() != nil {
-			return fail("truncated list length")
-		}
-		// A strictly-ascending in-range list has at most |C| entries, and
-		// its encoding needs n·colorWidth more bits; checking both bounds
-		// work and allocation on hostile input.
-		if n > spaceSize || n*out.colorWidth > r.Remaining() {
-			return fail("list length exceeds the color space or the payload")
-		}
-		out.list = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			c := int(r.ReadUint(out.colorWidth))
-			if c >= spaceSize {
-				return fail("list color outside the space")
-			}
-			if i > 0 && c <= out.list[i-1] {
-				return fail("list not strictly ascending")
-			}
-			out.list = append(out.list, c)
-		}
-		if r.Err() != nil {
-			return fail("truncated list")
-		}
+	list, err := algkit.ReadList(r, spaceSize)
+	if err != nil {
+		return typeMsg{}, err
 	}
-	if len(out.list) == 0 {
-		return fail("empty color list")
-	}
+	out.list = list
 	return out, nil
 }
 
-// decodeSetMsg parses the wire form of a setMsg; the index must address
-// the k′-set candidate family.
-func decodeSetMsg(r *bitio.Reader, kprime int) (setMsg, error) {
-	w := bitio.WidthFor(kprime)
-	idx := int(r.ReadUint(w))
-	if r.Err() != nil {
-		return setMsg{}, &sim.DecodeError{Kind: "fk24 set", Reason: "truncated", Err: r.Err()}
-	}
-	if kprime > 0 && idx >= kprime {
-		return setMsg{}, &sim.DecodeError{Kind: "fk24 set", Reason: "index outside the candidate family"}
-	}
-	return setMsg{index: idx, width: w}, nil
-}
-
-// decodeCommitMsg parses the wire form of a commitMsg; the color must lie
-// in the space.
-func decodeCommitMsg(r *bitio.Reader, spaceSize int) (commitMsg, error) {
-	w := bitio.WidthFor(spaceSize)
-	c := int(r.ReadUint(w))
-	if r.Err() != nil {
-		return commitMsg{}, &sim.DecodeError{Kind: "fk24 commit", Reason: "truncated", Err: r.Err()}
-	}
-	if spaceSize > 0 && c >= spaceSize {
-		return commitMsg{}, &sim.DecodeError{Kind: "fk24 commit", Reason: "color outside the space"}
-	}
-	return commitMsg{color: c, width: w}, nil
-}
-
-// The as* helpers resolve an inbox payload to the message kind the round
-// schedule expects: a clean payload of that kind passes through, and any
-// other goes to sim.Reparse, which re-parses a corrupted one and reports
-// and skips it when it fails to decode. The message is valid only when the
-// bool is true.
-
+// asTypeMsg resolves an inbox payload of the type round: a clean typeMsg
+// passes through, and any other goes to sim.Reparse, which re-parses a
+// corrupted one and reports and skips it when it fails to decode. The
+// message is valid only when the bool is true.
 func asTypeMsg(pay sim.Payload, m, spaceSize int, sink sim.FaultSink) (typeMsg, bool) {
 	if msg, ok := pay.(typeMsg); ok {
 		return msg, true
@@ -198,30 +97,6 @@ func asTypeMsg(pay sim.Payload, m, spaceSize int, sink sim.FaultSink) (typeMsg, 
 	var msg typeMsg
 	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
 		msg, err = decodeTypeMsg(r, m, spaceSize)
-		return err
-	})
-	return msg, ok
-}
-
-func asSetMsg(pay sim.Payload, kprime int, sink sim.FaultSink) (setMsg, bool) {
-	if msg, ok := pay.(setMsg); ok {
-		return msg, true
-	}
-	var msg setMsg
-	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
-		msg, err = decodeSetMsg(r, kprime)
-		return err
-	})
-	return msg, ok
-}
-
-func asCommitMsg(pay sim.Payload, spaceSize int, sink sim.FaultSink) (commitMsg, bool) {
-	if msg, ok := pay.(commitMsg); ok {
-		return msg, true
-	}
-	var msg commitMsg
-	ok := sim.Reparse(pay, sink, func(r *bitio.Reader) (err error) {
-		msg, err = decodeCommitMsg(r, spaceSize)
 		return err
 	})
 	return msg, ok

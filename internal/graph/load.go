@@ -21,6 +21,9 @@ var (
 	// ErrDuplicateEdge marks an edge that appeared earlier in the input
 	// (in either orientation).
 	ErrDuplicateEdge = errors.New("duplicate edge")
+	// ErrTooManyVertices marks an id that would give the graph more
+	// vertices than vertexBound allows for the input's size.
+	ErrTooManyVertices = errors.New("node id too large for the input size")
 )
 
 // LoadError is the typed error every loader path returns on bad input,
@@ -90,10 +93,16 @@ func packEdge(u, v int) uint64 {
 	return uint64(u)<<32 | uint64(uint32(v))
 }
 
+// vertexBound is the largest vertex count an edge list of size bytes may
+// ask for: one vertex per byte, and 2^20 for any shorter input. The graph
+// is sized by its largest id, at 32 bytes per vertex, so without a bound a
+// one-line input could ask for gigabytes.
+func vertexBound(size int) int { return max(size, 1<<20) }
+
 // readEdgeList parses r fully, validating every line (malformed fields,
-// id overflow, self loops, duplicates) and returning the edges in input
-// order plus the inferred vertex count (max id + 1).
-func readEdgeList(r io.Reader) (edges [][2]int32, n int, err error) {
+// id overflow, ids of maxN or more, self loops, duplicates) and returning
+// the edges in input order plus the inferred vertex count (max id + 1).
+func readEdgeList(r io.Reader, maxN int) (edges [][2]int32, n int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	seen := make(map[uint64]struct{})
@@ -106,6 +115,9 @@ func readEdgeList(r io.Reader) (edges [][2]int32, n int, err error) {
 		}
 		if !ok {
 			continue
+		}
+		if max(u, v) >= maxN {
+			return nil, 0, loadErr(lineno, sc.Text(), ErrTooManyVertices)
 		}
 		key := packEdge(u, v)
 		if _, dup := seen[key]; dup {
@@ -194,7 +206,8 @@ func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 // names the first bad line in input order, or else the read error. The
 // build is sized by the largest id, not by the input, so a scanned input
 // with more vertices than bytes goes to readEdgeList too: before every
-// line is accepted, no graph is built out of proportion to the input.
+// line is accepted, no graph is built out of proportion to the input, and
+// none over vertexBound at all.
 func load(data []byte, readErr error) (*Graph, error) {
 	if readErr == nil {
 		if edges, n, ok := scanEdges(data); ok && n <= len(data) {
@@ -207,7 +220,7 @@ func load(data []byte, readErr error) (*Graph, error) {
 	if readErr != nil {
 		r = io.MultiReader(r, failedRead{readErr})
 	}
-	edges, n, err := readEdgeList(r)
+	edges, n, err := readEdgeList(r, vertexBound(len(data)))
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +230,9 @@ func load(data []byte, readErr error) (*Graph, error) {
 // LoadEdgeList reads a SNAP-style edge list ("u v" per line, '#'/'%'
 // comments and blank lines skipped, vertex count inferred as max id + 1)
 // and returns the graph. Malformed lines, out-of-range ids, self loops,
-// and duplicate edges are rejected with a *LoadError rather than a panic.
+// and duplicate edges are rejected with a *LoadError rather than a panic,
+// and so is an id that would give the graph more vertices than the input
+// has bytes, once that is over 2^20 (ErrTooManyVertices).
 //
 // The input is read into one buffer that doubles as it grows (one exact
 // copy for an in-memory reader) and parsed in place. Repeats are found

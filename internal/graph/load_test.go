@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -63,6 +64,7 @@ func TestLoadEdgeListErrors(t *testing.T) {
 		// The first bad line in input order is named, whichever kind.
 		{"duplicate-before-malformed", "0 1\n1 0\n1 x\n", ErrDuplicateEdge, 2, "1 0"},
 		{"malformed-before-duplicate", "0 1\n1 x\n1 0\n", ErrMalformedLine, 2, "1 x"},
+		{"id-over-vertex-bound", "0 1\n0 2000000\n", ErrTooManyVertices, 2, "0 2000000"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -89,7 +91,7 @@ func TestLoadEdgeListReadError(t *testing.T) {
 	for _, text := range []string{"0 1\n1 2\n", "0 1\n1 x\n", "0 1\n1 0\n2"} {
 		failing := func() io.Reader { return io.MultiReader(strings.NewReader(text), iotest.ErrReader(boom)) }
 		_, err := LoadEdgeList(failing())
-		_, _, ref := readEdgeList(failing())
+		_, _, ref := readEdgeList(failing(), vertexBound(len(text)))
 		if err == nil || err.Error() != ref.Error() || errors.Is(err, boom) != errors.Is(ref, boom) {
 			t.Errorf("%q: got %v, reference %v", text, err, ref)
 		}
@@ -100,16 +102,56 @@ func TestLoadEdgeListReadError(t *testing.T) {
 // large id fails as the line-by-line reader fails, at the bad line, without
 // first building the 4M-vertex graph the id asks for.
 func TestLoadEdgeListBadLineBeforeLargeID(t *testing.T) {
+	checkLoadFailsSmall(t, "0 1\n1 0\n4000000 0\n", ErrDuplicateEdge, 2)
+}
+
+// checkLoadFailsSmall checks that data fails at line with cause, having
+// allocated under 1 MiB.
+func checkLoadFailsSmall(t *testing.T, data string, cause error, line int) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := LoadEdgeList(strings.NewReader("0 1\n1 0\n4000000 0\n"))
+	_, err := LoadEdgeList(strings.NewReader(data))
 	runtime.ReadMemStats(&after)
 	var le *LoadError
-	if !errors.As(err, &le) || !errors.Is(err, ErrDuplicateEdge) || le.Line != 2 {
-		t.Fatalf("got %v, want ErrDuplicateEdge on line 2", err)
+	if !errors.As(err, &le) || !errors.Is(err, cause) || le.Line != line {
+		t.Fatalf("%q: got %v, want %v on line %d", data, err, cause, line)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Errorf("allocated %d bytes, want under 1 MiB", got)
+		t.Errorf("%q: allocated %d bytes, want under 1 MiB", data, got)
+	}
+}
+
+// TestLoadEdgeListVertexBound checks the vertex bound: 2^20 vertices for
+// any input, and one per byte for a longer one. An id over it fails
+// without building the graph it asks for.
+func TestLoadEdgeListVertexBound(t *testing.T) {
+	checkLoadFailsSmall(t, "0 2000000\n", ErrTooManyVertices, 1)
+	checkLoadFailsSmall(t, "0 1048576\n", ErrTooManyVertices, 1)
+	g, err := LoadEdgeList(strings.NewReader("0 1048575\n"))
+	if err != nil || g.N() != 1<<20 || g.M() != 1 {
+		t.Fatalf("2^20 vertices: got %v", err)
+	}
+	// Two comment lines under the scanner's limit make an input of more
+	// than 2^20 bytes, which may have as many vertices as bytes.
+	pad := "#" + strings.Repeat("x", 600_000) + "\n"
+	prefix := pad + pad + "0 "
+	size := len(prefix) + 8 // a 7-digit id and a newline
+	for _, c := range []struct {
+		id   int
+		fail bool
+	}{{size - 1, false}, {size, true}} {
+		data := prefix + strconv.Itoa(c.id) + "\n"
+		if len(data) != size {
+			t.Fatalf("input is %d bytes, want %d", len(data), size)
+		}
+		g, err := LoadEdgeList(strings.NewReader(data))
+		switch {
+		case c.fail && !errors.Is(err, ErrTooManyVertices):
+			t.Errorf("id %d of a %d-byte input: got %v, want ErrTooManyVertices", c.id, size, err)
+		case !c.fail && (err != nil || g.N() != size):
+			t.Errorf("id %d of a %d-byte input: got %v", c.id, size, err)
+		}
 	}
 }
 
@@ -166,14 +208,65 @@ func TestEdgeListFileRejectsBad(t *testing.T) {
 	}
 }
 
-// FuzzLoadEdgeList checks LoadEdgeList on every input against
-// readEdgeList, the line-by-line reader that keeps a set of seen edges.
-// No input may panic, and an error must be a *LoadError or a read error.
-// The loader must fail where the reference fails, with its error (for a
-// *LoadError its line, text and cause); otherwise its graph must pass
-// Validate and hold the reference's vertex count, edge count and edges.
-// Validate keeps every list strictly sorted and symmetric, so that is the
-// graph the reference's edges build, without building a second one.
+// checkLoad checks LoadEdgeList on data against readEdgeList, the
+// line-by-line reader that keeps a set of seen edges, under the same vertex
+// bound. No input may panic, and an error must be a *LoadError or a read
+// error. The loader must fail where the reference fails, with its error
+// (for a *LoadError its line, text and cause); otherwise its graph must
+// pass Validate and hold the reference's vertex count, edge count and
+// edges. Validate keeps every list strictly sorted and symmetric, so that
+// is the graph the reference's edges build, without building a second one.
+func checkLoad(t *testing.T, data string) {
+	t.Helper()
+	g, err := LoadEdgeList(strings.NewReader(data))
+	edges, n, refErr := readEdgeList(strings.NewReader(data), vertexBound(len(data)))
+	if err != nil {
+		var le, ref *LoadError
+		if !errors.As(err, &le) && !strings.Contains(err.Error(), "reading edge list") {
+			t.Fatalf("untyped loader error: %v", err)
+		}
+		switch {
+		case refErr == nil:
+			t.Fatalf("got %v, reference loads %d edges", err, len(edges))
+		case errors.As(refErr, &ref):
+			if le == nil || le.Line != ref.Line || le.Text != ref.Text || !errors.Is(err, ref.Err) {
+				t.Fatalf("got %v, reference %v", err, refErr)
+			}
+		case err.Error() != refErr.Error():
+			t.Fatalf("got %v, reference %v", err, refErr)
+		}
+		return
+	}
+	if refErr != nil {
+		t.Fatalf("loaded n=%d m=%d, reference fails with %v", g.N(), g.M(), refErr)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("loaded graph fails Validate: %v", err)
+	}
+	if g.N() != n || g.M() != len(edges) {
+		t.Fatalf("got n=%d m=%d, reference n=%d m=%d", g.N(), g.M(), n, len(edges))
+	}
+	for _, e := range edges {
+		if !g.HasEdge(int(e[0]), int(e[1])) {
+			t.Fatalf("reference edge %v missing", e)
+		}
+	}
+}
+
+// TestLoadEdgeListLongLines runs checkLoad on comment lines over, at and
+// one byte under the scanner's limit. They are not fuzz seeds: inputs of a
+// megabyte stall coverage-guided fuzzing.
+func TestLoadEdgeListLongLines(t *testing.T) {
+	for _, data := range []string{
+		"0 1\n#" + strings.Repeat("x", 1<<20) + "\n1 2\n", // over the limit
+		"#" + strings.Repeat("x", maxLine-3) + "\n0 1\n",  // one byte short of filling it
+		"#" + strings.Repeat("x", maxLine-2) + "\n0 1\n",  // filling it exactly
+	} {
+		checkLoad(t, data)
+	}
+}
+
+// FuzzLoadEdgeList runs checkLoad on every input.
 func FuzzLoadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# c\n0\t1\n")
@@ -182,53 +275,19 @@ func FuzzLoadEdgeList(f *testing.F) {
 	f.Add("0 99999999999999999999\n")
 	f.Add("a b\n")
 	f.Add("")
-	f.Add("0 1\r\n1 2\r\n")                                  // CRLF
-	f.Add("007 0001\n01 2\n")                                // leading zeros
-	f.Add("1000000000 1\n1 x\n")                             // 10-digit id, then a bad line
-	f.Add("2147483647 0\n0 0\n")                             // largest id, then a self loop
-	f.Add("0 2147483648\n")                                  // 10 digits, over int32
-	f.Add("+5 1\n")                                          // a sign
-	f.Add("5\u00a07\n")                                      // U+00A0 separator
-	f.Add("0 1 \n1 2\t\n2  3\n")                             // trailing and doubled blanks
-	f.Add("0 1\n1 2")                                        // last line without newline
-	f.Add("0 1\n#" + strings.Repeat("x", 1<<20) + "\n1 2\n") // comment over the scanner's limit
-	f.Add("#" + strings.Repeat("x", maxLine-3) + "\n0 1\n")  // one byte short of filling it
-	f.Add("#" + strings.Repeat("x", maxLine-2) + "\n0 1\n")  // comment filling it exactly
-	f.Add("0 1\n1 0\n1 x\n")                                 // duplicate before malformed
-	f.Add("0 1\n1 x\n1 0\n")                                 // malformed before duplicate
-	f.Fuzz(func(t *testing.T, data string) {
-		g, err := LoadEdgeList(strings.NewReader(data))
-		edges, n, refErr := readEdgeList(strings.NewReader(data))
-		if err != nil {
-			var le, ref *LoadError
-			if !errors.As(err, &le) && !strings.Contains(err.Error(), "reading edge list") {
-				t.Fatalf("untyped loader error: %v", err)
-			}
-			switch {
-			case refErr == nil:
-				t.Fatalf("got %v, reference loads %d edges", err, len(edges))
-			case errors.As(refErr, &ref):
-				if le == nil || le.Line != ref.Line || le.Text != ref.Text || !errors.Is(err, ref.Err) {
-					t.Fatalf("got %v, reference %v", err, refErr)
-				}
-			case err.Error() != refErr.Error():
-				t.Fatalf("got %v, reference %v", err, refErr)
-			}
-			return
-		}
-		if refErr != nil {
-			t.Fatalf("loaded n=%d m=%d, reference fails with %v", g.N(), g.M(), refErr)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("loaded graph fails Validate: %v", err)
-		}
-		if g.N() != n || g.M() != len(edges) {
-			t.Fatalf("got n=%d m=%d, reference n=%d m=%d", g.N(), g.M(), n, len(edges))
-		}
-		for _, e := range edges {
-			if !g.HasEdge(int(e[0]), int(e[1])) {
-				t.Fatalf("reference edge %v missing", e)
-			}
-		}
-	})
+	f.Add("0 1\r\n1 2\r\n")        // CRLF
+	f.Add("007 0001\n01 2\n")      // leading zeros
+	f.Add("1000000000 1\n1 x\n")   // 10-digit id, then a bad line
+	f.Add("2147483647 0\n0 0\n")   // largest id, then a self loop
+	f.Add("0 2147483648\n")        // 10 digits, over int32
+	f.Add("+5 1\n")                // a sign
+	f.Add("5\u00a07\n")            // U+00A0 separator
+	f.Add("0 1 \n1 2\t\n2  3\n")   // trailing and doubled blanks
+	f.Add("0 1\n1 2")              // last line without newline
+	f.Add("0 1\n1 0\n1 x\n")       // duplicate before malformed
+	f.Add("0 1\n1 x\n1 0\n")       // malformed before duplicate
+	f.Add("0 2000000\n")           // over the vertex bound
+	f.Add("1048576 0\n")           // one over it
+	f.Add("0 1\n1 0\n4000000 0\n") // duplicate before an id over it
+	f.Fuzz(checkLoad)
 }

@@ -115,12 +115,7 @@ func (a *twoPhaseAlg) RestoreState(d *ckpt.Decoder) error {
 			if a.curList[v] == nil {
 				return fmt.Errorf("oldc: node %d has a family but no current list", v)
 			}
-			a.ownK[v] = a.familyOf(typeInfo{
-				initColor: a.spec.initColors[v],
-				gclass:    a.spec.gclass[v],
-				defect:    a.spec.defect[v],
-				list:      a.curList[v],
-			})
+			a.ownK[v] = a.familyOf(a.typeOf(v, a.curList[v]))
 			if len(a.ownK[v].Sets) == 0 {
 				if cvIdx != 0 {
 					return fmt.Errorf("oldc: node %d set index %d with an empty family", v, cvIdx)

@@ -2,6 +2,7 @@ package oldc
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -142,5 +143,44 @@ func TestTwoPhaseRestoreRejectsDamage(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = dck.Restore(alg3)
+	}
+}
+
+// TestTwoPhaseCheckpointImageDigest pins the ldc-ckpt/v1 bytes
+// sim.Checkpointer writes for TestTwoPhaseKillResume's instances killed
+// after round 2. The image is an on-disk format (docs/RECOVERY.md): a
+// change to SnapshotState's field order or content moves these digests,
+// and an image written before the change would no longer restore.
+func TestTwoPhaseCheckpointImageDigest(t *testing.T) {
+	want := map[string]string{
+		"regular-48-8": "c44b8bb95705bae6",
+		"gnp-64":       "8fccdbb6e5a078e9",
+		"tree-degen":   "af479cdce24330f0",
+	}
+	for _, tc := range goldenInstances() {
+		t.Run(tc.name, func(t *testing.T) {
+			in, eng := prepareInput(t, tc.o, 1<<12, 6.0, 3, tc.seed)
+			alg, _, err := prepareTwoPhase(eng, in, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "oldc.ckpt")
+			errKill := errors.New("injected kill")
+			ckp := &sim.Checkpointer{Path: path, Every: 1}
+			eng.SetAfterRound(sim.ChainHooks(ckp.Hook(alg), func(round int, _ *sim.Stats) error {
+				if round == 2 {
+					return errKill
+				}
+				return nil
+			}))
+			if _, err := eng.Run(alg, twoPhaseMaxRounds(alg.spec.h)); !errors.Is(err, errKill) {
+				t.Fatalf("want injected kill, got %v", err)
+			}
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDigest(t, tc.name, digest(img), want[tc.name])
+		})
 	}
 }

@@ -91,14 +91,13 @@ func (a *refBasicAlg) Outbox(v int, out *sim.Outbox) {
 	switch {
 	case a.round == 1:
 		out.Broadcast(typeMsg{
-			initColor:  a.spec.initColors[v],
-			gclass:     a.spec.gclass[v],
-			defect:     a.spec.defect[v],
-			list:       a.reslist[v],
-			mWidth:     bitio.WidthFor(a.spec.m),
-			hWidth:     bitio.WidthFor(a.spec.h + 1),
-			spaceSize:  a.spec.spaceSize,
-			colorWidth: bitio.WidthFor(a.spec.spaceSize),
+			initColor: a.spec.initColors[v],
+			gclass:    a.spec.gclass[v],
+			defect:    a.spec.defect[v],
+			list:      a.reslist[v],
+			mWidth:    bitio.WidthFor(a.spec.m),
+			hWidth:    bitio.WidthFor(a.spec.h + 1),
+			spaceSize: a.spec.spaceSize,
 		})
 	case a.round == 2:
 		idx := 0
@@ -108,10 +107,10 @@ func (a *refBasicAlg) Outbox(v int, out *sim.Outbox) {
 				break
 			}
 		}
-		out.Broadcast(chosenSetMsg{index: idx, width: bitio.WidthFor(a.spec.kprime)})
+		out.Broadcast(sim.UintPayload{Value: uint64(idx), Width: bitio.WidthFor(a.spec.kprime)})
 	default:
 		if a.pickedAt[v] == a.round-1 {
-			out.Broadcast(colorMsg{color: a.phi[v], width: bitio.WidthFor(a.spec.spaceSize)})
+			out.Broadcast(sim.UintPayload{Value: uint64(a.phi[v]), Width: bitio.WidthFor(a.spec.spaceSize)})
 		}
 	}
 }
@@ -132,10 +131,10 @@ func (a *refBasicAlg) Inbox(v int, in []sim.Received) {
 			if !a.spec.o.HasArc(v, msg.From) {
 				continue
 			}
-			m := msg.Payload.(chosenSetMsg)
+			m := msg.Payload.(sim.UintPayload)
 			ku := a.familyOf(a.nbrType[v][msg.From])
-			if m.index < len(ku) {
-				a.nbrCv[v][msg.From] = ku[m.index]
+			if int(m.Value) < len(ku) {
+				a.nbrCv[v][msg.From] = ku[m.Value]
 			}
 		}
 		if a.spec.gclass[v] == a.spec.h {
@@ -143,8 +142,8 @@ func (a *refBasicAlg) Inbox(v int, in []sim.Received) {
 		}
 	default:
 		for _, msg := range in {
-			if m, ok := msg.Payload.(colorMsg); ok && a.spec.o.HasArc(v, msg.From) {
-				a.nbrColor[v][msg.From] = m.color
+			if m, ok := msg.Payload.(sim.UintPayload); ok && a.spec.o.HasArc(v, msg.From) {
+				a.nbrColor[v][msg.From] = int(m.Value)
 			}
 		}
 		cur := a.spec.h - (a.round - 2)
@@ -308,14 +307,13 @@ func (a *refTwoPhaseAlg) Outbox(v int, out *sim.Outbox) {
 		if r%2 == 1 {
 			a.curList[v] = a.removeBadColors(v)
 			out.Broadcast(typeMsg{
-				initColor:  a.spec.initColors[v],
-				gclass:     a.spec.gclass[v],
-				defect:     a.spec.defect[v],
-				list:       a.curList[v],
-				mWidth:     bitio.WidthFor(a.spec.m),
-				hWidth:     bitio.WidthFor(a.spec.h + 1),
-				spaceSize:  a.spec.spaceSize,
-				colorWidth: bitio.WidthFor(a.spec.spaceSize),
+				initColor: a.spec.initColors[v],
+				gclass:    a.spec.gclass[v],
+				defect:    a.spec.defect[v],
+				list:      a.curList[v],
+				mWidth:    bitio.WidthFor(a.spec.m),
+				hWidth:    bitio.WidthFor(a.spec.h + 1),
+				spaceSize: a.spec.spaceSize,
 			})
 		} else {
 			idx := 0
@@ -325,11 +323,11 @@ func (a *refTwoPhaseAlg) Outbox(v int, out *sim.Outbox) {
 					break
 				}
 			}
-			out.Broadcast(chosenSetMsg{index: idx, width: bitio.WidthFor(a.spec.kprime)})
+			out.Broadcast(sim.UintPayload{Value: uint64(idx), Width: bitio.WidthFor(a.spec.kprime)})
 		}
 	default:
 		if a.pickedAt[v] == r-1 {
-			out.Broadcast(colorMsg{color: a.phi[v], width: bitio.WidthFor(a.spec.spaceSize)})
+			out.Broadcast(sim.UintPayload{Value: uint64(a.phi[v]), Width: bitio.WidthFor(a.spec.spaceSize)})
 		}
 	}
 }
@@ -385,7 +383,7 @@ func (a *refTwoPhaseAlg) Inbox(v int, in []sim.Received) {
 				if !a.spec.o.HasArc(v, msg.From) {
 					continue
 				}
-				m, ok := msg.Payload.(chosenSetMsg)
+				m, ok := msg.Payload.(sim.UintPayload)
 				if !ok {
 					continue
 				}
@@ -394,8 +392,8 @@ func (a *refTwoPhaseAlg) Inbox(v int, in []sim.Received) {
 					continue
 				}
 				ku := a.familyOf(t)
-				if m.index < len(ku) {
-					cu := ku[m.index]
+				if int(m.Value) < len(ku) {
+					cu := ku[m.Value]
 					a.nbrCv[v][msg.From] = cu
 					if t.gclass < a.spec.gclass[v] {
 						for _, x := range cu {
@@ -410,8 +408,8 @@ func (a *refTwoPhaseAlg) Inbox(v int, in []sim.Received) {
 		}
 	default:
 		for _, msg := range in {
-			if m, ok := msg.Payload.(colorMsg); ok && a.spec.o.HasArc(v, msg.From) {
-				a.nbrColor[v][msg.From] = m.color
+			if m, ok := msg.Payload.(sim.UintPayload); ok && a.spec.o.HasArc(v, msg.From) {
+				a.nbrColor[v][msg.From] = int(m.Value)
 			}
 		}
 		cur := h - (r - (2*h + 1))
@@ -491,7 +489,7 @@ func (a *refTwoPhaseAlg) Done() bool {
 
 // refSolveMulti is the seed SolveMulti on refBasicAlg.
 func refSolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
-	pr := resolveParams(opts)
+	pr := opts.Params.OrPractical()
 	pr.Gap = opts.Gap
 	o := in.O
 	n := o.N()
@@ -530,7 +528,7 @@ func refSolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment
 // refSolve is the seed Solve: γ-class selection over refSolveMulti, then
 // refTwoPhaseAlg.
 func refSolve(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
-	pr := resolveParams(opts)
+	pr := opts.Params.OrPractical()
 	o := in.O
 	n := o.N()
 	h := classCount(o)

@@ -60,7 +60,7 @@ func prepareTwoPhase(eng *sim.Engine, in Input, opts Options) (*twoPhaseAlg, sim
 	if opts.Gap != 0 {
 		return nil, sim.Stats{}, fmt.Errorf("oldc: Solve only handles gap 0 (Lemma 3.6 handles general gaps)")
 	}
-	pr := resolveParams(opts)
+	pr := opts.Params.OrPractical()
 	o := in.O
 	n := o.N()
 	h := classCount(o)
@@ -441,56 +441,22 @@ func absInt(x int) int {
 // Nodes of class i remove colors occurring in more than d_v/4 lower-class
 // candidate sets before deriving their own candidate family.
 //
-// Like basicAlg, per-neighbor state is flat and indexed by out-neighbor
-// position (algkit.OutCSR), and families flow through the shared cover.FamilyCache
-// with the packed column-mask form the batched conflict kernel consumes.
 // Bad-color-removal output lives in one pre-sized per-solve arena (listBuf)
 // carved into disjoint per-node regions, so the concurrent Outbox callbacks
 // write without synchronization or allocation.
 type twoPhaseAlg struct {
-	spec    basicSpec
-	sink    sim.FaultSink // decode-fault ledger (the engine); may be nil
-	cache   *cover.FamilyCache
-	csr     algkit.OutCSR
+	nbrRecord
 	curList [][]int // list after bad-color removal (set at the class round)
 	listBuf []int   // arena backing curList; node v owns listOff[v]:listOff[v+1]
 	listOff []int32
-	ownK    []*cover.CachedFamily
-	cv      [][]int
-	cvIdx   []int // index of cv in ownK, recorded by chooseCv
-
-	nbrType  []typeInfo            // by out-neighbor position
-	nbrFam   []*cover.CachedFamily // family of the received type (nil = no type)
-	nbrCv    [][]int               // announced C_u (nil = none)
-	nbrCvIdx []int32               // announced set index behind nbrCv (−1 = none)
-	nbrColor []int32               // final color (−1 = none)
-
-	phi      []int
-	pickedAt []int
-	round    int
-	started  bool
-	finished bool
 }
 
 func newTwoPhase(spec basicSpec) *twoPhaseAlg {
 	n := spec.o.N()
-	csr := algkit.NewOutCSR(spec.o)
 	a := &twoPhaseAlg{
-		spec:     spec,
-		csr:      csr,
-		curList:  make([][]int, n),
-		listOff:  make([]int32, n+1),
-		ownK:     make([]*cover.CachedFamily, n),
-		cv:       make([][]int, n),
-		cvIdx:    make([]int, n),
-		nbrType:  make([]typeInfo, csr.Arcs()),
-		nbrFam:   make([]*cover.CachedFamily, csr.Arcs()),
-		nbrCv:    make([][]int, csr.Arcs()),
-		nbrCvIdx: make([]int32, csr.Arcs()),
-		nbrColor: make([]int32, csr.Arcs()),
-		phi:      make([]int, n),
-		pickedAt: make([]int, n),
-		cache:    cover.NewFamilyCache(),
+		nbrRecord: newNbrRecord(spec),
+		curList:   make([][]int, n),
+		listOff:   make([]int32, n+1),
 	}
 	total := 0
 	for v := 0; v < n; v++ {
@@ -498,25 +464,7 @@ func newTwoPhase(spec basicSpec) *twoPhaseAlg {
 		a.listOff[v+1] = int32(total)
 	}
 	a.listBuf = make([]int, total)
-	for i := range a.nbrColor {
-		a.nbrColor[i] = -1
-		a.nbrCvIdx[i] = -1
-	}
-	for v := 0; v < n; v++ {
-		a.phi[v] = -1
-		a.pickedAt[v] = -1
-	}
 	return a
-}
-
-func (a *twoPhaseAlg) familyOf(t typeInfo) *cover.CachedFamily {
-	ty := cover.Type{
-		InitColor: t.initColor,
-		List:      t.list,
-		SetSize:   a.spec.pr.SetSize(t.gclass, a.spec.tau, len(t.list)),
-		NumSets:   a.spec.kprime,
-	}
-	return a.cache.Get(ty)
 }
 
 func (a *twoPhaseAlg) Outbox(v int, out *sim.Outbox) {
@@ -531,23 +479,14 @@ func (a *twoPhaseAlg) Outbox(v int, out *sim.Outbox) {
 		if r%2 == 1 {
 			// Round A: remove bad colors and announce the type.
 			a.curList[v] = a.removeBadColors(v)
-			out.Broadcast(typeMsg{
-				initColor:  a.spec.initColors[v],
-				gclass:     a.spec.gclass[v],
-				defect:     a.spec.defect[v],
-				list:       a.curList[v],
-				mWidth:     bitio.WidthFor(a.spec.m),
-				hWidth:     bitio.WidthFor(a.spec.h + 1),
-				spaceSize:  a.spec.spaceSize,
-				colorWidth: bitio.WidthFor(a.spec.spaceSize),
-			})
+			out.Broadcast(a.typePayload(v, a.curList[v]))
 		} else {
 			// Round B: announce the chosen candidate set by its index.
-			out.Broadcast(chosenSetMsg{index: a.cvIdx[v], width: bitio.WidthFor(a.spec.kprime)})
+			out.Broadcast(sim.UintPayload{Value: uint64(a.cvIdx[v]), Width: bitio.WidthFor(a.spec.kprime)})
 		}
 	default:
 		if a.pickedAt[v] == r-1 {
-			out.Broadcast(colorMsg{color: a.phi[v], width: bitio.WidthFor(a.spec.spaceSize)})
+			out.Broadcast(sim.UintPayload{Value: uint64(a.phi[v]), Width: bitio.WidthFor(a.spec.spaceSize)})
 		}
 	}
 }
@@ -598,61 +537,24 @@ func (a *twoPhaseAlg) removeBadColors(v int) []int {
 func (a *twoPhaseAlg) Inbox(v int, in []sim.Received) {
 	h := a.spec.h
 	r := a.round
-	p, end := a.csr.Off[v], a.csr.Off[v+1]
 	switch {
 	case r <= 2*h:
 		class := (r + 1) / 2
 		if r%2 == 1 {
 			// Round A of class `class`: store sender types and derive their
 			// families (each sender announces its type exactly once).
-			for _, msg := range in {
-				var pos int32
-				var ok bool
-				if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
-					continue
-				}
-				m, mok := asTypeMsg(msg.Payload, a.spec.m, a.spec.h, a.spec.spaceSize, a.sink)
-				if !mok {
-					continue
-				}
-				t := typeInfo{initColor: m.initColor, gclass: m.gclass, defect: m.defect, list: m.list}
-				a.nbrType[pos] = t
-				a.nbrFam[pos] = a.familyOf(t)
-			}
+			a.recvTypes(v, in)
 			if a.spec.gclass[v] == class {
 				// This node's own family and P1 choice against same-class
 				// out-neighbors.
-				a.ownK[v] = a.familyOf(typeInfo{
-					initColor: a.spec.initColors[v],
-					gclass:    class,
-					defect:    a.spec.defect[v],
-					list:      a.curList[v],
-				})
+				a.ownK[v] = a.familyOf(a.typeOf(v, a.curList[v]))
 				sc := algkit.GetScratch()
 				a.chooseCv(v, class, sc)
 				algkit.PutScratch(sc)
 			}
 		} else {
 			// Round B: reconstruct announced candidate sets.
-			for _, msg := range in {
-				var pos int32
-				var ok bool
-				if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
-					continue
-				}
-				m, mok := asChosenSetMsg(msg.Payload, a.spec.kprime, a.sink)
-				if !mok {
-					continue
-				}
-				fam := a.nbrFam[pos]
-				if fam == nil {
-					continue
-				}
-				if m.index < len(fam.Sets) {
-					a.nbrCv[pos] = fam.Sets[m.index]
-					a.nbrCvIdx[pos] = int32(m.index)
-				}
-			}
+			a.recvSets(v, in)
 			if class == h && a.spec.gclass[v] == h {
 				sc := algkit.GetScratch()
 				a.pickColor(v, sc)
@@ -660,16 +562,7 @@ func (a *twoPhaseAlg) Inbox(v int, in []sim.Received) {
 			}
 		}
 	default:
-		for _, msg := range in {
-			var pos int32
-			var ok bool
-			if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
-				continue
-			}
-			if m, mok := asColorMsg(msg.Payload, a.spec.spaceSize, a.sink); mok {
-				a.nbrColor[pos] = int32(m.color)
-			}
-		}
+		a.recvColors(v, in)
 		cur := h - (r - (2*h + 1))
 		if cur >= 1 && cur < h && a.spec.gclass[v] == cur {
 			sc := algkit.GetScratch()
@@ -746,15 +639,4 @@ func (a *twoPhaseAlg) ignored(v int, cu []int) bool {
 	return cover.ConflictWeight(a.cv[v], cu, 0) >= a.spec.tau
 }
 
-func (a *twoPhaseAlg) Done() bool {
-	if !a.started {
-		a.started = true
-		a.round = 1
-		return false
-	}
-	a.round++
-	if a.round > 3*a.spec.h {
-		a.finished = true
-	}
-	return a.finished
-}
+func (a *twoPhaseAlg) Done() bool { return a.done(3 * a.spec.h) }

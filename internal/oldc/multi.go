@@ -37,13 +37,6 @@ type Options struct {
 // list arbdefective driver (Theorem 1.3) take one.
 type Solver func(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error)
 
-func resolveParams(opts Options) cover.Params {
-	if opts.Params.TauScale == 0 {
-		return cover.Practical()
-	}
-	return opts.Params
-}
-
 // SolveMulti implements Lemma 3.6: each node restricts its list to the
 // defect class i* with maximal Σ(d_v(x)+1)² mass, which turns the instance
 // into a single-defect one, and then runs the basic algorithm of Section
@@ -51,7 +44,7 @@ func resolveParams(opts Options) cover.Params {
 // O(h) = O(log β) and message size O(min{Λ·log|C|, |C|} + log β + log m)
 // bits.
 func SolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
-	pr := resolveParams(opts)
+	pr := opts.Params.OrPractical()
 	pr.Gap = opts.Gap
 	o := in.O
 	n := o.N()
@@ -102,7 +95,7 @@ func SolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, s
 // (P2 is solved locally in zero rounds), one round to exchange candidate
 // sets, with the color picked from the conflict-free slack.
 func SolveProperList(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
-	pr := resolveParams(opts)
+	pr := opts.Params.OrPractical()
 	pr.Gap = 0
 	o := in.O
 	n := o.N()

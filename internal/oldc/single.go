@@ -36,61 +36,14 @@ type basicSpec struct {
 //	round 2+k:    freshly picked colors are announced; class h−k picks
 //
 // for a total of h+1 rounds.
-//
-// Per-neighbor state lives in flat arrays indexed by out-neighbor position
-// (see algkit.OutCSR); candidate families are derived once per distinct type
-// through the shared cover.FamilyCache and carry the packed column-mask
-// form the batched conflict kernel consumes.
 type basicAlg struct {
-	spec    basicSpec
-	sink    sim.FaultSink // decode-fault ledger (the engine); may be nil
-	cache   *cover.FamilyCache
-	csr     algkit.OutCSR
+	nbrRecord
 	reslist [][]int // residue-restricted lists (Section 3.2.2)
-	ownK    []*cover.CachedFamily
-	cv      [][]int
-	cvIdx   []int // index of cv in ownK, recorded by chooseCv
-
-	nbrType  []typeInfo            // by out-neighbor position
-	nbrFam   []*cover.CachedFamily // family of the received type (nil = no type)
-	nbrCv    [][]int               // announced C_u (nil = none)
-	nbrColor []int32               // final color (−1 = none)
-
-	phi      []int
-	pickedAt []int // round at which v picked (to broadcast once)
-	round    int
-	started  bool
-	finished bool
-}
-
-type typeInfo struct {
-	initColor int
-	gclass    int
-	defect    int
-	list      []int
 }
 
 func newBasicAlg(spec basicSpec) (*basicAlg, error) {
 	n := spec.o.N()
-	csr := algkit.NewOutCSR(spec.o)
-	a := &basicAlg{
-		spec:     spec,
-		csr:      csr,
-		reslist:  make([][]int, n),
-		ownK:     make([]*cover.CachedFamily, n),
-		cv:       make([][]int, n),
-		cvIdx:    make([]int, n),
-		nbrType:  make([]typeInfo, csr.Arcs()),
-		nbrFam:   make([]*cover.CachedFamily, csr.Arcs()),
-		nbrCv:    make([][]int, csr.Arcs()),
-		nbrColor: make([]int32, csr.Arcs()),
-		phi:      make([]int, n),
-		pickedAt: make([]int, n),
-		cache:    cover.NewFamilyCache(),
-	}
-	for i := range a.nbrColor {
-		a.nbrColor[i] = -1
-	}
+	a := &basicAlg{nbrRecord: newNbrRecord(spec), reslist: make([][]int, n)}
 	for v := 0; v < n; v++ {
 		if len(spec.lists[v]) == 0 {
 			return nil, fmt.Errorf("oldc: node %d has an empty list", v)
@@ -100,112 +53,40 @@ func newBasicAlg(spec basicSpec) (*basicAlg, error) {
 		}
 		_, res := cover.BestResidue(spec.lists[v], spec.gap)
 		a.reslist[v] = res
-		a.ownK[v] = a.familyOf(typeInfo{
-			initColor: spec.initColors[v],
-			gclass:    spec.gclass[v],
-			defect:    spec.defect[v],
-			list:      res,
-		})
-		a.phi[v] = -1
-		a.pickedAt[v] = -1
+		a.ownK[v] = a.familyOf(a.typeOf(v, res))
 	}
 	return a, nil
-}
-
-// familyOf derives the deterministic candidate family of a type. Both a
-// node and all its neighbors run this on the same inputs, which is what
-// makes the "send the type, not the family" encoding of Lemma 3.6 work —
-// and what makes the derivation memoizable: the family is a pure function
-// of the type, so the shared cache collapses the once-per-(node, neighbor,
-// round) re-derivations to once per distinct type per run.
-func (a *basicAlg) familyOf(t typeInfo) *cover.CachedFamily {
-	ty := cover.Type{
-		InitColor: t.initColor,
-		List:      t.list,
-		SetSize:   a.spec.pr.SetSize(t.gclass, a.spec.tau, len(t.list)),
-		NumSets:   a.spec.kprime,
-	}
-	return a.cache.Get(ty)
-}
-
-func (a *basicAlg) typePayload(v int) typeMsg {
-	return typeMsg{
-		initColor:  a.spec.initColors[v],
-		gclass:     a.spec.gclass[v],
-		defect:     a.spec.defect[v],
-		list:       a.reslist[v],
-		mWidth:     bitio.WidthFor(a.spec.m),
-		hWidth:     bitio.WidthFor(a.spec.h + 1),
-		spaceSize:  a.spec.spaceSize,
-		colorWidth: bitio.WidthFor(a.spec.spaceSize),
-	}
 }
 
 func (a *basicAlg) Outbox(v int, out *sim.Outbox) {
 	switch {
 	case a.round == 1:
-		out.Broadcast(a.typePayload(v))
+		out.Broadcast(a.typePayload(v, a.reslist[v]))
 	case a.round == 2:
-		out.Broadcast(chosenSetMsg{index: a.cvIdx[v], width: bitio.WidthFor(a.spec.kprime)})
+		out.Broadcast(sim.UintPayload{Value: uint64(a.cvIdx[v]), Width: bitio.WidthFor(a.spec.kprime)})
 	default:
 		if a.pickedAt[v] == a.round-1 {
-			out.Broadcast(colorMsg{color: a.phi[v], width: bitio.WidthFor(a.spec.spaceSize)})
+			out.Broadcast(sim.UintPayload{Value: uint64(a.phi[v]), Width: bitio.WidthFor(a.spec.spaceSize)})
 		}
 	}
 }
 
 func (a *basicAlg) Inbox(v int, in []sim.Received) {
-	p, end := a.csr.Off[v], a.csr.Off[v+1]
 	switch {
 	case a.round == 1:
-		for _, msg := range in {
-			var pos int32
-			var ok bool
-			if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
-				continue
-			}
-			m, mok := asTypeMsg(msg.Payload, a.spec.m, a.spec.h, a.spec.spaceSize, a.sink)
-			if !mok {
-				continue
-			}
-			t := typeInfo{initColor: m.initColor, gclass: m.gclass, defect: m.defect, list: m.list}
-			a.nbrType[pos] = t
-			a.nbrFam[pos] = a.familyOf(t)
-		}
+		a.recvTypes(v, in)
 		sc := algkit.GetScratch()
 		a.chooseCv(v, sc)
 		algkit.PutScratch(sc)
 	case a.round == 2:
-		for _, msg := range in {
-			var pos int32
-			var ok bool
-			if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
-				continue
-			}
-			m, mok := asChosenSetMsg(msg.Payload, a.spec.kprime, a.sink)
-			if !mok {
-				continue
-			}
-			if fam := a.nbrFam[pos]; fam != nil && m.index < len(fam.Sets) {
-				a.nbrCv[pos] = fam.Sets[m.index]
-			}
-		}
+		a.recvSets(v, in)
 		if a.spec.gclass[v] == a.spec.h {
 			sc := algkit.GetScratch()
 			a.pickColor(v, sc)
 			algkit.PutScratch(sc)
 		}
 	default:
-		for _, msg := range in {
-			var pos int32
-			var ok bool
-			if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
-				continue
-			}
-			if m, mok := asColorMsg(msg.Payload, a.spec.spaceSize, a.sink); mok {
-				a.nbrColor[pos] = int32(m.color)
-			}
-		}
+		a.recvColors(v, in)
 		cur := a.spec.h - (a.round - 2)
 		if a.spec.gclass[v] == cur {
 			sc := algkit.GetScratch()
@@ -277,18 +158,7 @@ func (a *basicAlg) pickColor(v int, sc *algkit.Scratch) {
 	a.pickedAt[v] = a.round
 }
 
-func (a *basicAlg) Done() bool {
-	if !a.started {
-		a.started = true
-		a.round = 1
-		return false
-	}
-	a.round++
-	if a.round > a.spec.h+1 {
-		a.finished = true
-	}
-	return a.finished
-}
+func (a *basicAlg) Done() bool { return a.done(a.spec.h + 1) }
 
 // runBasic executes the basic algorithm and returns the coloring.
 func runBasic(eng *sim.Engine, spec basicSpec) ([]int, sim.Stats, error) {

@@ -284,3 +284,116 @@ func TestReparse(t *testing.T) {
 		t.Fatalf("DecodeError %q does not wrap its cause", err)
 	}
 }
+
+// TestAsUint pins the corrupted-wire rule of the index and color messages.
+func TestAsUint(t *testing.T) {
+	corrupt := func(x uint64, width, nbit int) CorruptPayload {
+		w := bitio.NewWriter()
+		w.WriteUint(x, width)
+		w.WriteUint(0, 8)
+		return CorruptPayload{Bits: w.Bytes(), NBit: nbit}
+	}
+	t.Run("round_trip", func(t *testing.T) {
+		sink := &sinkCount{}
+		for _, c := range []struct{ x, bound int }{{13, 16}, {7, 10}, {512, 4096}, {99, 100}} {
+			width := bitio.WidthFor(c.bound)
+			if got, ok := AsUint(UintPayload{Value: uint64(c.x), Width: width}, c.bound, sink); !ok || got != c.x {
+				t.Errorf("clean %d of %d: got %d, %v", c.x, c.bound, got, ok)
+			}
+			if got, ok := AsUint(corrupt(uint64(c.x), width, width), c.bound, sink); !ok || got != c.x {
+				t.Errorf("re-parsed %d of %d: got %d, %v", c.x, c.bound, got, ok)
+			}
+		}
+		if sink.n != 0 {
+			t.Fatalf("accepted payloads reported %d faults", sink.n)
+		}
+	})
+	t.Run("out_of_range", func(t *testing.T) {
+		// WidthFor(10) = 4 bits encode up to 15; WidthFor(100) = 7 bits up to 127.
+		sink := &sinkCount{}
+		for _, c := range []struct{ x, bound int }{{10, 10}, {12, 10}, {15, 10}, {100, 100}, {101, 100}, {127, 100}} {
+			width := bitio.WidthFor(c.bound)
+			if _, ok := AsUint(corrupt(uint64(c.x), width, width), c.bound, sink); ok {
+				t.Errorf("%d accepted at bound %d", c.x, c.bound)
+			}
+		}
+		if sink.n != 6 {
+			t.Fatalf("reported %d faults for 6 rejections", sink.n)
+		}
+	})
+	t.Run("truncated_and_overlong", func(t *testing.T) {
+		sink := &sinkCount{}
+		width := bitio.WidthFor(100)
+		for cut := 0; cut < width; cut++ {
+			if _, ok := AsUint(corrupt(33, width, cut), 100, sink); ok {
+				t.Errorf("truncation at bit %d accepted", cut)
+			}
+		}
+		if _, ok := AsUint(corrupt(33, width, width+1), 100, sink); ok {
+			t.Error("overlong payload accepted")
+		}
+		if sink.n != width+1 {
+			t.Fatalf("reported %d faults for %d rejections", sink.n, width+1)
+		}
+	})
+	t.Run("no_bound", func(t *testing.T) {
+		// WidthFor(bound) is 0 for bound ≤ 1: the value is the empty field.
+		sink := &sinkCount{}
+		for _, bound := range []int{0, -3} {
+			if got, ok := AsUint(corrupt(0, 0, 0), bound, sink); !ok || got != 0 {
+				t.Errorf("bound %d: empty payload got %d, %v", bound, got, ok)
+			}
+			if got, ok := AsUint(UintPayload{Value: 99}, bound, sink); !ok || got != 99 {
+				t.Errorf("bound %d: clean 99 got %d, %v", bound, got, ok)
+			}
+		}
+		if sink.n != 0 {
+			t.Fatalf("accepted payloads reported %d faults", sink.n)
+		}
+	})
+	t.Run("nil_sink", func(t *testing.T) {
+		if _, ok := AsUint(corrupt(33, 7, 3), 100, nil); ok {
+			t.Fatal("truncated payload accepted with a nil sink")
+		}
+	})
+	t.Run("other_kind_skipped", func(t *testing.T) {
+		sink := &sinkCount{}
+		if _, ok := AsUint(VarintPayload{Value: 3}, 10, sink); ok || sink.n != 0 {
+			t.Fatalf("another kind: accepted %v, reported %d", ok, sink.n)
+		}
+	})
+}
+
+// FuzzAsUint drives AsUint with arbitrary corrupted bits and bounds. It
+// must not panic; a rejected payload is reported exactly once; an accepted
+// one used exactly WidthFor(bound) bits, lies below a positive bound, and
+// reads back unchanged as a clean payload of that width.
+func FuzzAsUint(f *testing.F) {
+	f.Add([]byte{0xD0}, uint16(8), int32(10))
+	f.Add([]byte{0x00, 0x00}, uint16(16), int32(1))
+	f.Add([]byte{0xFF, 0xFF}, uint16(11), int32(4096))
+	f.Add([]byte{}, uint16(0), int32(0))
+	f.Add([]byte{0x80}, uint16(1), int32(-5))
+	f.Fuzz(func(t *testing.T, data []byte, nbitRaw uint16, boundRaw int32) {
+		bound := int(boundRaw % (1 << 20))
+		nbit := min(int(nbitRaw), 8*len(data))
+		width := bitio.WidthFor(bound)
+		sink := &sinkCount{}
+		x, ok := AsUint(CorruptPayload{Bits: data, NBit: nbit}, bound, sink)
+		if !ok {
+			if sink.n != 1 {
+				t.Fatalf("rejection reported %d times", sink.n)
+			}
+			return
+		}
+		if sink.n != 0 || nbit != width || x < 0 || (bound > 0 && x >= bound) {
+			t.Fatalf("accepted %d from %d bits at bound %d (width %d, %d reports)", x, nbit, bound, width, sink.n)
+		}
+		if want := int(bitio.NewReader(data, nbit).ReadUint(width)); x != want {
+			t.Fatalf("accepted %d, the bits read %d", x, want)
+		}
+		if y, ok := AsUint(UintPayload{Value: uint64(x), Width: width}, bound, sink); !ok || y != x {
+			t.Fatalf("clean re-send of %d read %d, %v", x, y, ok)
+		}
+	})
+}

@@ -415,6 +415,31 @@ func Reparse(pay Payload, sink FaultSink, decode func(*bitio.Reader) error) bool
 	return false
 }
 
+// AsUint resolves an index or color message, sent as a UintPayload of
+// bitio.WidthFor(bound) bits, to its value. A clean UintPayload passes
+// through. Any other payload goes to Reparse, which accepts a corrupted
+// one only when its bits decode to a value below bound (any value when
+// bound ≤ 0). Each round of a hardened algorithm carries one message kind,
+// so the round schedule, not the payload's Go type, says which bound
+// applies. The value is valid only when the bool is true.
+func AsUint(pay Payload, bound int, sink FaultSink) (int, bool) {
+	if p, ok := pay.(UintPayload); ok {
+		return int(p.Value), true
+	}
+	var x uint64
+	ok := Reparse(pay, sink, func(r *bitio.Reader) error {
+		x = r.ReadUint(bitio.WidthFor(bound))
+		if r.Err() != nil {
+			return &DecodeError{Kind: "sim uint", Reason: "truncated", Err: r.Err()}
+		}
+		if bound > 0 && x >= uint64(bound) {
+			return &DecodeError{Kind: "sim uint", Reason: "value outside [0, bound)"}
+		}
+		return nil
+	})
+	return int(x), ok
+}
+
 // DecodeError reports a wire payload that failed to parse as the message
 // kind its receiver expects: truncated, syntactically malformed, or
 // carrying a field outside the range the shared parameters allow.
