@@ -91,6 +91,7 @@ func newLubyAlg(g *graph.Graph, seed int64) *lubyAlg {
 
 func (a *lubyAlg) Outbox(v int, out *sim.Outbox) {
 	if a.color[v] >= 0 {
+		out.IgnoreInbox()
 		out.Broadcast(sim.Composite{sim.UintPayload{Value: 1, Width: 1}, sim.UintPayload{Value: uint64(a.color[v]), Width: a.width}})
 		return
 	}
@@ -208,6 +209,9 @@ type exactArbAlg struct {
 }
 
 func (a *exactArbAlg) Outbox(v int, out *sim.Outbox) {
+	if a.phi[v] >= 0 || a.sched[v] != a.round-1 {
+		out.IgnoreInbox() // Inbox reads only in the node's deciding round
+	}
 	if a.phi[v] >= 0 {
 		out.Broadcast(sim.UintPayload{Value: uint64(a.phi[v]), Width: a.width})
 	}

@@ -60,13 +60,15 @@ type DegreeLubyAlg struct {
 	color     []int    // final color or -1
 	proposal  []int    // this round's proposal
 	taken     [][]bool // palette slots claimed by decided neighbors
+	claimed   []int32  // true entries of taken[v]
 	announced []bool   // decided nodes flip this after their one broadcast
 	undecided int64    // updated single-threaded in Done
 	started   bool
 }
 
 // NewDegreeLuby returns the DegreeLuby algorithm state for g, ready to
-// run (or to restore a checkpoint into via RestoreState).
+// run (or to restore a checkpoint into via RestoreState). The palettes
+// are cut from one array of Σ(deg(v)+1) = 2m+n slots.
 func NewDegreeLuby(g *graph.Graph, seed int64) *DegreeLubyAlg {
 	n := g.N()
 	a := &DegreeLubyAlg{
@@ -74,13 +76,16 @@ func NewDegreeLuby(g *graph.Graph, seed int64) *DegreeLubyAlg {
 		color:     make([]int, n),
 		proposal:  make([]int, n),
 		taken:     make([][]bool, n),
+		claimed:   make([]int32, n),
 		announced: make([]bool, n),
 		undecided: int64(n),
 	}
+	slots := make([]bool, 2*g.M()+n)
 	for v := 0; v < n; v++ {
 		a.rng[v] = uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(v)*0xBF58476D1CE4E5B9 ^ 0x94D049BB133111EB
 		a.color[v] = -1
-		a.taken[v] = make([]bool, len(g.Neighbors(v))+1)
+		size := g.Degree(v) + 1
+		a.taken[v], slots = slots[:size:size], slots[size:]
 	}
 	return a
 }
@@ -102,6 +107,7 @@ func splitmix64(s *uint64) uint64 {
 // Outbox implements sim.Algorithm.
 func (a *DegreeLubyAlg) Outbox(v int, out *sim.Outbox) {
 	if a.color[v] >= 0 {
+		out.IgnoreInbox()
 		if !a.announced[v] {
 			a.announced[v] = true
 			out.Broadcast(lubyMsg(a.color[v])<<1 | 1)
@@ -112,12 +118,7 @@ func (a *DegreeLubyAlg) Outbox(v int, out *sim.Outbox) {
 	// materializing the free list: pigeonhole guarantees at least one of
 	// the deg(v)+1 slots is untaken.
 	taken := a.taken[v]
-	free := 0
-	for _, t := range taken {
-		if !t {
-			free++
-		}
-	}
+	free := len(taken) - int(a.claimed[v])
 	pick := int(splitmix64(&a.rng[v]) % uint64(free))
 	for c, t := range taken {
 		if t {
@@ -157,8 +158,9 @@ func (a *DegreeLubyAlg) Inbox(v int, in []sim.Received) {
 		if val == a.proposal[v] {
 			ok = false
 		}
-		if m&1 == 1 && val < len(taken) {
+		if m&1 == 1 && val < len(taken) && !taken[val] {
 			taken[val] = true
+			a.claimed[v]++
 		}
 	}
 	if ok {
@@ -255,8 +257,18 @@ func (a *DegreeLubyAlg) RestoreState(d *ckpt.Decoder) error {
 		if len(bits) != (palette+7)/8 {
 			return fmt.Errorf("baseline: checkpoint node %d palette bitmap is %d bytes, want %d", v, len(bits), (palette+7)/8)
 		}
+		a.claimed[v] = 0
 		for c := range a.taken[v] {
-			a.taken[v][c] = bits[c/8]&(1<<(c%8)) != 0
+			t := bits[c/8]&(1<<(c%8)) != 0
+			a.taken[v][c] = t
+			if t {
+				a.claimed[v]++
+			}
+		}
+		// deg(v) neighbors claim at most deg(v) of the deg(v)+1 slots;
+		// Outbox draws modulo the free ones.
+		if int(a.claimed[v]) == palette {
+			return fmt.Errorf("baseline: checkpoint node %d has all %d palette slots claimed", v, palette)
 		}
 	}
 	return d.Err()

@@ -8,9 +8,11 @@
 // Every model is a pure function of (schedule parameters, round, from,
 // to): two runs with the same seed, graph, and worker count see the exact
 // same fault pattern, and the pattern is independent of the engine's
-// worker count. The engine asks the model about every wire twice per
-// round, once when it accounts the wire and once when it delivers it, and
-// purity is what makes both answers agree. Randomized models derive their
+// worker count. The engine asks the model about every wire at most twice
+// per round, once when it accounts the wire and once more when it gathers
+// the receiver's inbox, which it skips for a receiver that ignores its
+// inbox (sim.Outbox.IgnoreInbox), and purity is what makes both answers
+// agree. Randomized models derive their
 // decisions from a splitmix64-style hash of (seed, round, from, to) rather
 // than any stateful RNG, which is what makes them safe for concurrent use
 // from the engine's shard workers.

@@ -201,8 +201,8 @@ func TestBuiltinSchedules(t *testing.T) {
 		}
 		seen[s.Name] = true
 		// Every model is a pure function of its arguments: the engine asks
-		// it about each wire twice per round, once to account the wire and
-		// once to deliver it, and relies on equal answers.
+		// it about each wire up to twice per round, once to account the
+		// wire and once to gather it, and relies on equal answers.
 		for round := 0; round < 4; round++ {
 			for from := 0; from < g.N(); from++ {
 				for _, to := range g.Neighbors(from) {

@@ -119,3 +119,63 @@ func TestDigestDefective(t *testing.T) {
 		}
 	}
 }
+
+// The reductions that finish a node early and leave its later inboxes
+// unread are pinned the same way, colors, Stats and JSONL trace bytes at
+// every worker count, recorded at a726ae4:
+//
+//   - ReduceToP's row shift, whose settled nodes keep announcing their
+//     final row;
+//   - FoldColors, where only the nodes of the class being folded read
+//     their inbox.
+//
+// Each starts from Proper's coloring, computed on an untraced engine.
+const (
+	digestReduceToP  = "8307d7e7d05f4a6f"
+	digestFoldColors = "a640f9c350c55bd8"
+)
+
+// properStart returns Proper's coloring of g from unique ids and its
+// color count.
+func properStart(t *testing.T, g *graph.Graph) ([]int, int) {
+	t.Helper()
+	colors, m, _, err := Proper(sim.NewEngine(g), graph.OrientSymmetric(g), IDs(g.N()), g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return colors, m
+}
+
+func TestDigestReduceToP(t *testing.T) {
+	g := graph.GNP(512, 16.0/511, 7)
+	init, m := properStart(t, g)
+	for _, w := range digestWorkers {
+		var buf bytes.Buffer
+		eng, tr := tracedEngine(g, w, &buf)
+		colors, p, stats, err := ReduceToP(eng, g, init, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeTrace(t, tr, stats)
+		if got := digest(colors, p, stats, buf.Bytes()); got != digestReduceToP {
+			t.Errorf("workers=%d: digest %s, want %s", w, got, digestReduceToP)
+		}
+	}
+}
+
+func TestDigestFoldColors(t *testing.T) {
+	g := graph.GNP(256, 8.0/255, 5)
+	init, m := properStart(t, g)
+	for _, w := range digestWorkers {
+		var buf bytes.Buffer
+		eng, tr := tracedEngine(g, w, &buf)
+		colors, stats, err := FoldColors(eng, g, init, m, g.MaxDegree()+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeTrace(t, tr, stats)
+		if got := digest(colors, stats, buf.Bytes()); got != digestFoldColors {
+			t.Errorf("workers=%d: digest %s, want %s", w, got, digestFoldColors)
+		}
+	}
+}

@@ -87,6 +87,7 @@ func (a *rowShiftAlg) row(v int) int { return (a.pairA[v] + a.t*a.pairB[v]) % a.
 func (a *rowShiftAlg) Outbox(v int, out *sim.Outbox) {
 	w := bitio.WidthFor(a.p)
 	if a.settled[v] {
+		out.IgnoreInbox()
 		out.Broadcast(rowMsg{settled: true, value: a.color[v], a: a.pairA[v], b: a.pairB[v], width: w})
 	} else {
 		out.Broadcast(rowMsg{settled: false, value: a.row(v), a: a.pairA[v], b: a.pairB[v], width: w})
@@ -231,6 +232,9 @@ type foldAlg struct {
 }
 
 func (a *foldAlg) Outbox(v int, out *sim.Outbox) {
+	if a.colors[v] != a.cur {
+		out.IgnoreInbox()
+	}
 	out.Broadcast(sim.UintPayload{Value: uint64(a.colors[v]), Width: a.width})
 }
 

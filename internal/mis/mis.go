@@ -80,6 +80,9 @@ type classAlg struct {
 }
 
 func (a *classAlg) Outbox(v int, out *sim.Outbox) {
+	if a.in[v] != 0 {
+		out.IgnoreInbox()
+	}
 	if a.in[v] == 1 && a.joinedAt(v) == a.round-1 {
 		out.Broadcast(sim.UintPayload{Value: 1, Width: 1})
 	}
@@ -175,9 +178,10 @@ func (m lubyMsg) EncodeBits(w *bitio.Writer) {
 func (a *lubyMISAlg) Outbox(v int, out *sim.Outbox) {
 	switch a.in[v] {
 	case 1:
+		out.IgnoreInbox()
 		out.Broadcast(lubyMsg{state: 1, width: a.width})
 	case -1:
-		// Out nodes are silent.
+		out.IgnoreInbox() // out nodes are silent
 	default:
 		a.prio[v] = uint32(a.rng[v].Int31())
 		out.Broadcast(lubyMsg{state: 0, prio: a.prio[v], width: a.width})

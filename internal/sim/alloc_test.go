@@ -13,12 +13,14 @@ import (
 )
 
 // preallocated broadcasts one fixed payload per node (when sparse, from
-// even nodes only) for four rounds, allocating nothing itself, so every
-// byte a run allocates is the engine's.
+// even nodes only; when ignoring, odd nodes ignore their inbox) for four
+// rounds, allocating nothing itself, so every byte a run allocates is the
+// engine's.
 type preallocated struct {
-	pl     []Payload
-	sparse bool
-	round  int
+	pl       []Payload
+	sparse   bool
+	ignoring bool
+	round    int
 }
 
 func newPreallocated(n int) *preallocated {
@@ -30,6 +32,9 @@ func newPreallocated(n int) *preallocated {
 }
 
 func (a *preallocated) Outbox(v int, out *Outbox) {
+	if a.ignoring && v%2 == 1 {
+		out.IgnoreInbox()
+	}
 	if a.sparse && v%2 == 1 {
 		return
 	}
@@ -68,26 +73,26 @@ func TestNewEngineAllocatesNothingPerNode(t *testing.T) {
 }
 
 // TestWarmRunAllocGuard pins that an engine keeps its routing storage: a
-// second run of the same workload allocates no new slot or sent table,
-// inbox or senders buffer — only the goroutine handoff and the Stats
-// slices, about 0.2–1.7 KB against the 21–31 KB the first run sizes
+// second run of the same workload allocates no new slot, sent or ignore
+// table, inbox or senders buffer — only the goroutine handoff and the
+// Stats slices, about 0.2–1.9 KB against the 22–28 KB the first run sizes
 // (go1.24, linux/amd64). The sparse workload has gather compact each
-// neighbor list.
+// neighbor list; in the ignoring one, half the nodes skip their inbox.
 func TestWarmRunAllocGuard(t *testing.T) {
 	g := graph.RandomRegular(1024, 16, 3)
 	for _, workers := range []int{1, 2, 4} {
-		for _, sparse := range []bool{false, true} {
-			warmRunAllocGuard(t, g, workers, sparse)
+		for _, w := range []struct{ sparse, ignoring bool }{{false, false}, {true, false}, {false, true}} {
+			warmRunAllocGuard(t, g, workers, w.sparse, w.ignoring)
 		}
 	}
 }
 
-func warmRunAllocGuard(t *testing.T, g *graph.Graph, workers int, sparse bool) {
+func warmRunAllocGuard(t *testing.T, g *graph.Graph, workers int, sparse, ignoring bool) {
 	eng := NewEngineWith(g, Options{Workers: workers})
 	// The algorithm and its payloads are built once, outside the measured
 	// runs, so the measurement is the engine's alone.
 	a := newPreallocated(g.N())
-	a.sparse = sparse
+	a.sparse, a.ignoring = sparse, ignoring
 	run := func() {
 		a.round = 0
 		if _, err := eng.Run(a, 8); err != nil {
@@ -98,17 +103,17 @@ func warmRunAllocGuard(t *testing.T, g *graph.Graph, workers int, sparse bool) {
 	warm := allocBytes(5, run)
 	const budget = 4 << 10
 	if warm > budget {
-		t.Errorf("workers=%d sparse=%v: warm run allocated %d bytes (first run %d), budget %d", workers, sparse, warm, first, budget)
+		t.Errorf("workers=%d sparse=%v ignoring=%v: warm run allocated %d bytes (first run %d), budget %d", workers, sparse, ignoring, warm, first, budget)
 	}
 }
 
 // TestFreshRunAllocBudget pins what an engine built per run — the regime
 // of congest, arb and oldc.RepairRegion — allocates: a fresh engine over a
 // 1024-node 16-regular graph with 2 workers, eight rounds of one broadcast
-// per node. Delivery gathers, so the slot and sent tables and one node's
-// inbox per shard are all it sizes; every node sends, so gather compacts
-// no neighbor list. A run allocates about 22,100–22,600 B (go1.24,
-// linux/amd64); the budget is that plus about 25%.
+// per node. Delivery gathers, so the slot, sent and ignore tables and one
+// node's inbox per shard are all it sizes; every node sends, so gather
+// compacts no neighbor list. A run allocates about 23,500 B (go1.24,
+// linux/amd64); the budget is that plus about 20%.
 func TestFreshRunAllocBudget(t *testing.T) {
 	g := graph.RandomRegular(1024, 16, 3)
 	a := newPreallocated(g.N())

@@ -46,7 +46,14 @@ const (
 // its goroutine owns. Exactly one goroutine touches a shard's mutable state
 // in a phase; other shards read its nodes' slots and sent bytes only in
 // the deliver phase, after the route barrier.
+//
+// The goroutine writes its shard for every node (the Outbox handle, the
+// inbox buffer, the counters), so the two pads keep those fields off the
+// cache lines of the objects allocated next to it, other shards among
+// them, whatever the struct's size and alignment.
 type shard struct {
+	_ [64]byte
+
 	id     int
 	lo, hi int // owned node range [lo, hi)
 
@@ -68,6 +75,8 @@ type shard struct {
 	panicked  any // value of a panic recovered in the last phase, re-raised by Engine.phase
 
 	cmd chan phase
+
+	_ [64]byte
 }
 
 // partition splits n nodes into contiguous shards of width chunk, one per
@@ -96,6 +105,7 @@ func (e *Engine) prepare() {
 	e.chunk, e.builtN, e.builtFor = chunk, n, e.workers
 	e.slots = make([]Payload, n)
 	e.sent = make([]uint8, n)
+	e.ignore = make([]bool, n)
 	e.shards = make([]*shard, count)
 	for i := range e.shards {
 		lo := min(i*chunk, n)
@@ -185,8 +195,9 @@ func (e *Engine) phase(p phase) {
 // collect runs the Outbox callback for every local node and records its
 // round in the slot table: slots[v] is the payload v broadcast, nil when
 // it broadcast none, a nil payload or has no neighbors, and sent[v] is 1
-// exactly when the slot is non-nil. A node that broadcasts twice panics
-// here, naming the node and the round.
+// exactly when the slot is non-nil; ignore[v] records whether v called
+// IgnoreInbox. A node that broadcasts twice panics here, naming the node
+// and the round.
 func (sh *shard) collect(e *Engine) {
 	alg := e.alg
 	sh.active = 0
@@ -206,7 +217,7 @@ func (sh *shard) collect(e *Engine) {
 			sent = 1
 			sh.active++
 		}
-		e.slots[v], e.sent[v] = slot, sent
+		e.slots[v], e.sent[v], e.ignore[v] = slot, sent, ob.ignore
 	}
 	ob.payload = nil
 }
@@ -265,7 +276,8 @@ func (sh *shard) account(e *Engine, round, v int, targets []int32, bits int) {
 // faultWires accounts one message wire by wire under the fault model: a
 // dropped wire counts only in the ledger, a corrupted one in the ledger and
 // as delivered with its original size. faultInbox asks the model again when
-// the wire's message is gathered.
+// the wire's message is gathered, which it is not for a receiver that
+// ignores its inbox.
 func (sh *shard) faultWires(e *Engine, round, v int, targets []int32, bits int) {
 	for i, u := range targets {
 		switch outcome, _ := e.Faults.Wire(round, v, int(u)); outcome {
@@ -288,10 +300,16 @@ func (sh *shard) faultWires(e *Engine, round, v int, targets []int32, bits int) 
 // compactSenders' selection), so every slot it reads is non-nil and every
 // inbox holds one message per sending neighbor, in ascending sender
 // order. Under a fault model, faultInbox then applies each message's wire
-// verdict.
+// verdict. A node that ignores its inbox this round gets an empty one
+// without any of that work; its Inbox still runs, so every node's runs
+// exactly once per round.
 func (sh *shard) gather(e *Engine) {
 	alg, slots := e.alg, e.slots
 	for v := sh.lo; v < sh.hi; v++ {
+		if e.ignore[v] {
+			alg.Inbox(v, nil)
+			continue
+		}
 		senders := e.g.Neighbors(v)
 		if !e.allSent {
 			senders = sh.compactSenders(senders, e.sent)

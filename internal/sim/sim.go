@@ -17,10 +17,13 @@
 // per round while bit totals still count every wire. A shard then gathers
 // each of its nodes' inboxes by walking the node's own sorted neighbor
 // list, cut down to the neighbors that sent, over the slot table,
-// applying a fault model's per-wire verdicts on the way. Every inbox holds
-// at most one message per neighbor, in ascending sender order, and the
-// Stats, traces and fault ledgers are bit-identical for every worker
-// count. See docs/SIMULATOR.md for the full concurrency contract.
+// applying a fault model's per-wire verdicts on the way; a node that
+// declared in its Outbox that it will not read this round's messages
+// (Outbox.IgnoreInbox) gets an empty inbox, and nothing is gathered for
+// it. Every inbox holds at most one message per neighbor, in ascending
+// sender order, and the Stats, traces and fault ledgers are bit-identical
+// for every worker count. See docs/SIMULATOR.md for the full concurrency
+// contract.
 //
 // The per-node callbacks of an Algorithm must only touch the state of the
 // node they are invoked for (plus read-only shared configuration); the
@@ -57,9 +60,9 @@ type Algorithm interface {
 	// node v broadcasts this round, if any (see Outbox.Broadcast).
 	Outbox(v int, out *Outbox)
 	// Inbox is called once per node per round with the messages delivered
-	// to v: at most one per neighbor, in ascending sender order. in is
-	// valid only during the call: the engine reuses its storage for the
-	// next node.
+	// to v: at most one per neighbor, in ascending sender order, or none
+	// when v's Outbox called IgnoreInbox this round. in is valid only
+	// during the call: the engine reuses its storage for the next node.
 	Inbox(v int, in []Received)
 	// Done reports global termination; checked between rounds. It must be
 	// safe to call while no Outbox/Inbox call is in flight.
@@ -81,7 +84,8 @@ type Quiescent interface {
 // Outbox callback a handle that is only valid for that call.
 type Outbox struct {
 	payload Payload
-	calls   int // Broadcast calls in this callback; collect rejects a second
+	calls   int  // Broadcast calls in this callback; collect rejects a second
+	ignore  bool // IgnoreInbox was called
 }
 
 // Broadcast sends p to every neighbor of the node. The engine encodes p
@@ -95,6 +99,15 @@ func (o *Outbox) Broadcast(p Payload) {
 	o.payload = p
 	o.calls++
 }
+
+// IgnoreInbox declares that the node will not read the messages delivered
+// to it this round: its Inbox callback still runs, once, but with an empty
+// inbox, and the engine gathers nothing for it. A node calls it when its
+// Inbox would return at once on state that only its own Inbox changes (a
+// decided node, say). It changes nothing else: the node's own Broadcast is
+// delivered as usual, and every wire into the node is still accounted in
+// Stats, traces and the fault ledger.
+func (o *Outbox) IgnoreInbox() { o.ignore = true }
 
 // Stats aggregates execution metrics.
 type Stats struct {
@@ -175,13 +188,15 @@ const (
 // FaultModel is a structured, composable fault schedule (internal/chaos
 // provides the standard implementations: i.i.d. drops, targeted wire
 // adversaries, crash and crash-recover node faults, bit flips). Wire is
-// consulted from the shard goroutines twice per wire per round, once when
-// the wire is accounted and once when it is delivered, so implementations
-// must be safe for concurrent use and must be pure functions of their
-// arguments — that is what makes both answers agree and fault schedules
-// seed-deterministic and worker-count independent. The returned salt seeds
-// the choice of flipped bit when the outcome is FaultCorrupt (the engine
-// flips bit salt mod message length) and is ignored otherwise.
+// consulted from the shard goroutines at most twice per wire per round:
+// once when the wire is accounted, and once more when the receiver's inbox
+// is gathered, which it is not for a receiver that ignores its inbox
+// (Outbox.IgnoreInbox). Implementations must therefore be safe for
+// concurrent use and must be pure functions of their arguments — that is
+// what makes both answers agree and fault schedules seed-deterministic and
+// worker-count independent. The returned salt seeds the choice of flipped
+// bit when the outcome is FaultCorrupt (the engine flips bit salt mod
+// message length) and is ignored otherwise.
 //
 // Round numbers restart at 0 for every Engine.Run invocation; multi-phase
 // solvers (e.g. oldc.Solve) therefore expose fault schedules to each phase
@@ -225,7 +240,9 @@ type Engine struct {
 	// the shard goroutines' phase completions. slots[v] is the message
 	// node v broadcast this round (nil when it sent none), and sent[v] is
 	// 1 exactly when slots[v] is non-nil; collect writes both for its own
-	// nodes, and other shards read them after the route barrier.
+	// nodes, and other shards read them after the route barrier. ignore[v]
+	// records that v called Outbox.IgnoreInbox this round; only v's own
+	// shard writes and reads it.
 	shards   []*shard
 	chunk    int
 	builtN   int
@@ -233,6 +250,7 @@ type Engine struct {
 	done     chan struct{}
 	slots    []Payload
 	sent     []uint8
+	ignore   []bool
 
 	// Per-run state, written by the coordinator between phase barriers.
 	// allSent records that every node sent something this round.
