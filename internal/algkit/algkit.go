@@ -10,13 +10,13 @@
 //     two-pointer inbox merge that resolves each received message to its
 //     out-neighbor position without per-message adjacency lookups.
 //   - Scratch: the pooled per-callback scratch (conflict-kernel counter
-//     planes plus per-candidate / per-color count buffers) that lets
-//     concurrent Inbox/Outbox callbacks run allocation-free.
+//     planes, a cover.Filter, and per-candidate / per-color count buffers)
+//     that lets concurrent Inbox/Outbox callbacks run allocation-free.
 //   - AccumulateConflicts / ConflictArgmin: the batched bitset
 //     candidate-set conflict counting on top of cover.ConflictKernel.
-//   - CountWindow / CountMerge / Scratch.CountMergeBelow: per-color
-//     occurrence counting against sorted color lists (windowed for gap-g
-//     instances, two-pointer merged for gap 0).
+//   - CountWindow / Scratch.CountBelow: per-color occurrence counting
+//     against a sorted color list (windowed for one color at gap g, probed
+//     through the list's cover.Filter for a whole set at gap 0).
 //   - WriteList / ReadList: the color-list field of the type messages
 //     both oldc and fk24 send, and its hardened decoder.
 //
@@ -80,18 +80,21 @@ func (c OutCSR) MergePos(p, end int32, from int) (int32, int32, bool) {
 }
 
 // Scratch is the round-scoped scratch one Inbox/Outbox callback needs: the
-// batched conflict kernel's counter planes and the per-candidate /
-// per-color count buffers. The engine runs callbacks for different nodes
-// concurrently, so scratch is pooled rather than stored on the algorithm;
-// a worker grabs one, uses it for a single node, and returns it.
+// batched conflict kernel's counter planes, a Filter over the node's own
+// candidate set, and the per-candidate / per-color count buffers. The
+// engine runs callbacks for different nodes concurrently, so scratch is
+// pooled rather than stored on the algorithm; a worker grabs one, uses it
+// for a single node, and returns it.
 type Scratch struct {
 	// Kernel is the batched bitset conflict kernel's reusable counter planes.
 	Kernel cover.ConflictKernel
+	// Filter describes the list CountBelow counts into.
+	Filter cover.Filter
 	// D holds per-candidate-set conflicting-neighbor counts.
 	D []int32
 	// Cnt holds per-list-position occurrence counts.
 	Cnt []int32
-	// Pos holds the common positions CountMergeBelow collects.
+	// Pos holds the common positions CountBelow collects.
 	Pos []int32
 }
 
@@ -100,10 +103,12 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // GetScratch takes a scratch from the shared pool.
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-// PutScratch returns a scratch to the shared pool. The kernel's loaded
-// family is dropped first, so pooled scratch keeps no family alive.
+// PutScratch returns a scratch to the shared pool. The kernel's family and
+// the filter's list are dropped first, so pooled scratch keeps neither
+// alive.
 func PutScratch(s *Scratch) {
 	s.Kernel.Unload()
+	s.Filter.Unload()
 	scratchPool.Put(s)
 }
 
@@ -134,50 +139,18 @@ func CountWindow(cnt []int32, cv []int, y, g int) {
 	}
 }
 
-// CountMerge adds one to cnt[j] for every position j of cv whose color
-// also occurs in cu (both sorted ascending): one neighbor candidate set's
-// g = 0 contribution to every own color in a single two-pointer pass.
-func CountMerge(cnt []int32, cv, cu []int) {
-	i, j := 0, 0
-	for i < len(cv) && j < len(cu) {
-		switch {
-		case cv[i] < cu[j]:
-			i++
-		case cv[i] > cu[j]:
-			j++
-		default:
-			cnt[i]++
-			i++
-			j++
-		}
-	}
-}
-
-// CountMergeBelow adds CountMerge(cnt, cv, cu)'s contribution only when
-// cv and cu have fewer than tau colors in common — for sorted sets that is
-// exactly !cover.TauGConflict(cv, cu, tau, 0). One two-pointer pass
-// collects the common positions (stopping at the tau-th) and adds them
-// once the merge ends below tau.
-func (s *Scratch) CountMergeBelow(cnt []int32, cv, cu []int, tau int) {
-	pos := s.Pos[:0]
-	for i, j := 0, 0; i < len(cv) && j < len(cu) && len(pos) < tau; {
-		switch {
-		case cv[i] < cu[j]:
-			i++
-		case cv[i] > cu[j]:
-			j++
-		default:
-			pos = append(pos, int32(i))
-			i++
-			j++
-		}
-	}
-	s.Pos = pos
-	if len(pos) >= tau {
+// CountBelow adds one to cnt[j] for every position j of the list loaded
+// into s.Filter whose color also occurs in cu (sorted ascending), provided
+// the two share fewer than tau colors: for sorted sets that is exactly
+// !cover.TauGConflict(list, cu, tau, 0), and tau = math.MaxInt counts
+// every common color. The probe stops at the tau-th common color.
+func (s *Scratch) CountBelow(cnt []int32, cu []int, tau int) {
+	s.Pos = s.Filter.AppendCommon(s.Pos[:0], cu, tau)
+	if len(s.Pos) >= tau {
 		return
 	}
-	for _, i := range pos {
-		cnt[i]++
+	for _, j := range s.Pos {
+		cnt[j]++
 	}
 }
 

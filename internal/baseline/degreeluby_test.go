@@ -49,3 +49,18 @@ func BenchmarkDegreeLuby(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLuby times one Luby coloring of the same graph on a reused
+// engine. Every node keeps its own rand.Rand (about 5 KB), which sets the
+// floor of its allocation.
+func BenchmarkLuby(b *testing.B) {
+	g := graph.GNP(16384, 64.0/16383, 1)
+	eng := sim.NewEngine(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Luby(eng, g, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

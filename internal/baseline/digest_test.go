@@ -18,6 +18,10 @@ import (
 // trace bytes at every worker count, recorded at a726ae4.
 const digestExactArbdefective = "44efe62f3321ecde"
 
+// digestLuby pins Luby on G(512, 16/511) with draw seed 3: the coloring
+// and Stats at every worker count, recorded at d220d0e.
+const digestLuby = "39c823180fb277f3"
+
 // digestWorkers are the shard counts every digest is checked at.
 var digestWorkers = []int{1, 2, 4}
 
@@ -57,6 +61,19 @@ func TestDigestExactArbdefective(t *testing.T) {
 		}
 		if got := digest(phi, out, stats, buf.Bytes()); got != digestExactArbdefective {
 			t.Errorf("workers=%d: digest %s, want %s", w, got, digestExactArbdefective)
+		}
+	}
+}
+
+func TestDigestLuby(t *testing.T) {
+	g := graph.GNP(512, 16.0/511, 11)
+	for _, w := range digestWorkers {
+		phi, stats, err := Luby(sim.NewEngineWith(g, sim.Options{Workers: w}), g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(phi, stats); got != digestLuby {
+			t.Errorf("workers=%d: digest %s, want %s", w, got, digestLuby)
 		}
 	}
 }

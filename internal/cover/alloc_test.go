@@ -31,3 +31,29 @@ func TestConflictKernelAllocs(t *testing.T) {
 		t.Fatalf("reused kernel allocated %.1f times per call", allocs)
 	}
 }
+
+// TestFilterAllocs: once a Filter has held a list at least as long and as
+// wide, loading another and probing it, through Pos and AppendCommon on
+// either side, allocates nothing.
+func TestFilterAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	exact, hashed := randSet(rng, 480, 1<<15), randSet(rng, 55, 1<<20)
+	probes := randSet(rng, 4000, 1<<15)
+	var f Filter
+	dst := make([]int32, 0, len(probes))
+	for _, list := range [][]int{exact, hashed} {
+		f.Load(list)
+	}
+	for _, list := range [][]int{exact, hashed} {
+		allocs := testing.AllocsPerRun(100, func() {
+			f.Load(list)
+			for _, x := range probes[:64] {
+				f.Pos(x)
+			}
+			dst = f.AppendCommon(dst[:0], probes, 1<<30)
+		})
+		if allocs != 0 {
+			t.Fatalf("exact=%v: warm load and lookups allocated %.1f times", f.exact, allocs)
+		}
+	}
+}

@@ -211,13 +211,13 @@ func checkKernelModes(t *testing.T, k *ConflictKernel, f1, f2 *CachedFamily, exa
 			}
 		}
 	}
-	if k.exact != exact {
+	if k.filter.exact != exact {
 		t.Fatalf("own range [%d, %d] over %d nonzero colors: exact filter %v, want %v",
-			f1.NzColors[0], f1.NzColors[len(f1.NzColors)-1], len(f1.NzColors), k.exact, exact)
+			f1.NzColors[0], f1.NzColors[len(f1.NzColors)-1], len(f1.NzColors), k.filter.exact, exact)
 	}
 }
 
-// filterWords is the kernel's filter capacity in words for n nonzero
+// filterWords is a Filter's hashed capacity in words for a list of n
 // colors: nextPow2(n).
 func filterWords(n int) int {
 	w := 1
@@ -325,11 +325,12 @@ func tauEdges(f1, f2 *CachedFamily, g int) []int {
 	return out
 }
 
-// TestConflictKernelFilterBounded pins the probe filter's memory to the
+// TestConflictKernelFilterBounded pins the kernel's filter memory to the
 // family, not the color values: colors near 2^30 cost at most 16 bytes
 // of filter and 8 bytes of rank table per nonzero color (a color-indexed
 // table would need 128 MB), whether the colors spread over 2^20 (the
-// hashed filter) or over 2^12 (the exact one).
+// hashed side) or over 2^12 (the exact one). TestFilterSides checks which
+// side each list takes.
 func TestConflictKernelFilterBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, spread := range []int{1 << 20, 1 << 12} {
@@ -343,14 +344,11 @@ func TestConflictKernelFilterBounded(t *testing.T) {
 			var k ConflictKernel
 			k.FamilyConflictMask(own, nbr, 2, 0)
 			nz := len(own.NzColors)
-			if got, limit := 8*cap(k.filter), 16*nz; got > limit {
+			if got, limit := 8*cap(k.filter.words), 16*nz; got > limit {
 				t.Errorf("spread %d, %d sets: filter holds %d bytes for %d nonzero colors, limit %d", spread, numSets, got, nz, limit)
 			}
-			if got, limit := 4*cap(k.rank), 8*nz; got > limit {
+			if got, limit := 4*cap(k.filter.rank), 8*nz; got > limit {
 				t.Errorf("spread %d, %d sets: rank table holds %d bytes for %d nonzero colors, limit %d", spread, numSets, got, nz, limit)
-			}
-			if want := own.NzColors[nz-1]-own.NzColors[0] < 64*filterWords(nz); k.exact != want {
-				t.Errorf("spread %d, %d sets: exact filter %v, want %v", spread, numSets, k.exact, want)
 			}
 		}
 	}

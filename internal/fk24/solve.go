@@ -2,6 +2,7 @@ package fk24
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/algkit"
 	"repro/internal/bitio"
@@ -251,10 +252,15 @@ func (a *alg) chooseCv(v int, sc *algkit.Scratch) {
 func (a *alg) pickColor(v int) {
 	cv := a.cv[v]
 	cnt := a.committed[v]
-	for _, cu := range a.sbSet[v] {
-		if cu != nil {
-			algkit.CountMerge(cnt, cv, cu)
+	if len(a.sbSet[v]) > 0 {
+		sc := algkit.GetScratch()
+		sc.Filter.Load(cv)
+		for _, cu := range a.sbSet[v] {
+			if cu != nil {
+				sc.CountBelow(cnt, cu, math.MaxInt)
+			}
 		}
+		algkit.PutScratch(sc)
 	}
 	best := 0
 	bestSlack := cnt[0] - a.cvDef[v][0]

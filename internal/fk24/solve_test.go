@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -251,5 +252,72 @@ func TestFaultedDigest(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSameBucketDigest pins Solve with four buckets on a 24-regular
+// graph, so every node has same-bucket neighbors and commits from a
+// candidate set of its family against theirs. Over 2^9 colors some C_v
+// span few enough colors for an exact filter; over 2^20 nearly all are
+// hashed. The coloring and Stats must match the digests recorded at
+// d220d0e at every worker count.
+func TestSameBucketDigest(t *testing.T) {
+	o := graph.OrientByID(graph.RandomRegular(128, 24, 5))
+	for _, tc := range []struct {
+		space int
+		want  uint64
+	}{
+		{1 << 9, 0xdb0109c18d695f2f},
+		{1 << 20, 0x70b7627044487856},
+	} {
+		in := prepareInput(o, tc.space, 6.0, 3, 7)
+		for _, workers := range []int{1, 2, 4} {
+			eng := sim.NewEngine(o.Graph())
+			eng.SetWorkers(workers)
+			phi, stats, err := Solve(eng, in, Options{Buckets: 4, SkipValidate: true})
+			if err != nil {
+				t.Fatalf("|C|=%d workers=%d: %v", tc.space, workers, err)
+			}
+			if got := digest(phi, stats); got != tc.want {
+				t.Errorf("|C|=%d workers=%d: digest %#x, want %#x", tc.space, workers, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestPickColorMatchesReference re-picks every node after a four-bucket
+// run and compares the counts the pick adds with the rule written out:
+// one per color of C_v for each same-bucket set that holds it.
+func TestPickColorMatchesReference(t *testing.T) {
+	o := graph.OrientByID(graph.RandomRegular(128, 24, 5))
+	in := prepareInput(o, 1<<9, 6.0, 3, 7)
+	pr := Options{}.Params.OrPractical()
+	tau := pr.Tau(1, in.SpaceSize, in.M)
+	a, err := newAlg(spec{o: o, spaceSize: in.SpaceSize, m: in.M, buckets: 4, lists: in.Lists, init: in.InitColors, tau: tau, kprime: pr.KPrime(1, tau), pr: pr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(o.Graph())
+	a.sink = eng
+	if _, err := eng.Run(a, MaxRounds(4)); err != nil {
+		t.Fatal(err)
+	}
+	added := 0
+	for v := range a.cv {
+		want := slices.Clone(a.committed[v])
+		for _, cu := range a.sbSet[v] {
+			for j, x := range a.cv[v] {
+				if slices.Contains(cu, x) {
+					want[j]++
+					added++
+				}
+			}
+		}
+		if a.pickColor(v); !slices.Equal(a.committed[v], want) {
+			t.Fatalf("node %d: counts %v, want %v", v, a.committed[v], want)
+		}
+	}
+	if added == 0 {
+		t.Fatal("no same-bucket set shares a color with C_v: the instance no longer exercises the count")
 	}
 }

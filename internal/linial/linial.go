@@ -128,15 +128,16 @@ func (a *reduceAlg) record(v int) []uint32 {
 // sender and the color it carries.
 type opponent struct{ from, color int }
 
-// reduceScratch is the per-callback scratch of one Inbox evaluation.
-// Callbacks for different nodes run concurrently, so scratch is pooled,
-// never stored on the algorithm.
+// reduceScratch is the per-callback scratch of one Inbox evaluation, of a
+// reduction step or of FoldColors. Callbacks for different nodes run
+// concurrently, so scratch is pooled, never stored on the algorithm.
 type reduceScratch struct {
 	opps   []opponent
 	own    []uint64 // deg+1 base-q digits of one color, lowest first
 	digits []uint64 // proper step: deg+1 base-q digits per opponent, lowest first
 	vals   []uint32 // defective step: values of the node's own color, then of a fallback opponent's, at every point
 	cnt    []int32  // defective step: colliding opponents per point
+	taken  []bool   // fold: the colors below the floor a neighbor holds
 }
 
 var reduceScratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}

@@ -2,6 +2,7 @@ package linial
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/coloring"
@@ -29,7 +30,6 @@ import (
 // rare and a pigeonhole over the round budget forces every node to settle.
 
 type rowShiftAlg struct {
-	g       *graph.Graph
 	p       int
 	budget  int // δ′: tolerated row conflicts at settle time
 	rounds  int // T: round budget
@@ -67,7 +67,7 @@ func newRowShift(g *graph.Graph, classes []int, numClasses, p, budget, rounds in
 	}
 	n := g.N()
 	a := &rowShiftAlg{
-		g: g, p: p, budget: budget, rounds: rounds,
+		p: p, budget: budget, rounds: rounds,
 		pairA: make([]int, n), pairB: make([]int, n),
 		settled: make([]bool, n), color: make([]int, n), settleT: make([]int, n),
 	}
@@ -188,7 +188,7 @@ func DeltaPlusOne(eng *sim.Engine, g *graph.Graph, ids []int, m int) ([]int, sim
 		return nil, total, err
 	}
 	delta := g.MaxDegree()
-	fin := &foldAlg{g: g, colors: c2, cur: p - 1, floor: delta + 1, width: bitio.WidthFor(p)}
+	fin := &foldAlg{colors: c2, cur: p - 1, floor: delta + 1, width: bitio.WidthFor(p)}
 	s3, err := eng.Run(fin, p+2)
 	total = total.Add(s3)
 	if err != nil {
@@ -209,7 +209,7 @@ func FoldColors(eng *sim.Engine, g *graph.Graph, colors []int, m, floor int) ([]
 	if floor < g.MaxDegree()+1 {
 		return nil, sim.Stats{}, fmt.Errorf("linial: fold floor %d below Δ+1", floor)
 	}
-	fin := &foldAlg{g: g, colors: append([]int(nil), colors...), cur: m - 1, floor: floor, width: bitio.WidthFor(m)}
+	fin := &foldAlg{colors: append([]int(nil), colors...), cur: m - 1, floor: floor, width: bitio.WidthFor(m)}
 	stats, err := eng.Run(fin, m+2)
 	if err != nil {
 		return nil, stats, err
@@ -223,7 +223,6 @@ func FoldColors(eng *sim.Engine, g *graph.Graph, colors []int, m, floor int) ([]
 // foldAlg eliminates one color class per round: nodes with the currently
 // highest color pick the smallest free color in [0, floor).
 type foldAlg struct {
-	g       *graph.Graph
 	colors  []int
 	cur     int
 	floor   int
@@ -242,20 +241,22 @@ func (a *foldAlg) Inbox(v int, in []sim.Received) {
 	if a.colors[v] != a.cur {
 		return
 	}
-	taken := make([]bool, a.floor)
+	sc := reduceScratchPool.Get().(*reduceScratch)
+	taken := slices.Grow(sc.taken[:0], a.floor)[:a.floor]
+	clear(taken)
 	for _, msg := range in {
 		c := int(msg.Payload.(sim.UintPayload).Value)
 		if c < a.floor {
 			taken[c] = true
 		}
 	}
-	for c := 0; c < a.floor; c++ {
-		if !taken[c] {
-			a.colors[v] = c
-			return
-		}
+	free := slices.Index(taken, false)
+	sc.taken = taken
+	reduceScratchPool.Put(sc)
+	if free < 0 {
+		panic("linial: fold found no free color (degree bound violated)")
 	}
-	panic("linial: fold found no free color (degree bound violated)")
+	a.colors[v] = free
 }
 
 func (a *foldAlg) Done() bool {

@@ -49,7 +49,7 @@ func Check(g *graph.Graph, set []bool) error {
 // numColors rounds: color classes join greedily in increasing color order
 // unless a neighbor already joined.
 func FromColoring(eng *sim.Engine, g *graph.Graph, colors []int, numColors int) ([]bool, sim.Stats, error) {
-	alg := &classAlg{g: g, colors: colors, numColors: numColors, in: make([]int8, g.N())}
+	alg := &classAlg{colors: colors, in: make([]int8, g.N())}
 	stats, err := eng.Run(alg, numColors+2)
 	if err != nil {
 		return nil, stats, err
@@ -70,13 +70,10 @@ func FromColoring(eng *sim.Engine, g *graph.Graph, colors []int, numColors int) 
 // classAlg: in round c+1 the nodes of color class c decide; joined nodes
 // announce once, knocking their neighbors out.
 type classAlg struct {
-	g         *graph.Graph
-	colors    []int
-	numColors int
-	in        []int8 // 0 undecided, 1 in, -1 out
-	justIn    []int  // nodes that joined in the previous round announce
-	round     int
-	started   bool
+	colors  []int
+	in      []int8 // 0 undecided, 1 in, -1 out
+	round   int
+	started bool
 }
 
 func (a *classAlg) Outbox(v int, out *sim.Outbox) {
@@ -135,7 +132,7 @@ func Deterministic(g *graph.Graph) ([]bool, sim.Stats, error) {
 // out. O(log n) rounds w.h.p.
 func Luby(eng *sim.Engine, g *graph.Graph, seed int64) ([]bool, sim.Stats, error) {
 	n := g.N()
-	alg := &lubyMISAlg{g: g, in: make([]int8, n), prio: make([]uint32, n), rng: make([]*rand.Rand, n),
+	alg := &lubyMISAlg{in: make([]int8, n), prio: make([]uint32, n), rng: make([]*rand.Rand, n),
 		width: 31} // priorities are Int31 draws
 	for v := 0; v < n; v++ {
 		alg.rng[v] = rand.New(rand.NewSource(seed*65_537 + int64(v)))
@@ -155,7 +152,6 @@ func Luby(eng *sim.Engine, g *graph.Graph, seed int64) ([]bool, sim.Stats, error
 }
 
 type lubyMISAlg struct {
-	g       *graph.Graph
 	in      []int8
 	prio    []uint32
 	rng     []*rand.Rand

@@ -23,10 +23,17 @@ import (
 //
 // The Δ=128 Solve runs over |C| = 2^15 with ≈3.5k-color lists, so every
 // type message takes the characteristic-vector (bitset) encoding.
+//
+// The |C| = 2^20 Solve spreads each node's few-color list over the whole
+// space: its lists take the sorted side of coloring.SquareSumOrientedRange,
+// its nodes fall into four γ-classes, and nearly every C_v spans more than
+// 64·nextPow2(|C_v|) colors, so Phase II's filters take the hashed side.
+// It was recorded at d220d0e and is checked at workers 1, 2 and 4.
 const (
 	digestSolveD128      = "4b3a079c4446fa3c"
 	digestSolveMultiGap1 = "495ec05441ed91ee"
 	digestRepairRegion   = "4572c9c14c6016b1"
+	digestSolveWide      = "48b1e71359da3988"
 )
 
 // digest hashes the %#v rendering of each part (byte slices raw), so any
@@ -97,6 +104,21 @@ func TestDigestSolveDelta128(t *testing.T) {
 	}
 	closeTrace(t, tr, stats)
 	checkDigest(t, "Solve Δ=128", digest(phi, stats, buf.Bytes()), digestSolveD128)
+}
+
+func TestDigestSolveWideSpace(t *testing.T) {
+	g := graph.GNP(192, 0.2, 1)
+	in := identityInput(graph.OrientByID(g), 1<<20, 6.0, 3, 9)
+	for _, w := range []int{1, 2, 4} {
+		var buf bytes.Buffer
+		tr := obs.NewJSONL(&buf)
+		phi, stats, err := Solve(sim.NewEngineWith(g, sim.Options{Workers: w, Tracer: tr}), in, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeTrace(t, tr, stats)
+		checkDigest(t, fmt.Sprintf("Solve |C|=2^20, workers=%d", w), digest(phi, stats, buf.Bytes()), digestSolveWide)
+	}
 }
 
 func TestDigestSolveMultiGap1(t *testing.T) {

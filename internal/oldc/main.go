@@ -600,20 +600,24 @@ func (a *twoPhaseAlg) chooseCv(v, class int, sc *algkit.Scratch) {
 
 // pickColor finalizes v's color (Phase II): counts exact colors of higher
 // classes and candidate-set occurrences of non-ignored same-class
-// out-neighbors. The ignore test depends only on the neighbor, and one
-// two-pointer merge of each same-class neighbor set against C_v both
-// decides it and fills the per-color count buffer.
+// out-neighbors. The ignore test depends only on the neighbor: C_v's
+// Filter is loaded once, and probing each same-class neighbor set through
+// it both decides the test (stopping at the τ-th common color) and fills
+// the per-color count buffer.
 func (a *twoPhaseAlg) pickColor(v int, sc *algkit.Scratch) {
 	class := a.spec.gclass[v]
 	cv := a.cv[v]
 	cnt := algkit.Grow32(sc.Cnt, len(cv))
 	sc.Cnt = cnt
+	sc.Filter.Load(cv)
 	for p := a.csr.Off[v]; p < a.csr.Off[v+1]; p++ {
 		if a.nbrCv[p] != nil && a.nbrType[p].gclass == class {
-			sc.CountMergeBelow(cnt, cv, a.nbrCv[p], a.spec.tau)
+			sc.CountBelow(cnt, a.nbrCv[p], a.spec.tau)
 		}
 		if xu := a.nbrColor[p]; xu >= 0 {
-			algkit.CountWindow(cnt, cv, int(xu), 0)
+			if j, ok := sc.Filter.Pos(int(xu)); ok {
+				cnt[j]++
+			}
 		}
 	}
 	bestX := -1
@@ -634,7 +638,7 @@ func (a *twoPhaseAlg) pickColor(v int, sc *algkit.Scratch) {
 // ignored reports whether a same-class out-neighbor's candidate set
 // conflicts too heavily with C_v (it is then outside N_{i,*} and accounted
 // against the d_v/4 ignore budget). pickColor evaluates the same rule
-// inside its counting merge; this form is the documented reference.
+// inside its counting probe; this form is the documented reference.
 func (a *twoPhaseAlg) ignored(v int, cu []int) bool {
 	return cover.ConflictWeight(a.cv[v], cu, 0) >= a.spec.tau
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/algkit"
 	"repro/internal/cover"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 func TestNextPow2(t *testing.T) {
@@ -160,5 +161,56 @@ func TestFamilyOfConsistency(t *testing.T) {
 	// With the cache on, both derivations must be the same memoized entry.
 	if k1 != k2 {
 		t.Fatal("cache must return the same entry for equal types")
+	}
+}
+
+// TestPickColorMatchesReference re-picks every node after a solve and
+// compares Phase II's per-color counts with the rule written out: one per
+// color of C_v for each same-class neighbor set the ignored test keeps
+// that holds it, and one for each neighbor's color that equals it. Over
+// 2^11 colors some same-class sets reach τ common colors and some
+// neighbor colors fall in C_v, so both parts of the rule are exercised.
+func TestPickColorMatchesReference(t *testing.T) {
+	g := permutedCirculant(128, 16, 3)
+	in := identityInput(graph.OrientByID(g), 1<<11, 6.0, 3, 5)
+	eng := sim.NewEngine(g)
+	a, prep, err := prepareTwoPhase(eng, in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.sink = eng
+	if _, err := eng.RunFrom(a, 0, twoPhaseMaxRounds(a.spec.h), prep); err != nil {
+		t.Fatal(err)
+	}
+	var sc algkit.Scratch
+	ignored, colorHits := 0, 0
+	for v := 0; v < g.N(); v++ {
+		cv := a.cv[v]
+		want := make([]int32, len(cv))
+		for p := a.csr.Off[v]; p < a.csr.Off[v+1]; p++ {
+			if cu := a.nbrCv[p]; cu != nil && a.nbrType[p].gclass == a.spec.gclass[v] {
+				if a.ignored(v, cu) {
+					ignored++
+				} else {
+					for j, x := range cv {
+						if slices.Contains(cu, x) {
+							want[j]++
+						}
+					}
+				}
+			}
+			if xu := a.nbrColor[p]; xu >= 0 {
+				if j := slices.Index(cv, int(xu)); j >= 0 {
+					want[j]++
+					colorHits++
+				}
+			}
+		}
+		if a.pickColor(v, &sc); !slices.Equal(sc.Cnt, want) {
+			t.Fatalf("node %d: counts %v, want %v", v, sc.Cnt, want)
+		}
+	}
+	if ignored == 0 || colorHits == 0 {
+		t.Fatalf("%d ignored sets and %d neighbor colors in C_v: the instance no longer exercises the rule", ignored, colorHits)
 	}
 }
