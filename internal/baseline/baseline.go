@@ -77,7 +77,11 @@ type lubyAlg struct {
 	color    []int // final color or -1
 	proposal []int
 	width    int
-	started  bool
+	// msgs[c<<1 | decided] is the message carrying color c: one word of
+	// 1 + width bits, the decided flag, then c. The 2(Δ+1) messages are
+	// boxed once, so a broadcast allocates nothing.
+	msgs    []sim.Payload
+	started bool
 }
 
 func newLubyAlg(g *graph.Graph, seed int64) *lubyAlg {
@@ -88,13 +92,17 @@ func newLubyAlg(g *graph.Graph, seed int64) *lubyAlg {
 		a.color[v] = -1
 	}
 	a.width = bitio.WidthFor(g.MaxDegree() + 2)
+	a.msgs = make([]sim.Payload, 2*(g.MaxDegree()+1))
+	for i := range a.msgs {
+		a.msgs[i] = sim.UintPayload{Value: uint64(i&1)<<uint(a.width) | uint64(i>>1), Width: 1 + a.width}
+	}
 	return a
 }
 
 func (a *lubyAlg) Outbox(v int, out *sim.Outbox) {
 	if a.color[v] >= 0 {
 		out.IgnoreInbox()
-		out.Broadcast(sim.Composite{sim.UintPayload{Value: 1, Width: 1}, sim.UintPayload{Value: uint64(a.color[v]), Width: a.width}})
+		out.Broadcast(a.msgs[a.color[v]<<1|1])
 		return
 	}
 	// Propose a random palette color not yet claimed by a decided neighbor.
@@ -111,7 +119,7 @@ func (a *lubyAlg) Outbox(v int, out *sim.Outbox) {
 		}
 	}
 	scratchPool.Put(sc)
-	out.Broadcast(sim.Composite{sim.UintPayload{Value: 0, Width: 1}, sim.UintPayload{Value: uint64(a.proposal[v]), Width: a.width}})
+	out.Broadcast(a.msgs[a.proposal[v]<<1])
 }
 
 // scratch is the buffers of one callback. Callbacks for different nodes
@@ -145,8 +153,7 @@ func (a *lubyAlg) Inbox(v int, in []sim.Received) {
 	}
 	ok := true
 	for _, msg := range in {
-		c := msg.Payload.(sim.Composite)
-		val := int(c[1].(sim.UintPayload).Value)
+		val := int(msg.Payload.(sim.UintPayload).Value & (1<<uint(a.width) - 1))
 		if val == a.proposal[v] {
 			ok = false
 			break

@@ -103,26 +103,31 @@ func (w *Writer) WriteEliasGamma(x uint64) {
 func (w *Writer) WriteVarint(x uint64) { w.WriteEliasGamma(x + 1) }
 
 // WriteBitset appends the characteristic vector of the set over a universe
-// of the given size: exactly `universe` bits. Elements may repeat.
+// of the given size: exactly `universe` bits. Elements may repeat. An
+// element outside [0, universe) panics and leaves the writer as it was.
 func (w *Writer) WriteBitset(set []int, universe int) {
 	if universe < 0 {
 		panic(fmt.Sprintf("bitio: bad universe %d", universe))
 	}
-	for _, x := range set {
-		if x < 0 || x >= universe {
-			panic(fmt.Sprintf("bitio: element %d outside universe %d", x, universe))
-		}
-	}
 	// Extend with zero bytes (cleared: a reused buffer's capacity holds
-	// stale bytes), then set the members' bits.
+	// stale bytes), then range-check each member and set its bit in one
+	// pass.
 	start, n := w.nbit, len(w.buf)
-	w.nbit += universe
-	w.buf = slices.Grow(w.buf, (w.nbit+7)/8-n)[:(w.nbit+7)/8]
+	end := start + universe
+	w.buf = slices.Grow(w.buf, (end+7)/8-n)[:(end+7)/8]
 	clear(w.buf[n:])
 	for _, x := range set {
-		p := start + x
-		w.buf[p/8] |= 1 << (7 - uint(p%8))
+		if uint(x) >= uint(universe) {
+			w.buf = w.buf[:n]
+			if start%8 != 0 {
+				w.buf[n-1] &^= 0xFF >> uint(start%8) // the bits past start
+			}
+			panic(fmt.Sprintf("bitio: element %d outside universe %d", x, universe))
+		}
+		p := uint(start) + uint(x)
+		w.buf[p/8] |= 1 << (7 - p%8)
 	}
+	w.nbit = end
 }
 
 // Reader consumes a bit string produced by Writer. Reads past the end or

@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -123,6 +124,39 @@ func TestBitset(t *testing.T) {
 		for _, x := range got {
 			if !seen[x] {
 				t.Fatalf("unexpected element %d", x)
+			}
+		}
+	}
+}
+
+// TestBitsetOutOfUniverse: an element outside [0, universe) panics, and
+// the writer keeps the bits and length it had, whether the bitset would
+// have started on a byte boundary or inside a byte, and whether the bad
+// element comes first or after members whose bits were already set.
+func TestBitsetOutOfUniverse(t *testing.T) {
+	for _, prefix := range []int{0, 3, 8, 13} {
+		for _, set := range [][]int{{-1}, {10}, {0, 1, 2, 9, 10}, {5, 9, 3, -7}, {4, 1 << 40}} {
+			w := NewWriter()
+			w.WriteUint(1<<uint(prefix)-1, prefix)
+			before := append([]byte(nil), w.Bytes()...)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("prefix %d, set %v: no panic", prefix, set)
+					}
+				}()
+				w.WriteBitset(set, 10)
+			}()
+			if w.Len() != prefix || !bytes.Equal(w.Bytes(), before) {
+				t.Fatalf("prefix %d, set %v: writer %d bits %x, want %d bits %x", prefix, set, w.Len(), w.Bytes(), prefix, before)
+			}
+			// The writer goes on as if the call had not happened.
+			w.WriteBitset([]int{0, 9}, 10)
+			ref := NewWriter()
+			ref.WriteUint(1<<uint(prefix)-1, prefix)
+			ref.WriteBitset([]int{0, 9}, 10)
+			if w.Len() != ref.Len() || !bytes.Equal(w.Bytes(), ref.Bytes()) {
+				t.Fatalf("prefix %d, set %v: next write gives %x, want %x", prefix, set, w.Bytes(), ref.Bytes())
 			}
 		}
 	}

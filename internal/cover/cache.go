@@ -31,14 +31,16 @@ type CachedFamily struct {
 // Family(t) exactly — same seed, same partial Fisher–Yates draw order — so
 // the cached form is bit-identical to the reference derivation; the
 // compact membership index is built from the drawn positions as a side
-// product (via a reusable full-length scratch mask). Where Family refills
-// the whole index permutation for every set, this undoes each set's
-// SetSize swaps instead, which restores the identity permutation the next
-// set's draws start from. Where Family sorts each set, this marks the
-// drawn positions in a bitmap and reads them back in position order: the
-// list ascends, so position order is color order. Backing storage is
-// carved from the arena (the caller must hold the cache lock). f.List
-// aliases t.List.
+// product. Where Family refills the whole index permutation for every
+// set, this undoes each set's SetSize swaps instead, which restores the
+// identity permutation the next set's draws (and the next derivation)
+// start from. Where Family sorts each set, this marks the drawn positions
+// in a bitmap and reads them back in position order: the list ascends, so
+// position order is color order. Each set's bitmap is ORed into a union,
+// and the index reads its rows off the union's set bits, clearing the
+// per-position masks as it goes, so a derivation touches only the drawn
+// positions and |L|/64 words besides. Backing storage is carved from the
+// arena (the caller must hold the cache lock). f.List aliases t.List.
 func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 	setSize := t.SetSize
 	if setSize > len(t.List) {
@@ -50,17 +52,16 @@ func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 		return
 	}
 	useMask := t.NumSets <= 64
-	var colMask []uint64
+	words := (len(t.List) + 63) / 64
+	var colMask, union []uint64
 	if useMask {
-		colMask = a.maskScratch(len(t.List))
+		colMask = a.zeroed(&a.mask, len(t.List))
+		union = a.zeroed(&a.union, words)
 	}
 	rng := splitmix{state: t.seed()}
 	f.Sets = a.setHeaders(t.NumSets)
-	idx := a.indexScratch(len(t.List))
-	for i := range idx {
-		idx[i] = i
-	}
-	drawn := a.bitmapScratch(len(t.List))
+	idx := a.identity(len(t.List))
+	drawn := a.zeroed(&a.bitmap, words)
 	for s := range f.Sets {
 		// Partial Fisher–Yates: the first SetSize entries become a uniform
 		// subset (identical draws to Family). set[i] holds swap i's partner
@@ -89,7 +90,11 @@ func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 		// bitmap for the next set.
 		k := 0
 		for wi := lo; wi <= hi; wi++ {
-			for wd := drawn[wi]; wd != 0; wd &= wd - 1 {
+			wd := drawn[wi]
+			if useMask {
+				union[wi] |= wd
+			}
+			for ; wd != 0; wd &= wd - 1 {
 				set[k] = t.List[wi<<6|bits.TrailingZeros64(wd)]
 				k++
 			}
@@ -99,20 +104,21 @@ func deriveFamily(t Type, f *CachedFamily, a *familyArena) {
 	}
 	if useMask {
 		nnz := 0
-		for _, m := range colMask {
-			if m != 0 {
-				nnz++
-			}
+		for _, u := range union {
+			nnz += bits.OnesCount64(u)
 		}
 		f.NzColors = a.ints(nnz)
 		f.NzMask = a.words(nnz)
 		k := 0
-		for j, m := range colMask {
-			if m != 0 {
-				f.NzColors[k] = t.List[j]
-				f.NzMask[k] = m
+		for wi, u := range union {
+			for ; u != 0; u &= u - 1 {
+				p := wi<<6 | bits.TrailingZeros64(u)
+				f.NzColors[k] = t.List[p]
+				f.NzMask[k] = colMask[p]
+				colMask[p] = 0
 				k++
 			}
+			union[wi] = 0
 		}
 	}
 }
@@ -126,10 +132,13 @@ type familyArena struct {
 	words64 []uint64
 	hdrs    [][]int
 	fams    []CachedFamily
-	idx     []int    // reusable Fisher–Yates scratch, not carved
-	mask    []uint64 // reusable per-position membership scratch, not carved
-	bitmap  []uint64 // reusable drawn-position bitmap, not carved, kept zeroed
-	bytes   int64    // total reserved chunk bytes, for observability
+	// Reusable derivation scratch, not carved: the Fisher–Yates index is
+	// kept at the identity, and the others are kept zeroed.
+	idx    []int
+	mask   []uint64 // per-position set membership
+	bitmap []uint64 // one set's drawn positions
+	union  []uint64 // every set's drawn positions
+	bytes  int64    // total reserved chunk bytes, for observability
 }
 
 const (
@@ -196,39 +205,29 @@ func (a *familyArena) family() *CachedFamily {
 	return &a.fams[len(a.fams)-1]
 }
 
-// indexScratch returns a reusable length-n index buffer.
-func (a *familyArena) indexScratch(n int) []int {
+// identity returns the reusable length-n index buffer, which holds the
+// identity permutation. Users must leave it so.
+func (a *familyArena) identity(n int) []int {
 	if cap(a.idx) < n {
 		a.idx = make([]int, n)
+		for i := range a.idx {
+			a.idx[i] = i
+		}
 		a.bytes += int64(n) * 8
 	}
 	return a.idx[:n]
 }
 
-// bitmapScratch returns a reusable zeroed bitmap of n bits. Users must
-// leave it zeroed.
-func (a *familyArena) bitmapScratch(n int) []uint64 {
-	words := (n + 63) / 64
-	if cap(a.bitmap) < words {
-		a.bitmap = make([]uint64, words)
-		a.bytes += int64(words) * 8
-	}
-	return a.bitmap[:words]
-}
-
-// maskScratch returns a reusable zeroed length-n mask buffer (derivation
-// scratch only — never stored on entries, so list-length masks don't make
-// the arena grow with Σ|list|).
-func (a *familyArena) maskScratch(n int) []uint64 {
-	if cap(a.mask) < n {
-		a.mask = make([]uint64, n)
+// zeroed returns the reusable buffer *buf cut to n zeroed words, growing
+// it when it is shorter (derivation scratch only — never stored on
+// entries, so list-length buffers don't make the arena grow with
+// Σ|list|). Users must leave it zeroed.
+func (a *familyArena) zeroed(buf *[]uint64, n int) []uint64 {
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
 		a.bytes += int64(n) * 8
 	}
-	s := a.mask[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return (*buf)[:n]
 }
 
 // FamilyCache memoizes Family derivations by Type. The paper's Lemma 3.6

@@ -10,22 +10,40 @@ import (
 	"testing/quick"
 )
 
+// TestCachedFamilyMatchesFamily derives a sequence of types through one
+// cache, as a solve does: the lists grow and shrink (one to 5,000
+// colors), and NumSets lies on both sides of 64. The derivation scratch
+// that the cache reuses across them — the Fisher–Yates index, kept at the
+// identity, and the drawn-position bitmaps and per-position masks, kept
+// zeroed — must leave no trace: every family equals Family and, up to 64
+// sets, its nonzero transpose, and the scratch is back in its resting
+// state after each derivation.
 func TestCachedFamilyMatchesFamily(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 25; i++ {
+	c := NewFamilyCache()
+	lengths := []int{80, 2000, 5, 5000, 1, 300, 4999, 64, 65, 2, 1200, 7}
+	for i := 0; i < 60; i++ {
+		n := lengths[i%len(lengths)] - rng.Intn(2)
 		ty := Type{
-			InitColor: rng.Intn(100),
-			List:      randSet(rng, 1+rng.Intn(80), 1+rng.Intn(2000)),
-			SetSize:   1 + rng.Intn(20),
-			NumSets:   1 + rng.Intn(10),
+			InitColor: i,
+			List:      randSet(rng, max(n, 1), 2*n+rng.Intn(3000)+1),
+			SetSize:   1 + rng.Intn(64),
+			NumSets:   1 + rng.Intn(72),
 		}
-		cf := NewFamilyCache().Get(ty)
+		cf := c.Get(ty)
 		want := Family(ty)
 		if !reflect.DeepEqual(cf.Sets, want) {
 			t.Fatalf("type %d: cached sets diverge from Family", i)
 		}
 		if !reflect.DeepEqual(cf.List, ty.List) {
 			t.Fatalf("type %d: cached list diverges from the type's list", i)
+		}
+		checkDerivationScratch(t, i, &c.arena)
+		if ty.NumSets > 64 {
+			if cf.NzColors != nil || cf.NzMask != nil {
+				t.Fatalf("type %d: %d sets must not carry the compact index", i, ty.NumSets)
+			}
+			continue
 		}
 		// The compact index is the exact transpose of set membership: each
 		// list color covered by at least one set appears once, in list
@@ -48,6 +66,25 @@ func TestCachedFamilyMatchesFamily(t *testing.T) {
 		}
 		if k != len(cf.NzColors) || len(cf.NzColors) != len(cf.NzMask) {
 			t.Fatalf("type %d: %d compact rows, expected %d", i, len(cf.NzColors), k)
+		}
+	}
+}
+
+// checkDerivationScratch requires the arena's derivation scratch to be in
+// its resting state: the whole index buffer the identity, and the masks
+// and bitmaps zero.
+func checkDerivationScratch(t *testing.T, i int, a *familyArena) {
+	t.Helper()
+	for p, x := range a.idx[:cap(a.idx)] {
+		if x != p {
+			t.Fatalf("type %d: index entry %d is %d after the derivation", i, p, x)
+		}
+	}
+	for _, buf := range [][]uint64{a.mask, a.bitmap, a.union} {
+		for _, w := range buf[:cap(buf)] {
+			if w != 0 {
+				t.Fatalf("type %d: derivation left a scratch word set", i)
+			}
 		}
 	}
 }

@@ -525,8 +525,8 @@ func refSolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment
 	return coloring.Assignment(phi), stats, nil
 }
 
-// refSolve is the seed Solve: γ-class selection over refSolveMulti, then
-// refTwoPhaseAlg.
+// refSolve is the seed Solve: the case analysis of refAnalyzeNode,
+// γ-class selection over refSolveMulti, then refTwoPhaseAlg.
 func refSolve(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
 	pr := opts.Params.OrPractical()
 	o := in.O
@@ -542,7 +542,7 @@ func refSolve(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim
 	auxLists := make([]coloring.NodeList, n)
 	trivial := true
 	for v := 0; v < n; v++ {
-		s, err := analyzeNodeInto(newAnalyzeScratch(h, in.Lists[v].Len()), o.OutDegree(v), in.Lists[v], h, hPrime, tauBar, pr.Alpha)
+		s, err := refAnalyzeNode(o.OutDegree(v), in.Lists[v], h, hPrime, tauBar, pr.Alpha)
 		if err != nil {
 			return nil, total, err
 		}

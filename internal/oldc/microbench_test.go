@@ -35,3 +35,20 @@ func benchmarkSolve(b *testing.B, n, delta, space int, kappa float64) {
 func BenchmarkSolveDelta8(b *testing.B)   { benchmarkSolve(b, 256, 8, 1<<12, 5.0) }
 func BenchmarkSolveDelta64(b *testing.B)  { benchmarkSolve(b, 256, 64, 1<<14, 6.0) }
 func BenchmarkSolveDelta128(b *testing.B) { benchmarkSolve(b, 256, 128, 1<<15, 6.0) }
+
+// BenchmarkPrepareDelta128 times Solve's preparation — the Lemma 3.8 case
+// analysis and the γ-class selection — at the oldc-d128 benchmark
+// workload's shape: a 128-regular graph on 1,024 nodes, square-sum lists
+// of about 4,700 colors over 2^15 (κ = 6, defects 0, 1 and 3), by-id
+// orientation and identity initial colors.
+func BenchmarkPrepareDelta128(b *testing.B) {
+	g := permutedCirculant(1024, 128, 1)
+	in := identityInput(graph.OrientByID(g), 1<<15, 6.0, 3, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := prepareTwoPhase(sim.NewEngine(g), in, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
