@@ -43,6 +43,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/coloring"
 	"repro/internal/congest"
+	"repro/internal/cover"
 	"repro/internal/fk24"
 	"repro/internal/graph"
 	"repro/internal/linial"
@@ -372,7 +373,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			out.Valid = coloring.CheckOLDC(o, in.Lists, phi) == nil
 		} else if *repair {
 			eng := sim.NewEngineWith(g, simOpts)
-			phi, rep, err := oldc.SolveRobust(eng, in, oldc.RobustOptions{})
+			phi, rep, err := oldc.SolveRobust(eng, in, cover.Params{})
 			var res *oldc.ErrResidual
 			if err != nil && !errors.As(err, &res) {
 				die(err)

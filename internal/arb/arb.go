@@ -41,8 +41,6 @@ type Config struct {
 	// receives the driver's phase events (stages, batches, fallback), so
 	// per-round events from all sub-instances land in one trace stream.
 	Engine sim.Options
-	// Opts is handed to the OLDC solver.
-	Opts oldc.Options
 }
 
 // Result is the output of SolveListArbdefective.
@@ -261,10 +259,9 @@ func colorBatch(orig []int, members []int, bootOrient *graph.Oriented,
 	for i, si := range members {
 		init[i] = subInit[si]
 	}
-	opts := cfg.Opts
-	opts.SkipValidate = true // validated globally at the end
 	oin := oldc.Input{O: batchO, SpaceSize: in.SpaceSize, Lists: lists, InitColors: init, M: m}
-	asg, st, err := solve(sim.NewEngineWith(batchO.Graph(), cfg.Engine), oin, opts)
+	// The driver validates the whole coloring at the end.
+	asg, st, err := solve(sim.NewEngineWith(batchO.Graph(), cfg.Engine), oin, oldc.Options{SkipValidate: true})
 	stats = stats.Add(st)
 	if err != nil {
 		return stats, nil, err
@@ -274,26 +271,13 @@ func colorBatch(orig []int, members []int, bootOrient *graph.Oriented,
 	// polylog list slack, so the solver's pigeonhole occasionally misses;
 	// dropping every violating node at once restores validity (removals
 	// only decrease the defects of the survivors) and the dropped nodes are
-	// recolored in a later batch or by the fallback schedule.
+	// recolored in a later batch or by the fallback schedule. A residual
+	// list holds exactly the colors with a ≤ d, at defect d − a, so a
+	// member violates it exactly when its color is off its list or more
+	// than d − a of its batch out-neighbors share it.
 	violating := make([]bool, len(members))
-	for i := range members {
-		v := orig[members[i]]
-		l := in.Lists[v]
-		idx, ok := slices.BinarySearch(l.Colors, asg[i])
-		if !ok {
-			violating[i] = true
-			continue
-		}
-		allowed := l.Defect[idx] - int(av.of(v)[idx])
-		same := 0
-		for _, j := range batchO.Out(i) {
-			if asg[j] == asg[i] {
-				same++
-			}
-		}
-		if same > allowed {
-			violating[i] = true
-		}
+	for _, i := range coloring.OLDCViolators(batchO, lists, asg) {
+		violating[i] = true
 	}
 	colored := make([]int, 0, len(members))
 	for i, si := range members {

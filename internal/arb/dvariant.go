@@ -26,9 +26,6 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 			return res, fmt.Errorf("arb: node %d violates Σ(d+1) > deg", v)
 		}
 	}
-	if cfg.ClassFactor <= 0 {
-		cfg.ClassFactor = 1
-	}
 	phi := coloring.NewAssignment(n)
 	colorTime := make([]int, n)
 	batch := 0
@@ -37,9 +34,6 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 		batch++
 		for _, v := range colored {
 			colorTime[v] = batch
-		}
-		for _, v := range colored {
-			av.record(g, phi, v)
 		}
 	}
 
@@ -115,13 +109,16 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 			// ids, matching the processing order) means a node's arbdefect
 			// at color x is exactly the count of already-colored neighbors
 			// holding x, so Σ(d+1) > deg guarantees a pick by pigeonhole.
+			// Each pick is recorded at once, so a member's counters include
+			// the members colored before it in this class.
 			var colored []int
 			for _, v := range members {
-				x, ok := pickByCurrentDefect(in.Lists[v], g, phi, v)
+				x, ok := av.pick(v)
 				if !ok {
 					return res, fmt.Errorf("arb: pigeonhole failed at node %d", v)
 				}
 				phi[v] = x
+				av.record(g, phi, v)
 				colored = append(colored, v)
 			}
 			res.Stats.Rounds += delta + 4
@@ -145,22 +142,4 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 	res.Phi = phi
 	res.Orient = orient
 	return res, nil
-}
-
-// pickByCurrentDefect returns the first list color whose already-colored
-// neighbor count is within its defect; existence follows from
-// Σ(d(x)+1) > deg(v) by pigeonhole.
-func pickByCurrentDefect(l coloring.NodeList, g *graph.Graph, phi coloring.Assignment, v int) (int, bool) {
-	for i, x := range l.Colors {
-		same := 0
-		for _, u := range g.Neighbors(v) {
-			if phi[u] == x {
-				same++
-			}
-		}
-		if same <= l.Defect[i] {
-			return x, true
-		}
-	}
-	return 0, false
 }

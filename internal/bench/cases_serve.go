@@ -12,6 +12,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/oldc"
 	"repro/internal/serve"
@@ -129,7 +130,7 @@ func serveCases(quick bool) []benchCase {
 					init[v] = v
 				}
 				in := oldc.Input{O: o, SpaceSize: 4096, Lists: lists, InitColors: init, M: o.N()}
-				phi, srep, err := oldc.SolveRobust(sim.NewEngine(o.Graph()), in, oldc.RobustOptions{})
+				phi, srep, err := oldc.SolveRobust(sim.NewEngine(o.Graph()), in, cover.Params{})
 				scratchRounds, scratchValid := srep.Stats.Rounds, err == nil && coloring.CheckOLDC(o, lists, phi) == nil
 				g := graph.RandomRegular(c.n, c.delta, 1)
 				tail := 100 * (c.batches - 10) / c.batches

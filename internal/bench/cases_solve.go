@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/coloring"
 	"repro/internal/congest"
+	"repro/internal/cover"
 	"repro/internal/fk24"
 	"repro/internal/graph"
 	"repro/internal/maus21"
@@ -100,7 +101,7 @@ func chaosCases(quick bool) []benchCase {
 				eng := sim.NewEngineWith(g, sim.Options{Faults: sched.Model})
 				return func() (result, error) {
 					start := time.Now()
-					_, rr, err := oldc.SolveRobust(eng, in, oldc.RobustOptions{})
+					_, rr, err := oldc.SolveRobust(eng, in, cover.Params{})
 					el := time.Since(start)
 					faults := rr.Stats.TotalFaults()
 					finalBad := 0

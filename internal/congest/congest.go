@@ -34,8 +34,6 @@ type Config struct {
 	// until sub-spaces have ≈|C|^{1/r} colors. 0 disables the reduction
 	// (messages then carry whole lists, the LOCAL-style variant).
 	CSRDepth int
-	// ClassFactor is forwarded to the Theorem 1.3 driver.
-	ClassFactor float64
 	// Bandwidth, when > 0, enforces the CONGEST bound as a hard assertion:
 	// any single message above this many bits anywhere in the pipeline
 	// fails the run with sim.ErrBandwidth.
@@ -48,8 +46,6 @@ type Config struct {
 	// Metrics, when non-nil, is installed on every engine the pipeline
 	// creates.
 	Metrics *obs.Registry
-	// Opts is the base OLDC solver configuration.
-	Opts oldc.Options
 }
 
 // Phase is a named pipeline stage with its execution statistics.
@@ -102,11 +98,7 @@ func DegreePlusOneList(g *graph.Graph, in *coloring.Instance, cfg Config) (Resul
 	}
 
 	obs.EmitPhase(cfg.Tracer, "congest/arb-driver", obs.Attrs{"m": m})
-	ares, err := arb.SolveListArbdefective(g, in, init, m, solver, arb.Config{
-		ClassFactor: cfg.ClassFactor,
-		Engine:      engOpts,
-		Opts:        cfg.Opts,
-	})
+	ares, err := arb.SolveListArbdefective(g, in, init, m, solver, arb.Config{Engine: engOpts})
 	res.Stats = res.Stats.Add(ares.Stats)
 	res.Stages = ares.Stages
 	res.Batches = ares.Batches

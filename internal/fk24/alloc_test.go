@@ -5,6 +5,7 @@ package fk24
 import (
 	"testing"
 
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -16,7 +17,7 @@ import (
 func TestPickColorAllocs(t *testing.T) {
 	o := graph.OrientByID(graph.RandomRegular(128, 24, 5))
 	in := prepareInput(o, 1<<12, 6.0, 3, 7)
-	pr := Options{}.Params.OrPractical()
+	pr := cover.Practical()
 	tau := pr.Tau(1, in.SpaceSize, in.M)
 	a, err := newAlg(spec{o: o, spaceSize: in.SpaceSize, m: in.M, buckets: 4, lists: in.Lists, init: in.InitColors, tau: tau, kprime: pr.KPrime(1, tau), pr: pr})
 	if err != nil {

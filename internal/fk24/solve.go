@@ -20,9 +20,6 @@ type Options struct {
 	// b = initColor mod B committing in round 3+b. 0 selects
 	// DefaultBuckets; B = M is the paper's fully sequential schedule.
 	Buckets int
-	// Params is the parameter profile for the candidate families; the zero
-	// value selects cover.Practical().
-	Params cover.Params
 	// SkipValidate disables the output validity check (used by ablations
 	// that intentionally under-provision parameters).
 	SkipValidate bool
@@ -302,7 +299,7 @@ func Solve(eng *sim.Engine, in oldc.Input, opts Options) (coloring.Assignment, s
 	if in.M < 1 || in.SpaceSize < 1 {
 		return nil, sim.Stats{}, fmt.Errorf("fk24: need m ≥ 1 and |C| ≥ 1 (got m=%d, |C|=%d)", in.M, in.SpaceSize)
 	}
-	pr := opts.Params.OrPractical()
+	pr := cover.Practical()
 	b := opts.Buckets
 	if b <= 0 {
 		b = DefaultBuckets(in.O, in.M)

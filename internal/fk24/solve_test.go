@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/oldc"
 	"repro/internal/sim"
@@ -291,7 +292,7 @@ func TestSameBucketDigest(t *testing.T) {
 func TestPickColorMatchesReference(t *testing.T) {
 	o := graph.OrientByID(graph.RandomRegular(128, 24, 5))
 	in := prepareInput(o, 1<<9, 6.0, 3, 7)
-	pr := Options{}.Params.OrPractical()
+	pr := cover.Practical()
 	tau := pr.Tau(1, in.SpaceSize, in.M)
 	a, err := newAlg(spec{o: o, spaceSize: in.SpaceSize, m: in.M, buckets: 4, lists: in.Lists, init: in.InitColors, tau: tau, kprime: pr.KPrime(1, tau), pr: pr})
 	if err != nil {

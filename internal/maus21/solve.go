@@ -19,8 +19,6 @@ type Options struct {
 	// d = 0, i.e. plain Linial with O(Δ²) colors in O(log* n) rounds.
 	// Small K means fewer colors but O(d²) extra commit rounds.
 	K int
-	// SkipValidate disables the final properness check.
-	SkipValidate bool
 }
 
 // DefectFor returns the defect budget d the knob selects for maximum
@@ -137,8 +135,9 @@ func (a *commitAlg) Done() bool {
 }
 
 // Solve computes a proper coloring of g with q₁·(d+1) = O(KΔ) colors (see
-// the package comment for the pipeline). It returns the coloring, the
-// palette bound, and the summed statistics of all three stages.
+// the package comment for the pipeline). It returns the coloring, checked
+// for properness, the palette bound, and the summed statistics of all
+// three stages.
 func Solve(eng *sim.Engine, g *graph.Graph, opts Options) (coloring.Assignment, int, sim.Stats, error) {
 	n := g.N()
 	o := graph.OrientSymmetric(g)
@@ -153,7 +152,7 @@ func Solve(eng *sim.Engine, g *graph.Graph, opts Options) (coloring.Assignment, 
 	}
 	if d == 0 {
 		// The classes are already a proper coloring.
-		return finish(g, coloring.Assignment(class), q1, total, opts)
+		return finish(g, coloring.Assignment(class), q1, total)
 	}
 
 	obs.EmitPhase(eng.Tracer(), "maus21/intra", obs.Attrs{"q1": q1})
@@ -179,14 +178,12 @@ func Solve(eng *sim.Engine, g *graph.Graph, opts Options) (coloring.Assignment, 
 		}
 		phi[v] = class[v]*(d+1) + alg.pick[v]
 	}
-	return finish(g, phi, q1*(d+1), total, opts)
+	return finish(g, phi, q1*(d+1), total)
 }
 
-func finish(g *graph.Graph, phi coloring.Assignment, numColors int, total sim.Stats, opts Options) (coloring.Assignment, int, sim.Stats, error) {
-	if !opts.SkipValidate {
-		if err := coloring.CheckProper(g, phi, numColors); err != nil {
-			return nil, 0, total, fmt.Errorf("maus21: output invalid: %w", err)
-		}
+func finish(g *graph.Graph, phi coloring.Assignment, numColors int, total sim.Stats) (coloring.Assignment, int, sim.Stats, error) {
+	if err := coloring.CheckProper(g, phi, numColors); err != nil {
+		return nil, 0, total, fmt.Errorf("maus21: output invalid: %w", err)
 	}
 	return phi, numColors, total, nil
 }

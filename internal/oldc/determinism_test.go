@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -153,7 +154,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		if workers > 0 {
 			eng.SetWorkers(workers)
 		}
-		phi, rep, err := SolveRobust(eng, in, RobustOptions{})
+		phi, rep, err := SolveRobust(eng, in, cover.Params{})
 		var res *ErrResidual
 		if err != nil && !errors.As(err, &res) {
 			t.Fatal(err)

@@ -210,6 +210,13 @@ func (a *refBasicAlg) pickColor(v int) {
 	a.pickedAt[v] = a.round
 }
 
+func absInt(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 func (a *refBasicAlg) Done() bool {
 	if !a.started {
 		a.started = true

@@ -186,22 +186,17 @@ func (s classSelection) auxList() coloring.NodeList {
 	return coloring.NodeList{Colors: colors, Defect: defs}
 }
 
+// listForClass returns the colors and defect of the candidate for γ-class
+// i, or no colors if i is not a candidate. The γ-class solve picks each
+// node's class from its own aux list, so the chosen class is always a
+// candidate.
 func (s classSelection) listForClass(i int) ([]int, int) {
 	for _, c := range s.cands {
 		if c.class == i {
 			return c.colors, c.defect
 		}
 	}
-	// The aux solver may assign a class outside the candidate set if
-	// validation is skipped; fall back to the nearest candidate.
-	best, bestDist := s.cands[0], math.MaxInt32
-	for _, c := range s.cands {
-		if d := absInt(c.class - i); d < bestDist {
-			bestDist = d
-			best = c
-		}
-	}
-	return best.colors, best.defect
+	return nil, 0
 }
 
 // analyzePart is one L_{v,μ} of the Lemma 3.8 partition.
@@ -438,13 +433,6 @@ func clamp(x, lo, hi int) int {
 	}
 	if x > hi {
 		return hi
-	}
-	return x
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
 	}
 	return x
 }

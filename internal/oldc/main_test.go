@@ -13,6 +13,7 @@ import (
 	"repro/internal/algkit"
 	"repro/internal/chaos"
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -77,13 +78,18 @@ func TestAuxListAlignment(t *testing.T) {
 	}
 }
 
-func TestListForClassFallback(t *testing.T) {
+// TestListForClass checks that a candidate class returns its list and a
+// class outside the candidates returns none, which prepareTwoPhase reports
+// as an error.
+func TestListForClass(t *testing.T) {
 	s := classSelection{cands: []classCandidate{
 		{class: 2, colors: []int{9}, defect: 1},
 	}}
-	colors, d := s.listForClass(5)
-	if len(colors) != 1 || colors[0] != 9 || d != 1 {
-		t.Fatal("fallback to nearest candidate failed")
+	if colors, d := s.listForClass(2); len(colors) != 1 || colors[0] != 9 || d != 1 {
+		t.Fatalf("class 2: got %v, defect %d", colors, d)
+	}
+	if colors, _ := s.listForClass(5); colors != nil {
+		t.Fatalf("class 5 is no candidate, got %v", colors)
 	}
 }
 
@@ -509,7 +515,7 @@ func TestSolveLeavesInputIntact(t *testing.T) {
 		faults := chaos.Compose(chaos.Drop(7, 0.08), chaos.Flip(8, 0.08))
 		eng := sim.NewEngineWith(g, sim.Options{Faults: faults})
 		var res *ErrResidual
-		if _, _, err := SolveRobust(eng, in, RobustOptions{}); err != nil && !errors.As(err, &res) {
+		if _, _, err := SolveRobust(eng, in, cover.Params{}); err != nil && !errors.As(err, &res) {
 			t.Fatal(err)
 		}
 	})

@@ -1,22 +1,15 @@
 package oldc
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
-
-// ErrUnsupportedGap is the sentinel returned (wrapped) by entry points
-// that only handle standard (gap-0) OLDC instances when opts.Gap != 0.
-// Callers — the incremental recoloring service in particular — branch on
-// it with errors.Is instead of matching message strings; general gaps are
-// handled by SolveMulti (Lemma 3.6).
-var ErrUnsupportedGap = fmt.Errorf("oldc: gap != 0 unsupported by this entry point (use SolveMulti)")
 
 // RepairScratch pools the per-call state of RepairRegion: the region
 // membership table, the per-list-position fixed-neighbor counts, and the
@@ -68,9 +61,9 @@ func (sc *RepairScratch) reserveLists(k int) {
 
 // RegionOptions configures RepairRegion.
 type RegionOptions struct {
-	// Options are forwarded to the residual solver (Gap must be 0; a
-	// nonzero gap is reported as ErrUnsupportedGap).
-	Options
+	// Params is the residual solver's parameter profile; the zero value
+	// selects cover.Practical().
+	Params cover.Params
 	// Tracer observes the residual solve's rounds (nil = untraced).
 	Tracer obs.Tracer
 	// Metrics receives the residual solve's engine metrics (nil = none).
@@ -102,9 +95,6 @@ type RegionOptions struct {
 // SolveRobust's repair loop, factored out so incremental callers (the
 // churn service) can repair a dirty set without a whole-graph solve.
 func RepairRegion(in Input, phi coloring.Assignment, region []int, opts RegionOptions) (sim.Stats, error) {
-	if opts.Gap != 0 {
-		return sim.Stats{}, ErrUnsupportedGap
-	}
 	sc := opts.Scratch
 	if sc == nil {
 		sc = &RepairScratch{}
@@ -168,9 +158,8 @@ func RepairRegion(in Input, phi coloring.Assignment, region []int, opts RegionOp
 		sc.inits[i] = in.InitColors[v]
 	}
 	rin := Input{O: subO, SpaceSize: in.SpaceSize, Lists: sc.lists, InitColors: sc.inits, M: in.M}
-	ropts := Options{Params: opts.Params, SkipValidate: true}
 	reng := sim.NewEngineWith(subO.Graph(), sim.Options{Tracer: opts.Tracer, Metrics: opts.Metrics, Faults: opts.Faults})
-	subPhi, stats, err := SolveMulti(reng, rin, ropts)
+	subPhi, stats, err := SolveMulti(reng, rin, Options{Params: opts.Params, SkipValidate: true})
 	if err != nil {
 		return stats, err
 	}

@@ -4,22 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// RobustOptions configures SolveRobust.
-type RobustOptions struct {
-	// Options are forwarded to the underlying solver (Gap must be 0).
-	Options
-	// MaxRepairs bounds the distributed repair iterations after a faulty
-	// run (0 = the default of 3).
-	MaxRepairs int
-	// MaxSweeps bounds the deterministic greedy fallback passes that run
-	// if the distributed repairs leave violators (0 = the default of 3).
-	MaxSweeps int
-}
+// MaxRepairs bounds the distributed repair iterations SolveRobust runs
+// after a faulty run, and those the incremental recoloring service runs
+// per mutation batch.
+const MaxRepairs = 3
+
+// MaxSweeps bounds the deterministic greedy fallback passes that run if
+// the distributed repairs leave violators, in SolveRobust and in the
+// incremental recoloring service.
+const MaxSweeps = 3
 
 // RobustReport describes a detect-and-repair run: how much of the network
 // survived the faults, and how much work the repairs cost.
@@ -54,8 +53,9 @@ func truncated(vs []int, max int) []int {
 	return vs[:max]
 }
 
-// SolveRobust runs Solve under whatever fault model is installed on eng,
-// then detects and repairs the damage: it validates the output with
+// SolveRobust runs Solve with parameter profile pr (the zero value selects
+// cover.Practical()) under whatever fault model is installed on eng, then
+// detects and repairs the damage: it validates the output with
 // internal/coloring, extracts the violating residual subgraph, and
 // re-solves the residual against the *remaining* defect budgets (each
 // node's defects reduced by its same-colored already-fixed out-neighbors)
@@ -68,23 +68,10 @@ func truncated(vs []int, max int) []int {
 // The repair engines are fault-free by design: detect-and-repair models
 // transient faults that have passed by the time the (much smaller)
 // residual instance is re-solved.
-func SolveRobust(eng *sim.Engine, in Input, opts RobustOptions) (coloring.Assignment, RobustReport, error) {
+func SolveRobust(eng *sim.Engine, in Input, pr cover.Params) (coloring.Assignment, RobustReport, error) {
 	var rep RobustReport
-	if opts.Gap != 0 {
-		return nil, rep, fmt.Errorf("oldc: SolveRobust: %w", ErrUnsupportedGap)
-	}
-	maxRepairs := opts.MaxRepairs
-	if maxRepairs <= 0 {
-		maxRepairs = 3
-	}
-	maxSweeps := opts.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = 3
-	}
-
-	solveOpts := opts.Options
-	solveOpts.SkipValidate = true // validation is this function's job
-	phi, stats, err := Solve(eng, in, solveOpts)
+	// Validation is this function's job.
+	phi, stats, err := Solve(eng, in, Options{Params: pr, SkipValidate: true})
 	rep.Stats = stats
 	if err != nil {
 		return nil, rep, err
@@ -96,11 +83,11 @@ func SolveRobust(eng *sim.Engine, in Input, opts RobustOptions) (coloring.Assign
 	rep.SurvivalRate = float64(n-len(violators)) / float64(n)
 
 	rsc := &RepairScratch{}
-	for iter := 0; iter < maxRepairs && len(violators) > 0; iter++ {
+	for iter := 0; iter < MaxRepairs && len(violators) > 0; iter++ {
 		rep.ResidualSizes = append(rep.ResidualSizes, len(violators))
 		obs.EmitPhase(eng.Tracer(), "oldc/repair", obs.Attrs{"retry": iter, "violators": len(violators)})
 		subStats, rerr := RepairRegion(in, phi, violators, RegionOptions{
-			Options: solveOpts, Tracer: eng.Tracer(), Metrics: eng.Metrics(), Scratch: rsc,
+			Params: pr, Tracer: eng.Tracer(), Metrics: eng.Metrics(), Scratch: rsc,
 		})
 		rep.Stats = rep.Stats.Add(subStats)
 		rep.RepairRounds += subStats.Rounds
@@ -118,7 +105,7 @@ func SolveRobust(eng *sim.Engine, in Input, opts RobustOptions) (coloring.Assign
 
 	if len(violators) > 0 {
 		obs.EmitPhase(eng.Tracer(), "oldc/greedy-sweep", obs.Attrs{"violators": len(violators)})
-		rep.FallbackNodes = greedySweep(in.O, in.Lists, phi, &violators, maxSweeps)
+		rep.FallbackNodes = greedySweep(in.O, in.Lists, phi, &violators)
 	}
 	if len(violators) > 0 {
 		return phi, rep, &ErrResidual{Violators: violators}
@@ -132,13 +119,13 @@ func SolveRobust(eng *sim.Engine, in Input, opts RobustOptions) (coloring.Assign
 
 // greedySweep deterministically recolors violators in ascending id order,
 // giving each the on-list color with the most remaining defect budget
-// against the current coloring (GreedyRecolor), for up to maxSweeps passes
+// against the current coloring (GreedyRecolor), for up to MaxSweeps passes
 // or until the violator set is empty. Returns the number of recolorings
 // applied; the violator slice is updated in place to the final violation
 // set.
-func greedySweep(o *graph.Oriented, lists []coloring.NodeList, phi coloring.Assignment, violators *[]int, maxSweeps int) int {
+func greedySweep(o *graph.Oriented, lists []coloring.NodeList, phi coloring.Assignment, violators *[]int) int {
 	touched := 0
-	for pass := 0; pass < maxSweeps && len(*violators) > 0; pass++ {
+	for pass := 0; pass < MaxSweeps && len(*violators) > 0; pass++ {
 		for _, v := range *violators {
 			if x, changed := GreedyRecolor(o, lists, phi, v); changed {
 				phi[v] = x

@@ -17,7 +17,7 @@ func TestSolveRobustFaultFreeMatchesSolve(t *testing.T) {
 	o := graph.OrientByID(g)
 	in, _ := prepareInput(t, o, 2048, 5.0, 2, 7)
 
-	phiR, rep, err := SolveRobust(sim.NewEngine(g), in, RobustOptions{})
+	phiR, rep, err := SolveRobust(sim.NewEngine(g), in, cover.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSolveRobustUnderBuiltinSchedules(t *testing.T) {
 		sched := sched
 		t.Run(sched.Name, func(t *testing.T) {
 			eng := sim.NewEngineWith(g, sim.Options{Faults: sched.Model})
-			phi, rep, err := SolveRobust(eng, in, RobustOptions{})
+			phi, rep, err := SolveRobust(eng, in, cover.Params{})
 			if rep.SurvivalRate < 0 || rep.SurvivalRate > 1 {
 				t.Fatalf("survival rate %v outside [0,1]", rep.SurvivalRate)
 			}
@@ -92,7 +92,7 @@ func TestSolveRobustLedgerRecordsFaults(t *testing.T) {
 	eng := sim.NewEngineWith(g, sim.Options{Faults: chaos.Compose(
 		chaos.Drop(3, 0.10), chaos.Flip(4, 0.10),
 	)})
-	_, rep, err := SolveRobust(eng, in, RobustOptions{})
+	_, rep, err := SolveRobust(eng, in, cover.Params{})
 	if err != nil {
 		var res *ErrResidual
 		if !errors.As(err, &res) {
@@ -118,11 +118,8 @@ func TestSolveRobustRepairsDamage(t *testing.T) {
 	in, _ := prepareInput(t, o, 128, 0.5, 0, 23)
 
 	starved := cover.Params{TauScale: 1 << 20, TauFloor: 1, KPrimeCap: 1, KPrimeFloor: 1, SetSizeCap: 1, Alpha: 1}
-	opts := RobustOptions{}
-	opts.Params = starved
-
 	eng := sim.NewEngineWith(g, sim.Options{Faults: chaos.Drop(1, 1)})
-	phi, rep, err := SolveRobust(eng, in, opts)
+	phi, rep, err := SolveRobust(eng, in, starved)
 	if rep.InitialBad == 0 {
 		t.Fatal("blackout + singleton families over zero-defect lists should violate somewhere")
 	}
@@ -145,25 +142,6 @@ func TestSolveRobustRepairsDamage(t *testing.T) {
 	}
 	t.Logf("blackout: %d initial bad repaired in %d iterations (+%d greedy), residuals %v",
 		rep.InitialBad, rep.Repairs, rep.FallbackNodes, rep.ResidualSizes)
-}
-
-func TestSolveRobustRejectsGap(t *testing.T) {
-	g := graph.Ring(8)
-	o := graph.OrientByID(g)
-	in, _ := prepareInput(t, o, 256, 4.0, 1, 3)
-	opts := RobustOptions{}
-	opts.Gap = 1
-	_, _, err := SolveRobust(sim.NewEngine(g), in, opts)
-	if err == nil {
-		t.Fatal("gap != 0 must be rejected")
-	}
-	if !errors.Is(err, ErrUnsupportedGap) {
-		t.Fatalf("gap rejection is not the typed sentinel: %v", err)
-	}
-	if _, err := RepairRegion(in, coloring.Assignment{5, 5, 5, 5, 5, 5, 5, 5}, []int{0},
-		RegionOptions{Options: opts.Options}); !errors.Is(err, ErrUnsupportedGap) {
-		t.Fatalf("RepairRegion gap rejection is not the typed sentinel: %v", err)
-	}
 }
 
 func TestRepairResidualBudgets(t *testing.T) {
@@ -229,7 +207,7 @@ func TestGreedySweepFixesLocalViolation(t *testing.T) {
 	if len(violators) != 3 {
 		t.Fatalf("setup: want the 3 leaves violating, got %v", violators)
 	}
-	touched := greedySweep(o, lists, phi, &violators, 3)
+	touched := greedySweep(o, lists, phi, &violators)
 	if len(violators) != 0 {
 		t.Fatalf("sweep left violators %v (phi=%v)", violators, phi)
 	}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"os"
@@ -88,6 +90,38 @@ func TestStateSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	requireSameState(t, b, a)
+}
+
+// TestStateImageDigest pins the ldc-snap/v1 bytes EncodeState writes for a
+// fixed server after eight churn batches, list top-ups included. The image
+// is an on-disk format (docs/RECOVERY.md): if these bytes move, a store
+// written before the change no longer reopens. The fingerprint's defect
+// range and repair budgets are fixed values kept in the image, so this
+// digest also shows that they keep their bytes.
+func TestStateImageDigest(t *testing.T) {
+	const want = "8da143badedf7eac"
+	s, err := New(graph.RandomRegular(48, 6, 3), Config{Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 8; i++ {
+		o, _, _ := s.Instance()
+		if _, err := s.Apply(genBatch(rng, o.Graph(), 4+rng.Intn(4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topups := 0
+	for _, k := range s.topups {
+		topups += k
+	}
+	if topups == 0 {
+		t.Fatal("no batch topped up a list; the image would not cover top-ups")
+	}
+	sum := sha256.Sum256(s.EncodeState())
+	if got := hex.EncodeToString(sum[:])[:16]; got != want {
+		t.Errorf("ldc-snap/v1 image digest %s, want %s", got, want)
+	}
 }
 
 // TestStateDecodeRejectsDamage pins fail-closed snapshot decoding: config

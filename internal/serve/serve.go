@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/oldc"
@@ -56,16 +57,18 @@ type Mutation struct {
 // four supported kinds; Apply wraps it with the offending value.
 var ErrUnknownOp = fmt.Errorf("serve: unknown mutation op")
 
+// The per-color defect range of every generated list: the floor of 1
+// absorbs stray collisions, and list top-ups add colors at the cap.
+const (
+	minDefect = 1
+	maxDefect = 2
+)
+
 // Config parameterizes a Server. The zero value is usable: every field
 // has a documented default.
 type Config struct {
 	// Kappa is the square-sum slack κ of the generated lists (≤0 = 5.0).
 	Kappa float64
-	// MinDefect is the per-color defect floor (<0 = 0; the default of 1 is
-	// applied when the field is zero so stray collisions are absorbed).
-	MinDefect int
-	// MaxDefect is the per-color defect cap (≤0 = 2).
-	MaxDefect int
 	// SpaceSize is the color space size (≤0 = 4096). New, and OpenDurable
 	// on a store's first boot, refuse one over coloring.MaxListSpace; a
 	// reopened store restores its lists from its snapshot instead.
@@ -74,10 +77,6 @@ type Config struct {
 	// coloring.SquareSumOrientedRange lists and the deterministic per-node
 	// top-ups that keep the square-sum condition alive as out-degrees grow.
 	Seed int64
-	// MaxRepairs bounds the RepairRegion iterations per batch (≤0 = 3).
-	MaxRepairs int
-	// MaxSweeps bounds the scoped greedy sweep passes per batch (≤0 = 3).
-	MaxSweeps int
 	// VerifyEveryBatch runs a full-graph CheckOLDC after every batch and
 	// reports the result in BatchReport.Verified; scoped detection makes
 	// this redundant (the churn tests pin that), so it defaults off.
@@ -100,25 +99,8 @@ func (c Config) withDefaults() Config {
 	if c.Kappa <= 0 {
 		c.Kappa = 5.0
 	}
-	if c.MinDefect == 0 {
-		c.MinDefect = 1
-	} else if c.MinDefect < 0 {
-		c.MinDefect = 0
-	}
-	if c.MaxDefect <= 0 {
-		c.MaxDefect = 2
-	}
-	if c.MaxDefect < c.MinDefect {
-		c.MaxDefect = c.MinDefect
-	}
 	if c.SpaceSize <= 0 {
 		c.SpaceSize = 4096
-	}
-	if c.MaxRepairs <= 0 {
-		c.MaxRepairs = 3
-	}
-	if c.MaxSweeps <= 0 {
-		c.MaxSweeps = 3
 	}
 	return c
 }
@@ -185,7 +167,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	g.ForEachEdge(func(u, v int) { b.AddEdge(u, v) })
 	g = b.Build()
 	o := graph.OrientByID(g)
-	inst, err := coloring.SquareSumOrientedRange(o, cfg.SpaceSize, cfg.Kappa, cfg.MinDefect, cfg.MaxDefect, cfg.Seed)
+	inst, err := coloring.SquareSumOrientedRange(o, cfg.SpaceSize, cfg.Kappa, minDefect, maxDefect, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -201,9 +183,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		s.init[v] = v
 	}
 	eng := sim.NewEngineWith(g, sim.Options{Tracer: cfg.Tracer, Metrics: cfg.Metrics, Faults: cfg.Faults})
-	phi, rep, err := oldc.SolveRobust(eng, s.input(), oldc.RobustOptions{
-		MaxRepairs: cfg.MaxRepairs, MaxSweeps: cfg.MaxSweeps,
-	})
+	phi, rep, err := oldc.SolveRobust(eng, s.input(), cover.Params{})
 	s.stats = rep.Stats
 	if err != nil {
 		res, ok := err.(*oldc.ErrResidual)
@@ -379,8 +359,8 @@ func (s *Server) topUpLists() {
 			}
 			on[c] = true
 			colors = append(colors, c)
-			defs = append(defs, s.cfg.MaxDefect)
-			sum += float64((s.cfg.MaxDefect + 1) * (s.cfg.MaxDefect + 1))
+			defs = append(defs, maxDefect)
+			sum += float64((maxDefect + 1) * (maxDefect + 1))
 		}
 		sort.Sort(&colorDefectSort{colors, defs})
 		s.list[v] = coloring.NodeList{Colors: colors, Defect: defs}
@@ -405,7 +385,7 @@ func (s *Server) repair(rep *BatchReport) {
 	in := s.input()
 	viol := coloring.OLDCViolatorsIn(s.o, s.list, s.phi, s.dirty, nil)
 	rep.InitialBad = len(viol)
-	for iter := 0; iter < s.cfg.MaxRepairs && len(viol) > 0; iter++ {
+	for iter := 0; iter < oldc.MaxRepairs && len(viol) > 0; iter++ {
 		obs.EmitPhase(s.cfg.Tracer, "serve/repair", obs.Attrs{"batch": s.batches, "retry": iter, "violators": len(viol)})
 		s.prev = s.prev[:0]
 		for _, v := range viol {
@@ -448,9 +428,9 @@ func (s *Server) repair(rep *BatchReport) {
 
 // sweep is the scoped greedy fallback: GreedyRecolor each violator in
 // ascending id order, rechecking the touched neighborhoods, for up to
-// MaxSweeps passes. It returns the final violator set.
+// oldc.MaxSweeps passes. It returns the final violator set.
 func (s *Server) sweep(rep *BatchReport, viol []int) []int {
-	for pass := 0; pass < s.cfg.MaxSweeps && len(viol) > 0; pass++ {
+	for pass := 0; pass < oldc.MaxSweeps && len(viol) > 0; pass++ {
 		recheck := viol[:len(viol):len(viol)]
 		for _, v := range viol {
 			if x, changed := oldc.GreedyRecolor(s.o, s.list, s.phi, v); changed {

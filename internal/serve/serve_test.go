@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/oldc"
@@ -110,7 +111,7 @@ func TestServeChurnProperty(t *testing.T) {
 
 			// From-scratch solve of the final mutated instance validates too.
 			in := oldc.Input{O: o, SpaceSize: 4096, Lists: lists, InitColors: identity(o.N()), M: o.N()}
-			phi, _, err := oldc.SolveRobust(sim.NewEngine(o.Graph()), in, oldc.RobustOptions{})
+			phi, _, err := oldc.SolveRobust(sim.NewEngine(o.Graph()), in, cover.Params{})
 			if err != nil {
 				t.Fatalf("from-scratch solve of mutated instance: %v", err)
 			}

@@ -44,20 +44,22 @@ func snapCorruptf(format string, args ...any) error {
 
 // EncodeState serializes the server's complete durable state as a framed
 // ldc-snap/v1 image: the config fingerprint (the deterministic fields of
-// Config — runtime observers are excluded), the graph's edge set, and the
-// per-node lists, colors, and top-up generations, plus the batch counter,
-// residual set, and accumulated engine statistics.
+// Config — runtime observers are excluded — and the fixed defect range
+// and repair budgets, which the image keeps for compatibility), the
+// graph's edge set, and the per-node lists, colors, and top-up
+// generations, plus the batch counter, residual set, and accumulated
+// engine statistics.
 func (s *Server) EncodeState() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := ckpt.NewEncoder(SnapshotMagic)
 	e.Uvarint(math.Float64bits(s.cfg.Kappa))
-	e.Int(s.cfg.MinDefect)
-	e.Int(s.cfg.MaxDefect)
+	e.Int(minDefect)
+	e.Int(maxDefect)
 	e.Int(s.cfg.SpaceSize)
 	e.Int64(s.cfg.Seed)
-	e.Int(s.cfg.MaxRepairs)
-	e.Int(s.cfg.MaxSweeps)
+	e.Int(oldc.MaxRepairs)
+	e.Int(oldc.MaxSweeps)
 	e.Int(s.batches)
 	n := s.o.N()
 	e.Int(n)
@@ -100,11 +102,11 @@ func FromState(data []byte, cfg Config) (*Server, error) {
 	if err := d.Err(); err != nil {
 		return nil, &CorruptSnapshotError{Err: err}
 	}
-	if kappa != cfg.Kappa || minDef != cfg.MinDefect || maxDef != cfg.MaxDefect ||
-		space != cfg.SpaceSize || seed != cfg.Seed || maxRepairs != cfg.MaxRepairs || maxSweeps != cfg.MaxSweeps {
+	if kappa != cfg.Kappa || minDef != minDefect || maxDef != maxDefect ||
+		space != cfg.SpaceSize || seed != cfg.Seed || maxRepairs != oldc.MaxRepairs || maxSweeps != oldc.MaxSweeps {
 		return nil, snapCorruptf("config fingerprint mismatch: snapshot (κ=%g defect=[%d,%d] space=%d seed=%d budgets=%d/%d) vs config (κ=%g defect=[%d,%d] space=%d seed=%d budgets=%d/%d)",
 			kappa, minDef, maxDef, space, seed, maxRepairs, maxSweeps,
-			cfg.Kappa, cfg.MinDefect, cfg.MaxDefect, cfg.SpaceSize, cfg.Seed, cfg.MaxRepairs, cfg.MaxSweeps)
+			cfg.Kappa, minDefect, maxDefect, cfg.SpaceSize, cfg.Seed, oldc.MaxRepairs, oldc.MaxSweeps)
 	}
 	batches := d.Int()
 	n := d.Int()
