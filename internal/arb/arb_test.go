@@ -196,7 +196,7 @@ func TestSolveViaDefectiveDegreePlusOne(t *testing.T) {
 	} {
 		init, m := bootstrap(t, g)
 		in := coloring.DegreePlusOne(g, 4*g.MaxDegree()+4, 35)
-		res, err := SolveViaDefective(g, in, init, m, Config{})
+		res, err := SolveViaDefective(g, in, init, m, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestSolveViaDefectiveWithDefects(t *testing.T) {
 	g := graph.RandomRegular(40, 8, 37)
 	in := coloring.UniformDefective(g, 128, 5, 1, 39) // Σ(d+1)=10 > 8
 	init, m := bootstrap(t, g)
-	res, err := SolveViaDefective(g, in, init, m, Config{})
+	res, err := SolveViaDefective(g, in, init, m, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSolveViaDefectiveRejects(t *testing.T) {
 	in := coloring.CliqueUniform(6, 0, 5)
 	g := in.G
 	init, m := bootstrap(t, g)
-	if _, err := SolveViaDefective(g, in, init, m, Config{}); err == nil {
+	if _, err := SolveViaDefective(g, in, init, m, sim.Options{}); err == nil {
 		t.Fatal("expected condition violation")
 	}
 }

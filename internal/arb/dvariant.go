@@ -17,8 +17,10 @@ import (
 // class the defective-coloring guarantee bounds the class degree directly,
 // so each class is colored greedily from residual lists in one schedule
 // pass — this gives a clean measured contrast between the two Theorem 1.3
-// branches (experiment E10 territory).
-func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, m int, cfg Config) (Result, error) {
+// branches (experiment E10 territory). opts configures every simulator
+// engine it creates (the stage decompositions and the fallback); the
+// stage cap is ⌊log₂ Δ⌋ + 9.
+func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, m int, opts sim.Options) (Result, error) {
 	var res Result
 	n := g.N()
 	for v := 0; v < n; v++ {
@@ -56,7 +58,7 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 		subDelta := sub.MaxDegree()
 		if subDelta == 0 || stage >= maxStages {
 			// Finish with the deterministic fallback.
-			st, err := fallbackSchedule(g, in, initColors, m, phi, av, colorTime, &batch, cfg.Engine)
+			st, err := fallbackSchedule(g, in, initColors, m, phi, av, colorTime, &batch, opts)
 			res.Stats = res.Stats.Add(st)
 			if err != nil {
 				return res, err
@@ -73,7 +75,7 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 		if delta < 1 {
 			delta = 1
 		}
-		eng := sim.NewEngineWith(sub, cfg.Engine)
+		eng := sim.NewEngineWith(sub, opts)
 		classes, q1, st, err := linial.Defective(eng, graph.OrientSymmetric(sub), restrict(initColors, orig), m, delta)
 		res.Stats = res.Stats.Add(st)
 		if err != nil {

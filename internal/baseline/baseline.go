@@ -7,9 +7,6 @@
 //     [SV93, BEK14, BEG18], via the row-shift reduction;
 //   - Luby: the classic randomized (Δ+1)-coloring (O(log n) rounds w.h.p.),
 //     the randomized reference point;
-//   - MT20List: Maus–Tonoyan list coloring on directed graphs (lists of
-//     size ≈ α·β²·τ, 2+O(log β) rounds after Linial) — the zero-defect
-//     special case of the paper's OLDC algorithm;
 //   - GK21Rounds: the analytic O(log²Δ·log n) round formula of
 //     Ghaffari–Kuhn, used as a cost-model curve (DESIGN.md substitution 4).
 package baseline
@@ -25,7 +22,6 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/graph"
 	"repro/internal/linial"
-	"repro/internal/oldc"
 	"repro/internal/sim"
 )
 
@@ -283,14 +279,6 @@ func (a *exactArbAlg) Done() bool {
 	return true
 }
 
-// MT20List solves proper list coloring on a directed graph with lists of
-// size Ω(β²·τ) in 2 + O(log β) rounds after the initial coloring: the
-// zero-defect special case of the paper's Lemma 3.6 algorithm, which is
-// exactly the Maus–Tonoyan setting.
-func MT20List(eng *sim.Engine, in oldc.Input) (coloring.Assignment, sim.Stats, error) {
-	return oldc.SolveMulti(eng, in, oldc.Options{})
-}
-
 // GK21Rounds returns the analytic round count c·log²Δ·log n of the
 // Ghaffari–Kuhn derandomized (degree+1)-list coloring algorithm, used as a
 // cost-model comparison curve.
@@ -303,15 +291,6 @@ func GK21Rounds(delta, n int) int {
 	}
 	l := math.Log2(float64(delta))
 	return int(math.Ceil(l * l * math.Log2(float64(n))))
-}
-
-// Verify is a convenience that fails with a descriptive error when a
-// baseline produces an invalid proper coloring.
-func Verify(g *graph.Graph, phi coloring.Assignment, colors int, name string) error {
-	if err := coloring.CheckProper(g, phi, colors); err != nil {
-		return fmt.Errorf("baseline %s: %w", name, err)
-	}
-	return nil
 }
 
 func intLog2(x int) int {

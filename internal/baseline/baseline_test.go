@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
-	"repro/internal/linial"
-	"repro/internal/oldc"
 	"repro/internal/sim"
 )
 
@@ -17,7 +15,7 @@ func TestSlowFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(g, phi, g.MaxDegree()+1, "slowfold"); err != nil {
+	if err := coloring.CheckProper(g, phi, g.MaxDegree()+1); err != nil {
 		t.Fatal(err)
 	}
 	// O(Δ²)-ish rounds: folding from ≈(2Δ)² colors down to Δ+1.
@@ -33,7 +31,7 @@ func TestLinearDeltaPlusOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(g, phi, g.MaxDegree()+1, "linear"); err != nil {
+	if err := coloring.CheckProper(g, phi, g.MaxDegree()+1); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rounds > 8*g.MaxDegree()+40 {
@@ -65,7 +63,7 @@ func TestLuby(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(g, phi, g.MaxDegree()+1, "luby"); err != nil {
+	if err := coloring.CheckProper(g, phi, g.MaxDegree()+1); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rounds > 60 {
@@ -91,25 +89,6 @@ func TestLubyDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestMT20List(t *testing.T) {
-	g := graph.RandomRegular(48, 6, 11)
-	o := graph.OrientByID(g)
-	eng := sim.NewEngine(g)
-	init, m, _, err := linial.Proper(eng, graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := coloring.SquareSumOriented(o, 1024, 8.0, 0, 13)
-	in := oldc.Input{O: o, SpaceSize: 1024, Lists: inst.Lists, InitColors: init, M: m}
-	phi, _, err := MT20List(eng, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coloring.CheckOLDC(o, in.Lists, phi); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDivideConquer(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Ring(24),
@@ -121,7 +100,7 @@ func TestDivideConquer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(g, phi, g.MaxDegree()+1, "divide-conquer"); err != nil {
+		if err := coloring.CheckProper(g, phi, g.MaxDegree()+1); err != nil {
 			t.Fatal(err)
 		}
 		if stats.Rounds == 0 && g.MaxDegree() > 2 {

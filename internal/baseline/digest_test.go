@@ -51,7 +51,7 @@ func TestDigestExactArbdefective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs.EmitEnd(tr, stats.TraceTotals())
+		tr.End(stats.TraceTotals())
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -506,7 +506,7 @@ func e10(cases []benchCase, quick bool) []benchCase {
 				if branch == "O" {
 					res, err = arb.SolveListArbdefective(g, in, init, m, oldc.Solve, arb.Config{})
 				} else {
-					res, err = arb.SolveViaDefective(g, in, init, m, arb.Config{})
+					res, err = arb.SolveViaDefective(g, in, init, m, sim.Options{})
 				}
 				stop()
 				viol := 0

@@ -18,7 +18,7 @@
 // from the engine's shard workers.
 //
 // Models compose with Compose (first non-deliver outcome wins), and the
-// standard ones parse from compact spec strings (Parse) so CLI tools can
+// standard ones parse from compact spec strings (ParsePlan) so CLI tools can
 // inject faults without bespoke flags. See docs/SIMULATOR.md §"Fault
 // model" for the taxonomy and determinism guarantees.
 package chaos
@@ -172,33 +172,6 @@ func Compose(models ...sim.FaultModel) sim.FaultModel {
 		}
 		return sim.FaultNone, 0
 	})
-}
-
-// Parse builds a fault model from a compact spec string. Terms are joined
-// with '+' (composed in order); each term is one of
-//
-//	drop:P          i.i.d. drops with probability P
-//	flip:P          i.i.d. bit-flip corruption with probability P
-//	crash:V@R       node V silent from round R onward
-//	crash:V@R-U     node V silent in rounds [R, U) (crash-recover)
-//	heavy:K:P       the K heaviest-degree senders drop each wire w.p. P
-//
-// e.g. "drop:0.05+flip:0.01" or "crash:3@1+heavy:4:0.5". The graph
-// provides degrees for heavy; seed drives every randomized term.
-//
-// Duplicate or conflicting terms — the same term twice, repeated
-// drop/flip/heavy kinds, crash events sharing a node or a start round —
-// fail with a typed *ConflictError. Process-level kill/killshard terms
-// are rejected here; callers that supervise restarts use ParsePlan.
-func Parse(spec string, seed uint64, g *graph.Graph) (sim.FaultModel, error) {
-	plan, err := ParsePlan(spec, seed, g)
-	if err != nil {
-		return nil, err
-	}
-	if len(plan.Kills) > 0 {
-		return nil, fmt.Errorf("chaos: spec %q contains process-kill terms; use ParsePlan with a supervisor", spec)
-	}
-	return plan.Model, nil
 }
 
 func parseProb(s string) (float64, error) {

@@ -152,28 +152,29 @@ func TestParse(t *testing.T) {
 		"heavy:2:0.5",
 		"drop:0.05+flip:0.01+crash:0@1",
 	} {
-		if _, err := Parse(spec, 1, g); err != nil {
-			t.Fatalf("Parse(%q) = %v", spec, err)
+		if _, err := ParsePlan(spec, 1, g); err != nil {
+			t.Fatalf("ParsePlan(%q) = %v", spec, err)
 		}
 	}
 	for _, spec := range []string{
 		"", "bogus:1", "drop:1.5", "drop:x", "crash:3", "crash:-1@0",
 		"crash:3@5-2", "heavy:0:0.5", "heavy:2", "drop:0.1++flip:0.1",
 	} {
-		if _, err := Parse(spec, 1, g); err == nil {
-			t.Fatalf("Parse(%q) should fail", spec)
+		if _, err := ParsePlan(spec, 1, g); err == nil {
+			t.Fatalf("ParsePlan(%q) should fail", spec)
 		}
 	}
-	if _, err := Parse("heavy:2:0.5", 1, nil); err == nil {
+	if _, err := ParsePlan("heavy:2:0.5", 1, nil); err == nil {
 		t.Fatal("heavy without a graph should fail")
 	}
 }
 
 func TestParseCrashWindowSemantics(t *testing.T) {
-	m, err := Parse("crash:4@1-3", 0, nil)
+	p, err := ParsePlan("crash:4@1-3", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := p.Model
 	if out, _ := m.Wire(0, 4, 0); out != sim.FaultNone {
 		t.Fatal("round 0: not yet crashed")
 	}

@@ -15,7 +15,7 @@ import (
 // the same term twice, repeated i.i.d. kinds whose probabilities would
 // compose into a non-obvious effective rate, crash events claiming the
 // same node or the same round, or colliding kill events. Such specs are
-// almost always typos, so Parse and ParsePlan reject them instead of
+// almost always typos, so ParsePlan rejects them instead of
 // silently composing.
 type ConflictError struct {
 	Spec   string // the full spec being parsed
@@ -94,17 +94,24 @@ func (p *Plan) KillHook() sim.RoundHook {
 	}
 }
 
-// ParsePlan parses the full spec language: the wire-level terms of Parse
-// plus the process-level terms
+// ParsePlan parses a compact fault spec string. Terms are joined with '+'
+// (wire-level terms are composed in order); each term is one of
 //
+//	drop:P          i.i.d. drops with probability P
+//	flip:P          i.i.d. bit-flip corruption with probability P
+//	crash:V@R       node V silent from round R onward
+//	crash:V@R-U     node V silent in rounds [R, U) (crash-recover)
+//	heavy:K:P       the K heaviest-degree senders drop each wire w.p. P
 //	kill:R          whole process dies after round R
 //	killshard:S@R   shard S dies after round R
 //
-// e.g. "kill:3+drop:0.05" or "killshard:1@4". Duplicate or conflicting
-// terms fail with a typed *ConflictError. Wire-term seeds are assigned by
-// term position exactly as Parse assigns them, so adding a kill term does
-// not reshuffle the wire fault pattern of the remaining terms... as long
-// as it is appended last.
+// e.g. "drop:0.05+flip:0.01", "crash:3@1+heavy:4:0.5" or "kill:3+drop:0.05".
+// The graph provides degrees for heavy; seed drives every randomized term.
+// Duplicate or conflicting terms — the same term twice, repeated
+// drop/flip/heavy kinds, crash events sharing a node or a start round,
+// colliding kills — fail with a typed *ConflictError. Wire-term seeds are
+// assigned by term position, so appending a kill term last does not
+// reshuffle the wire fault pattern of the other terms.
 func ParsePlan(spec string, seed uint64, g *graph.Graph) (*Plan, error) {
 	plan := &Plan{}
 	var models []sim.FaultModel

@@ -10,8 +10,7 @@ import (
 )
 
 // TestParseConflicts pins the typed rejection of duplicate and
-// conflicting specs: every case fails with *ConflictError from both Parse
-// and ParsePlan (they share the term loop).
+// conflicting specs: every case fails with *ConflictError.
 func TestParseConflicts(t *testing.T) {
 	g := star(8)
 	cases := []struct {
@@ -29,31 +28,16 @@ func TestParseConflicts(t *testing.T) {
 		{"crash:3@2-5+crash:3@6", "crash-recover then re-crash of one node"},
 	}
 	for _, c := range cases {
-		for name, parse := range map[string]func() error{
-			"Parse":     func() error { _, err := Parse(c.spec, 1, g); return err },
-			"ParsePlan": func() error { _, err := ParsePlan(c.spec, 1, g); return err },
-		} {
-			err := parse()
-			if err == nil {
-				t.Errorf("%s(%q) accepted: %s", name, c.spec, c.reason)
-				continue
-			}
-			var ce *ConflictError
-			if !errors.As(err, &ce) {
-				t.Errorf("%s(%q): error %v is not *ConflictError", name, c.spec, err)
-			} else if ce.Spec != c.spec || ce.TermA == "" || ce.TermB == "" {
-				t.Errorf("%s(%q): incomplete ConflictError %+v", name, c.spec, ce)
-			}
+		_, err := ParsePlan(c.spec, 1, g)
+		if err == nil {
+			t.Errorf("ParsePlan(%q) accepted: %s", c.spec, c.reason)
+			continue
 		}
-	}
-}
-
-// TestParseRejectsKills pins that the wire-only entry point refuses
-// process-level terms instead of silently ignoring them.
-func TestParseRejectsKills(t *testing.T) {
-	for _, spec := range []string{"kill:3", "drop:0.1+kill:3", "killshard:0@2"} {
-		if _, err := Parse(spec, 1, star(4)); err == nil {
-			t.Errorf("Parse(%q) accepted a process-kill term", spec)
+		var ce *ConflictError
+		if !errors.As(err, &ce) {
+			t.Errorf("ParsePlan(%q): error %v is not *ConflictError", c.spec, err)
+		} else if ce.Spec != c.spec || ce.TermA == "" || ce.TermB == "" {
+			t.Errorf("ParsePlan(%q): incomplete ConflictError %+v", c.spec, ce)
 		}
 	}
 }

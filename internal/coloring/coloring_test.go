@@ -23,9 +23,6 @@ func TestNodeListBasics(t *testing.T) {
 	if l.WeightSum() != 1+2+4 {
 		t.Fatalf("WeightSum=%d", l.WeightSum())
 	}
-	if l.SquareSum() != 1+4+16 {
-		t.Fatalf("SquareSum=%d", l.SquareSum())
-	}
 }
 
 func TestNodeListValidateErrors(t *testing.T) {
@@ -164,32 +161,19 @@ func TestCheckProperAndDefective(t *testing.T) {
 	if CheckDefective(g, mono, 1, 1) == nil {
 		t.Fatal("defect 1 insufficient")
 	}
-	if MaxDefect(g, mono) != 2 {
-		t.Fatalf("MaxDefect=%d", MaxDefect(g, mono))
-	}
 	if CountColors(mono) != 1 || CountColors(phi) != 2 {
 		t.Fatal("CountColors wrong")
 	}
 }
 
-func TestCondPowerSum(t *testing.T) {
-	g := graph.Clique(5)
-	o := graph.OrientByID(g)
-	lists := make([]NodeList, 5)
-	for v := range lists {
-		// Each node: 16 colors with defect 0 ⇒ Σ(d+1)² = 16 ≥ β² for β ≤ 4.
-		cols := make([]int, 16)
-		for i := range cols {
-			cols[i] = i
-		}
-		lists[v] = NodeList{Colors: cols, Defect: make([]int, 16)}
+// squareSum returns Σ_{x∈L_v} (d_v(x)+1)², the left side of the
+// square-sum condition.
+func squareSum(l NodeList) int {
+	s := 0
+	for _, d := range l.Defect {
+		s += (d + 1) * (d + 1)
 	}
-	if !CondPowerSum(o, lists, 1, 1) {
-		t.Fatal("power-sum condition should hold")
-	}
-	if CondPowerSum(o, lists, 1, 2) {
-		t.Fatal("power-sum condition with κ=2 should fail for β=4")
-	}
+	return s
 }
 
 func TestSquareSumOrientedMeetsTarget(t *testing.T) {
@@ -202,7 +186,7 @@ func TestSquareSumOrientedMeetsTarget(t *testing.T) {
 		}
 		for v := 0; v < o.N(); v++ {
 			beta := o.OutDegree(v)
-			if float64(in.Lists[v].SquareSum()) < float64(beta*beta)*2.0 {
+			if float64(squareSum(in.Lists[v])) < float64(beta*beta)*2.0 {
 				return false
 			}
 		}
@@ -239,16 +223,5 @@ func TestSquareSumSpaceBound(t *testing.T) {
 	var se *ErrSpaceExhausted
 	if err == nil || in != nil || errors.As(err, &se) || !strings.Contains(err.Error(), "16777216") {
 		t.Fatalf("got %v, %v; want an error naming the bound 16777216", in, err)
-	}
-}
-
-func TestAssignment(t *testing.T) {
-	a := NewAssignment(3)
-	if a.Complete() {
-		t.Fatal("fresh assignment is not complete")
-	}
-	a[0], a[1], a[2] = 1, 2, 3
-	if !a.Complete() {
-		t.Fatal("should be complete")
 	}
 }

@@ -13,7 +13,6 @@ package coloring
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -27,11 +26,6 @@ import (
 type NodeList struct {
 	Colors []int
 	Defect []int
-}
-
-// Clone returns a deep copy.
-func (l NodeList) Clone() NodeList {
-	return NodeList{Colors: append([]int(nil), l.Colors...), Defect: append([]int(nil), l.Defect...)}
 }
 
 // Len returns |L_v|.
@@ -51,15 +45,6 @@ func (l NodeList) WeightSum() int {
 	s := 0
 	for _, d := range l.Defect {
 		s += d + 1
-	}
-	return s
-}
-
-// SquareSum returns Σ_{x∈L_v} (d_v(x)+1)².
-func (l NodeList) SquareSum() int {
-	s := 0
-	for _, d := range l.Defect {
-		s += (d + 1) * (d + 1)
 	}
 	return s
 }
@@ -131,16 +116,6 @@ func NewAssignment(n int) Assignment {
 	return a
 }
 
-// Complete reports whether every node is colored.
-func (a Assignment) Complete() bool {
-	for _, c := range a {
-		if c == Unset {
-			return false
-		}
-	}
-	return true
-}
-
 // --- Existence conditions (Section 1, conditions (1) and (2)) ---
 
 // CondExistsLDC reports whether condition (1) holds at every node:
@@ -167,33 +142,6 @@ func CondExistsArb(in *Instance) bool {
 		}
 	}
 	return true
-}
-
-// CondPowerSum reports whether Σ_{x∈L_v}(d_v(x)+1)^{1+ν} ≥ β_v^{1+ν}·κ holds
-// at every node of the oriented instance (the Theorem 1.1/1.2 style
-// condition with exponent 1+ν).
-func CondPowerSum(o *graph.Oriented, lists []NodeList, nu float64, kappa float64) bool {
-	for v, l := range lists {
-		var s float64
-		for _, d := range l.Defect {
-			s += pow1p(float64(d+1), nu)
-		}
-		if s < pow1p(float64(o.OutDegree(v)), nu)*kappa {
-			return false
-		}
-	}
-	return true
-}
-
-func pow1p(x, nu float64) float64 {
-	// x^(1+nu) for x >= 1.
-	if nu == 1 {
-		return x * x
-	}
-	if nu == 0 {
-		return x
-	}
-	return math.Pow(x, 1+nu)
 }
 
 // --- Generators ---

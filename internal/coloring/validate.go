@@ -261,31 +261,6 @@ func OLDCViolatorsIn(o *graph.Oriented, lists []NodeList, phi Assignment, cand [
 	return dst[:base+w]
 }
 
-// CountOLDCViolations returns the number of nodes whose oriented defect
-// bound is violated (used by ablation experiments that deliberately
-// under-provision parameters).
-func CountOLDCViolations(o *graph.Oriented, lists []NodeList, phi Assignment) int {
-	return len(OLDCViolators(o, lists, phi))
-}
-
-// MaxDefect returns the maximum number of same-colored neighbors over all
-// nodes (the realized defect of a coloring).
-func MaxDefect(g *graph.Graph, phi Assignment) int {
-	worst := 0
-	for v := 0; v < g.N(); v++ {
-		same := 0
-		for _, u := range g.Neighbors(v) {
-			if phi[u] == phi[v] {
-				same++
-			}
-		}
-		if same > worst {
-			worst = same
-		}
-	}
-	return worst
-}
-
 // CountColors returns the number of distinct colors used.
 func CountColors(phi Assignment) int {
 	seen := map[int]bool{}

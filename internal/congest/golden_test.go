@@ -68,7 +68,7 @@ func pipelineDigest(t *testing.T, g *graph.Graph, in *coloring.Instance) string 
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.EmitEnd(tr, res.Stats.TraceTotals())
+	tr.End(res.Stats.TraceTotals())
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestGoldenSolveViaDefective(t *testing.T) {
 	g := graph.GNP(512, 16.0/511, 11)
 	init, m := idBootstrap(t, g)
 	in := coloring.DegreePlusOne(g, 2*g.MaxDegree()+2, 13)
-	res, err := arb.SolveViaDefective(g, in, init, m, arb.Config{})
+	res, err := arb.SolveViaDefective(g, in, init, m, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestPipelineTraceReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.EmitEnd(tr, res.Stats.TraceTotals())
+	tr.End(res.Stats.TraceTotals())
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -167,13 +167,6 @@ func (k *ConflictKernel) Unload() {
 	k.filter.Unload()
 }
 
-// FamilyConflictMask is the one-shot convenience form (fresh scratch per
-// call); hot paths should reuse a ConflictKernel instead.
-func FamilyConflictMask(f1, f2 *CachedFamily, tau, g int) uint64 {
-	var k ConflictKernel
-	return k.FamilyConflictMask(f1, f2, tau, g)
-}
-
 // familyConflictMaskSlow is the scalar reference: the per-set sweep the
 // algorithms ran before batching, restricted to the 64 representable rows.
 func familyConflictMaskSlow(f1, f2 *CachedFamily, tau, g int) uint64 {

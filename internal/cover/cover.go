@@ -19,6 +19,8 @@ func MuG(x int, c []int, g int) int {
 }
 
 // ConflictWeight returns Σ_{x∈C1} μ_g(x, C2); it is symmetric in C1 and C2.
+// Only tests use it: directly, and through oldc's twoPhaseAlg.ignored, the
+// documented reference of Phase II's ignore rule.
 func ConflictWeight(c1, c2 []int, g int) int {
 	if g == 0 {
 		return intersectCount(c1, c2, -1)
@@ -70,27 +72,6 @@ func intersectCount(c1, c2 []int, stop int) int {
 	return cnt
 }
 
-// PsiCount returns the number of sets C ∈ K1 that τ&g-conflict with some
-// set of K2. The relation Ψ_g(τ′,τ) of Definition 3.3 holds iff
-// PsiCount(K1, K2, τ, g) ≥ τ′.
-func PsiCount(k1, k2 [][]int, tau, g int) int {
-	cnt := 0
-	for _, c := range k1 {
-		for _, c2 := range k2 {
-			if TauGConflict(c, c2, tau, g) {
-				cnt++
-				break
-			}
-		}
-	}
-	return cnt
-}
-
-// Psi reports whether (K1, K2) ∈ Ψ_g(τ′, τ).
-func Psi(k1, k2 [][]int, tauPrime, tau, g int) bool {
-	return PsiCount(k1, k2, tau, g) >= tauPrime
-}
-
 // ResidueClass returns L^a = {x ∈ L : x ≡ a (mod 2g+1)} (Section 3.2.2).
 // L must be sorted; the result is sorted.
 func ResidueClass(l []int, a, g int) []int {
@@ -130,8 +111,6 @@ func BestResidue(l []int, g int) (int, []int) {
 // profile scales τ and caps the family size; experiments always validate
 // the resulting colorings (DESIGN.md substitution 2).
 type Params struct {
-	// Gap is g: two colors conflict when they are within Gap of each other.
-	Gap int
 	// TauScale divides the theoretical τ (1 = faithful).
 	TauScale int
 	// TauFloor lower-bounds the scaled τ.
@@ -148,17 +127,9 @@ type Params struct {
 	Alpha int
 }
 
-// Theory returns the faithful parameter profile (equations (4), (5)). It
-// exists for formula inspection and the Appendix B certificates
-// (EvaluateLemmaB1); feeding it to the distributed algorithms would ask
-// Family for 2^τ′-scale candidate sets, so executable runs use Practical().
-func Theory() Params {
-	return Params{Gap: 0, TauScale: 1, TauFloor: 1, KPrimeCap: math.MaxInt32, KPrimeFloor: 2, SetSizeCap: math.MaxInt32, Alpha: 2}
-}
-
 // Practical returns the laptop-scale profile used by the experiments.
 func Practical() Params {
-	return Params{Gap: 0, TauScale: 24, TauFloor: 2, KPrimeCap: 16, KPrimeFloor: 8, SetSizeCap: 64, Alpha: 1}
+	return Params{TauScale: 24, TauFloor: 2, KPrimeCap: 16, KPrimeFloor: 8, SetSizeCap: 64, Alpha: 1}
 }
 
 // OrPractical returns p, or Practical() when p leaves TauScale at zero:
@@ -175,53 +146,6 @@ func (p Params) OrPractical() Params {
 // ⌈8h + 2·loglog|C| + 2·loglog m + 16⌉.
 func TauTheory(h, spaceSize, m int) int {
 	return int(math.Ceil(8*float64(h) + 2*loglog2(spaceSize) + 2*loglog2(m) + 16))
-}
-
-// KappaTheorem11 evaluates the κ(β, C, m) of Theorem 1.1:
-//
-//	(log β + loglog|C| + loglog m)·(loglog β + loglog m)·log²log β.
-//
-// It is the slack factor the square-sum condition (3) multiplies β_v² by;
-// the Lemma 3.8 decomposition τ·τ̄·h′² is within constants of it (checked
-// by tests).
-func KappaTheorem11(beta, spaceSize, m int) float64 {
-	logB := math.Log2(float64(maxOf(beta, 2)))
-	llB := math.Log2(maxFloat(logB, 2))
-	llC := loglog2(spaceSize)
-	llM := loglog2(m)
-	return (logB + llC + llM) * (llB + llM) * llB * llB
-}
-
-// KappaLemma38 evaluates the concrete slack τ·τ̄·h′² that the Lemma 3.8
-// condition (6) uses, with h = ⌈log β̂⌉ and h′ = 4^⌈log₄ log₂ 8h⌉.
-func KappaLemma38(beta, spaceSize, m int) float64 {
-	h := 1
-	for (1 << uint(h)) < beta {
-		h++
-	}
-	l := math.Log2(8 * float64(h))
-	e := math.Ceil(math.Log2(l) / 2)
-	if e < 1 {
-		e = 1
-	}
-	hPrime := math.Pow(4, e)
-	tau := float64(TauTheory(h, spaceSize, m))
-	tauBar := float64(TauTheory(int(hPrime), h, m))
-	return tau * tauBar * hPrime * hPrime
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Tau returns the scaled τ for this profile.
@@ -344,7 +268,10 @@ func fnvWord(h, v uint64) uint64 {
 // list of NumSets sorted SetSize-subsets of List. Equal types produce equal
 // families — the property the paper's greedy type assignment provides — and
 // the pseudorandom choice realizes the low pairwise Ψ-conflict bound that
-// Lemma 3.1 guarantees to exist (DESIGN.md substitution 1).
+// Lemma 3.1 guarantees to exist (DESIGN.md substitution 1). The algorithms
+// derive families through FamilyCache; Family is the reference form that
+// this package's tests and oldc's golden tests compare against, and only
+// tests call it.
 func Family(t Type) [][]int {
 	if t.SetSize > len(t.List) {
 		t.SetSize = len(t.List)

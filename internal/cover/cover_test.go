@@ -3,12 +3,88 @@ package cover
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// PsiCount returns the number of sets C ∈ K1 that τ&g-conflict with some
+// set of K2. The relation Ψ_g(τ′,τ) of Definition 3.3 holds iff
+// PsiCount(K1, K2, τ, g) ≥ τ′.
+func PsiCount(k1, k2 [][]int, tau, g int) int {
+	cnt := 0
+	for _, c := range k1 {
+		for _, c2 := range k2 {
+			if TauGConflict(c, c2, tau, g) {
+				cnt++
+				break
+			}
+		}
+	}
+	return cnt
+}
+
+// Psi reports whether (K1, K2) ∈ Ψ_g(τ′, τ).
+func Psi(k1, k2 [][]int, tauPrime, tau, g int) bool {
+	return PsiCount(k1, k2, tau, g) >= tauPrime
+}
+
+// Theory returns the faithful parameter profile (equations (4), (5)).
+// Feeding it to the distributed algorithms would ask Family for
+// 2^τ′-scale candidate sets, so executable runs use Practical().
+func Theory() Params {
+	return Params{TauScale: 1, TauFloor: 1, KPrimeCap: math.MaxInt32, KPrimeFloor: 2, SetSizeCap: math.MaxInt32, Alpha: 2}
+}
+
+// KappaTheorem11 evaluates the κ(β, C, m) of Theorem 1.1:
+//
+//	(log β + loglog|C| + loglog m)·(loglog β + loglog m)·log²log β.
+//
+// It is the slack factor the square-sum condition (3) multiplies β_v² by;
+// the Lemma 3.8 decomposition τ·τ̄·h′² is within constants of it (checked
+// by tests).
+func KappaTheorem11(beta, spaceSize, m int) float64 {
+	logB := math.Log2(float64(maxOf(beta, 2)))
+	llB := math.Log2(maxFloat(logB, 2))
+	llC := loglog2(spaceSize)
+	llM := loglog2(m)
+	return (logB + llC + llM) * (llB + llM) * llB * llB
+}
+
+// KappaLemma38 evaluates the concrete slack τ·τ̄·h′² that the Lemma 3.8
+// condition (6) uses, with h = ⌈log β̂⌉ and h′ = 4^⌈log₄ log₂ 8h⌉.
+func KappaLemma38(beta, spaceSize, m int) float64 {
+	h := 1
+	for (1 << uint(h)) < beta {
+		h++
+	}
+	l := math.Log2(8 * float64(h))
+	e := math.Ceil(math.Log2(l) / 2)
+	if e < 1 {
+		e = 1
+	}
+	hPrime := math.Pow(4, e)
+	tau := float64(TauTheory(h, spaceSize, m))
+	tauBar := float64(TauTheory(int(hPrime), h, m))
+	return tau * tauBar * hPrime * hPrime
+}
+
+func maxOf(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+func maxFloat(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
+}
 
 func TestMuG(t *testing.T) {
 	c := []int{1, 4, 5, 9, 12}

@@ -10,6 +10,13 @@ import (
 	"testing/quick"
 )
 
+// FamilyConflictMask is the one-shot convenience form (fresh scratch per
+// call); hot paths should reuse a ConflictKernel instead.
+func FamilyConflictMask(f1, f2 *CachedFamily, tau, g int) uint64 {
+	var k ConflictKernel
+	return k.FamilyConflictMask(f1, f2, tau, g)
+}
+
 // TestCachedFamilyMatchesFamily derives a sequence of types through one
 // cache, as a solve does: the lists grow and shrink (one to 5,000
 // colors), and NumSets lies on both sides of 64. The derivation scratch

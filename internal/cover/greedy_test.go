@@ -1,9 +1,117 @@
 package cover
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// This file implements the *literal* zero-round P2 construction of Lemma
+// 3.5: enumerate S(L) = ((L choose k) choose k′) for every node type and
+// greedily assign each type a family that is Ψ_g(τ′,τ)-conflict-free with
+// all previously assigned ones. The enumeration is exponential (the paper
+// concedes super-polynomial internal computation, Appendix C), so this is
+// only feasible at toy parameters — it exists to certify that the
+// type-seeded sampler used by the algorithms (Family) replaces a
+// construction that genuinely exists, and the tests compare the two.
+
+// Combinations enumerates all k-subsets of items in lexicographic order.
+func Combinations(items []int, k int) [][]int {
+	if k < 0 || k > len(items) {
+		return nil
+	}
+	var out [][]int
+	idx := make([]int, k)
+	for i := range idx {
+		idx[i] = i
+	}
+	for {
+		pick := make([]int, k)
+		for i, j := range idx {
+			pick[i] = items[j]
+		}
+		out = append(out, pick)
+		// Advance.
+		i := k - 1
+		for i >= 0 && idx[i] == len(items)-k+i {
+			i--
+		}
+		if i < 0 {
+			break
+		}
+		idx[i]++
+		for j := i + 1; j < k; j++ {
+			idx[j] = idx[j-1] + 1
+		}
+	}
+	return out
+}
+
+// GreedyParams are the toy-scale parameters of the exact construction.
+type GreedyParams struct {
+	SetSize  int // k: size of each candidate set
+	FamSize  int // k′: sets per family
+	Tau      int // τ
+	TauPrime int // τ′
+	Gap      int // g
+}
+
+// GreedyFamilies runs the Lemma 3.5 greedy over the given (distinct) type
+// lists: the i-th output family is drawn from S(lists[i]) and conflicts
+// with no earlier family under Ψ_g(τ′,τ) in either direction. It returns
+// an error when some type's S(L) is exhausted — which, per Lemma 3.1,
+// cannot happen when the parameters satisfy the counting premise.
+func GreedyFamilies(lists [][]int, p GreedyParams) ([][][]int, error) {
+	chosen := make([][][]int, 0, len(lists))
+	for ti, list := range lists {
+		sorted := append([]int(nil), list...)
+		sort.Ints(sorted)
+		sets := Combinations(sorted, p.SetSize)
+		if len(sets) < p.FamSize {
+			return nil, fmt.Errorf("cover: type %d has only %d candidate sets, need %d", ti, len(sets), p.FamSize)
+		}
+		famIdx := make([]int, p.FamSize)
+		for i := range famIdx {
+			famIdx[i] = i
+		}
+		found := false
+		for {
+			fam := make([][]int, p.FamSize)
+			for i, j := range famIdx {
+				fam[i] = sets[j]
+			}
+			ok := true
+			for _, prev := range chosen {
+				if Psi(fam, prev, p.TauPrime, p.Tau, p.Gap) || Psi(prev, fam, p.TauPrime, p.Tau, p.Gap) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				chosen = append(chosen, fam)
+				found = true
+				break
+			}
+			// Advance the k′-subset of set indices.
+			i := p.FamSize - 1
+			for i >= 0 && famIdx[i] == len(sets)-p.FamSize+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			famIdx[i]++
+			for j := i + 1; j < p.FamSize; j++ {
+				famIdx[j] = famIdx[j-1] + 1
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("cover: greedy exhausted S(L) at type %d (parameters below the Lemma 3.1 premise)", ti)
+		}
+	}
+	return chosen, nil
+}
 
 func TestCombinations(t *testing.T) {
 	c := Combinations([]int{1, 2, 3, 4}, 2)

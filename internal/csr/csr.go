@@ -51,28 +51,6 @@ func Reduce(eng *sim.Engine, in oldc.Input, cfg Config, solve oldc.Solver) (colo
 	return phi, stats, nil
 }
 
-// AutoP returns the partition arity p = 2^⌈√(log₂|C|·log₂κ)⌉ that
-// Corollary 4.1 uses to balance the level count ⌈log_p|C|⌉ against a
-// poly(p)-round base solver, clamped to [2, |C|].
-func AutoP(spaceSize int, kappa float64) int {
-	if spaceSize <= 2 {
-		return 2
-	}
-	logC := math.Log2(float64(spaceSize))
-	logK := math.Log2(kappa)
-	if logK < 1 {
-		logK = 1
-	}
-	p := int(math.Pow(2, math.Ceil(math.Sqrt(logC*logK))))
-	if p < 2 {
-		p = 2
-	}
-	if p > spaceSize {
-		p = spaceSize
-	}
-	return p
-}
-
 // levelsFor returns k = ⌈log_p |C|⌉.
 func levelsFor(spaceSize, p int) int {
 	k := 0

@@ -91,28 +91,13 @@ func TestReduceMessageSizeShrinks(t *testing.T) {
 	}
 }
 
-func TestAutoP(t *testing.T) {
-	// p is a power of two in [2, |C|] and the level count at AutoP is far
-	// below log₂|C| for large spaces.
-	for _, space := range []int{2, 16, 1 << 12, 1 << 20} {
-		p := AutoP(space, 2.0)
-		if p < 2 || p > space {
-			t.Fatalf("AutoP(%d)=%d out of range", space, p)
-		}
-		if p&(p-1) != 0 {
-			t.Fatalf("AutoP(%d)=%d not a power of two", space, p)
-		}
-	}
-	if levelsFor(1<<20, AutoP(1<<20, 2.0)) >= 20 {
-		t.Fatal("AutoP should reduce the level count well below log2|C|")
-	}
-}
-
 func TestReduceWithAutoP(t *testing.T) {
 	g := graph.RandomRegular(40, 5, 13)
 	o := graph.OrientByID(g)
 	in, eng := makeInput(t, o, 1<<12, 14.0, 2, 8)
-	phi, _, err := Reduce(eng, in, Config{P: AutoP(1<<12, 2.0), Kappa: 1.1}, oldc.Solve)
+	// p = 16 is Corollary 4.1's arity 2^⌈√(log₂|C|·log₂κ)⌉ at |C| = 2^12
+	// and log₂κ = 1.
+	phi, _, err := Reduce(eng, in, Config{P: 16, Kappa: 1.1}, oldc.Solve)
 	if err != nil {
 		t.Fatal(err)
 	}

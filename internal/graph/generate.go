@@ -22,7 +22,8 @@ func Ring(n int) *Graph {
 	return b.Build()
 }
 
-// Path returns the path P_n.
+// Path returns the path P_n. Only tests use it, as a fixture in several
+// packages.
 func Path(n int) *Graph {
 	b := NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
@@ -42,7 +43,8 @@ func Clique(n int) *Graph {
 	return b.Build()
 }
 
-// CompleteBipartite returns K_{a,b}.
+// CompleteBipartite returns K_{a,b}. Only tests use it, as a fixture in
+// several packages.
 func CompleteBipartite(a, b int) *Graph {
 	bl := NewBuilder(a + b)
 	for i := 0; i < a; i++ {
@@ -102,7 +104,8 @@ func Hypercube(d int) *Graph {
 }
 
 // CompleteKary returns the complete k-ary tree with the given number of
-// levels (levels >= 1; levels == 1 is a single vertex).
+// levels (levels >= 1; levels == 1 is a single vertex). Only tests use it,
+// as a fixture in several packages.
 func CompleteKary(k, levels int) *Graph {
 	n := 1
 	width := 1
@@ -392,19 +395,4 @@ func RandomGeometric(n int, radius float64, seed int64) (*Graph, [][2]float64) {
 		}
 	}
 	return b.Build(), pts
-}
-
-// Disjoint returns the disjoint union of the given graphs.
-func Disjoint(gs ...*Graph) *Graph {
-	total := 0
-	for _, g := range gs {
-		total += g.N()
-	}
-	b := NewBuilder(total)
-	off := 0
-	for _, g := range gs {
-		g.ForEachEdge(func(u, v int) { b.AddEdge(u+off, v+off) })
-		off += g.N()
-	}
-	return b.Build()
 }

@@ -236,28 +236,3 @@ func (g *Graph) LineGraph() (*Graph, [][2]int) {
 	}
 	return b.Build(), edges
 }
-
-// Validate checks internal invariants; used by tests.
-func (g *Graph) Validate() error {
-	cnt := 0
-	for v := 0; v < g.n; v++ {
-		prev := int32(-1)
-		for _, w := range g.adj[v] {
-			if w == int32(v) {
-				return fmt.Errorf("graph: self loop at %d", v)
-			}
-			if w <= prev {
-				return fmt.Errorf("graph: adjacency of %d not strictly sorted", v)
-			}
-			prev = w
-			if !g.HasEdge(int(w), v) {
-				return fmt.Errorf("graph: asymmetric edge (%d,%d)", v, w)
-			}
-			cnt++
-		}
-	}
-	if cnt != 2*g.m {
-		return fmt.Errorf("graph: edge count mismatch: m=%d half-edges=%d", g.m, cnt)
-	}
-	return nil
-}

@@ -1,10 +1,37 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// Validate checks the adjacency invariants every constructor must keep:
+// no self loops, strictly sorted symmetric lists, and m edges.
+func (g *Graph) Validate() error {
+	cnt := 0
+	for v := 0; v < g.n; v++ {
+		prev := int32(-1)
+		for _, w := range g.adj[v] {
+			if w == int32(v) {
+				return fmt.Errorf("graph: self loop at %d", v)
+			}
+			if w <= prev {
+				return fmt.Errorf("graph: adjacency of %d not strictly sorted", v)
+			}
+			prev = w
+			if !g.HasEdge(int(w), v) {
+				return fmt.Errorf("graph: asymmetric edge (%d,%d)", v, w)
+			}
+			cnt++
+		}
+	}
+	if cnt != 2*g.m {
+		return fmt.Errorf("graph: edge count mismatch: m=%d half-edges=%d", g.m, cnt)
+	}
+	return nil
+}
 
 func TestBuilderDedup(t *testing.T) {
 	g := NewBuilder(3).AddEdge(0, 1).AddEdge(1, 0).AddEdge(1, 2).Build()
@@ -200,6 +227,21 @@ func TestRandomTree(t *testing.T) {
 			t.Fatalf("RandomTree(%d) disconnected", n)
 		}
 	}
+}
+
+// Disjoint returns the disjoint union of the given graphs.
+func Disjoint(gs ...*Graph) *Graph {
+	total := 0
+	for _, g := range gs {
+		total += g.N()
+	}
+	b := NewBuilder(total)
+	off := 0
+	for _, g := range gs {
+		g.ForEachEdge(func(u, v int) { b.AddEdge(u+off, v+off) })
+		off += g.N()
+	}
+	return b.Build()
 }
 
 func TestDisjoint(t *testing.T) {

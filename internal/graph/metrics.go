@@ -32,43 +32,6 @@ func (g *Graph) Components() (int, []int) {
 	return next, comp
 }
 
-// BFS returns the hop distance from src to every vertex (-1 when
-// unreachable).
-func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
-// Diameter returns the largest finite BFS eccentricity (0 for empty or
-// singleton graphs; disconnected pairs are ignored). It runs a BFS per
-// vertex and is intended for test- and experiment-sized graphs.
-func (g *Graph) Diameter() int {
-	d := 0
-	for v := 0; v < g.n; v++ {
-		for _, x := range g.BFS(v) {
-			if x > d {
-				d = x
-			}
-		}
-	}
-	return d
-}
-
 // NeighborhoodIndependence returns θ(G): the maximum size of an
 // independent set contained in a single neighborhood. Line graphs have
 // θ ≤ 2, the structural property behind the paper's color-space-reduction
@@ -118,21 +81,4 @@ func maxIndependentSubset(g *Graph, cand []int32) int {
 	}
 	rec(0, nil)
 	return best
-}
-
-// AvgDegree returns 2m/n (0 for the empty graph).
-func (g *Graph) AvgDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return 2 * float64(g.m) / float64(g.n)
-}
-
-// DegreeHistogram returns counts per degree value 0..Δ.
-func (g *Graph) DegreeHistogram() []int {
-	h := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.n; v++ {
-		h[g.Degree(v)]++
-	}
-	return h
 }

@@ -13,38 +13,6 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestBFS(t *testing.T) {
-	g := Path(5)
-	d := g.BFS(0)
-	for i := 0; i < 5; i++ {
-		if d[i] != i {
-			t.Fatalf("dist[%d]=%d", i, d[i])
-		}
-	}
-	dg := Disjoint(Path(2), Path(2))
-	d2 := dg.BFS(0)
-	if d2[2] != -1 || d2[3] != -1 {
-		t.Fatal("unreachable nodes must be -1")
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	for _, tc := range []struct {
-		g    *Graph
-		want int
-	}{
-		{Ring(10), 5},
-		{Path(7), 6},
-		{Clique(5), 1},
-		{Hypercube(4), 4},
-		{Grid(3, 4), 5},
-	} {
-		if got := tc.g.Diameter(); got != tc.want {
-			t.Fatalf("diameter=%d want %d", got, tc.want)
-		}
-	}
-}
-
 func TestNeighborhoodIndependence(t *testing.T) {
 	// Cliques: any neighborhood is a clique → θ = 1.
 	if got, err := Clique(6).NeighborhoodIndependence(); err != nil || got != 1 {
@@ -69,21 +37,5 @@ func TestNeighborhoodIndependence(t *testing.T) {
 	// Degree cap.
 	if _, err := CompleteBipartite(1, 30).NeighborhoodIndependence(); err == nil {
 		t.Fatal("expected degree cap error")
-	}
-}
-
-func TestAvgDegreeAndHistogram(t *testing.T) {
-	g := Ring(6)
-	if g.AvgDegree() != 2 {
-		t.Fatalf("avg=%f", g.AvgDegree())
-	}
-	h := g.DegreeHistogram()
-	if len(h) != 3 || h[2] != 6 {
-		t.Fatalf("hist=%v", h)
-	}
-	star := CompleteBipartite(1, 5)
-	hs := star.DegreeHistogram()
-	if hs[1] != 5 || hs[5] != 1 {
-		t.Fatalf("star hist=%v", hs)
 	}
 }

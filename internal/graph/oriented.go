@@ -95,7 +95,8 @@ func OrientSymmetric(g *Graph) *Oriented {
 
 // OrientDegeneracy orients along a degeneracy (smallest-last) ordering:
 // each vertex points to neighbors that come later in the ordering, so the
-// maximum out-degree equals the degeneracy of the graph.
+// maximum out-degree equals the degeneracy of the graph. Only tests use
+// it, as a fixture in several packages.
 func OrientDegeneracy(g *Graph) *Oriented {
 	ordPos := degeneracyOrder(g)
 	return Orient(g, func(u, v int) bool { return ordPos[u] < ordPos[v] })
@@ -200,9 +201,6 @@ func (o *Oriented) OutDegree(v int) int {
 	}
 	return len(o.out[v])
 }
-
-// RawOutDegree returns the actual out-degree (possibly 0).
-func (o *Oriented) RawOutDegree(v int) int { return len(o.out[v]) }
 
 // MaxOutDegree returns β = max_v β_v.
 func (o *Oriented) MaxOutDegree() int {

@@ -17,11 +17,11 @@ func TestOrientByID(t *testing.T) {
 	}
 	// Arcs point toward the smaller endpoint: vertex 0 receives
 	// everything, vertex 4 sends everything.
-	if o.RawOutDegree(4) != 4 {
-		t.Fatalf("outdeg(4)=%d", o.RawOutDegree(4))
+	if len(o.Out(4)) != 4 {
+		t.Fatalf("outdeg(4)=%d", len(o.Out(4)))
 	}
-	if o.RawOutDegree(0) != 0 || o.OutDegree(0) != 1 {
-		t.Fatalf("outdeg(0)=%d β=%d", o.RawOutDegree(0), o.OutDegree(0))
+	if len(o.Out(0)) != 0 || o.OutDegree(0) != 1 {
+		t.Fatalf("outdeg(0)=%d β=%d", len(o.Out(0)), o.OutDegree(0))
 	}
 }
 
@@ -29,8 +29,8 @@ func TestOrientSymmetric(t *testing.T) {
 	g := Ring(6)
 	o := OrientSymmetric(g)
 	for v := 0; v < 6; v++ {
-		if o.RawOutDegree(v) != 2 {
-			t.Fatalf("symmetric outdeg(%d)=%d", v, o.RawOutDegree(v))
+		if len(o.Out(v)) != 2 {
+			t.Fatalf("symmetric outdeg(%d)=%d", v, len(o.Out(v)))
 		}
 	}
 	if !o.HasArc(0, 1) || !o.HasArc(1, 0) {
@@ -66,14 +66,14 @@ func TestEulerOrientationBound(t *testing.T) {
 		}
 		for v := 0; v < g.N(); v++ {
 			bound := (g.Degree(v) + 1) / 2
-			if o.RawOutDegree(v) > bound {
-				t.Fatalf("graph %d: outdeg(%d)=%d > ceil(deg/2)=%d", gi, v, o.RawOutDegree(v), bound)
+			if len(o.Out(v)) > bound {
+				t.Fatalf("graph %d: outdeg(%d)=%d > ceil(deg/2)=%d", gi, v, len(o.Out(v)), bound)
 			}
 		}
 		// Every edge oriented exactly once.
 		total := 0
 		for v := 0; v < g.N(); v++ {
-			total += o.RawOutDegree(v)
+			total += len(o.Out(v))
 		}
 		if total != g.M() {
 			t.Fatalf("graph %d: oriented %d arcs, want %d", gi, total, g.M())
@@ -89,7 +89,7 @@ func TestEulerOrientationProperty(t *testing.T) {
 			return false
 		}
 		for v := 0; v < g.N(); v++ {
-			if o.RawOutDegree(v) > (g.Degree(v)+1)/2 {
+			if len(o.Out(v)) > (g.Degree(v)+1)/2 {
 				return false
 			}
 		}
@@ -107,7 +107,7 @@ func TestOrientedInOutConsistency(t *testing.T) {
 	outCount := 0
 	for v := 0; v < g.N(); v++ {
 		inCount += len(o.In(v))
-		outCount += o.RawOutDegree(v)
+		outCount += len(o.Out(v))
 		for _, u := range o.Out(v) {
 			found := false
 			for _, w := range o.In(int(u)) {

@@ -59,7 +59,7 @@ func tracedEngine(g *graph.Graph, workers int, buf *bytes.Buffer) (*sim.Engine, 
 // closeTrace appends the run totals and flushes the tracer.
 func closeTrace(t *testing.T, tr *obs.JSONL, stats sim.Stats) {
 	t.Helper()
-	obs.EmitEnd(tr, stats.TraceTotals())
+	tr.End(stats.TraceTotals())
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,35 @@
 package linial
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
 	"testing"
 )
+
+// polyEval evaluates the polynomial whose base-q digits are the
+// coefficients of c at point x over GF(q): f_c(x) = Σ digit_i(c) x^i mod q.
+// Distinct values c < q^(deg+1) give distinct polynomials of degree <= deg,
+// which agree on at most deg points — the cover-free property Linial's
+// reduction needs.
+func polyEval(c, x, q, deg int) int {
+	// Horner evaluation over the base-q digit expansion, highest digit
+	// first.
+	digits := make([]int, deg+1)
+	for i := 0; i <= deg; i++ {
+		digits[i] = c % q
+		c /= q
+	}
+	if c != 0 {
+		panic(fmt.Sprintf("linial: color does not fit in %d base-%d digits", deg+1, q))
+	}
+	acc := 0
+	for i := deg; i >= 0; i-- {
+		acc = (acc*x + digits[i]) % q
+	}
+	return acc
+}
 
 // gfTestCases spans small and large fields, degree 1..6: the shapes the
 // Theorem 1.4 pipeline runs on G(16384, 64/16383) — stage 1's defective

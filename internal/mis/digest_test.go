@@ -49,7 +49,7 @@ func tracedRun(t *testing.T, g *graph.Graph, workers int, solve func(*sim.Engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.EmitEnd(tr, stats.TraceTotals())
+	tr.End(stats.TraceTotals())
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

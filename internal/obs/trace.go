@@ -105,13 +105,6 @@ func EmitPhase(t Tracer, name string, attrs Attrs) {
 	}
 }
 
-// EmitEnd forwards to t.End when t is non-nil.
-func EmitEnd(t Tracer, totals Totals) {
-	if t != nil {
-		t.End(totals)
-	}
-}
-
 // --- JSONL sink ---
 
 // startLine / phaseLine / roundLine / endLine are the wire forms of the

@@ -120,7 +120,6 @@ func TestNilSafeEmitHelpers(t *testing.T) {
 	// Must not panic on a nil tracer.
 	EmitStart(nil, RunInfo{})
 	EmitPhase(nil, "x", nil)
-	EmitEnd(nil, Totals{})
 
 	var buf bytes.Buffer
 	tr := NewJSONL(&buf)

@@ -61,7 +61,7 @@ func checkDigest(t *testing.T, tag, got, want string) {
 // closeTrace appends the run totals and flushes the tracer.
 func closeTrace(t *testing.T, tr *obs.JSONL, stats sim.Stats) {
 	t.Helper()
-	obs.EmitEnd(tr, stats.TraceTotals())
+	tr.End(stats.TraceTotals())
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

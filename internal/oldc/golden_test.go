@@ -497,7 +497,6 @@ func (a *refTwoPhaseAlg) Done() bool {
 // refSolveMulti is the seed SolveMulti on refBasicAlg.
 func refSolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
 	pr := opts.Params.OrPractical()
-	pr.Gap = opts.Gap
 	o := in.O
 	n := o.N()
 	h := classCount(o)
@@ -530,6 +529,19 @@ func refSolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment
 		return nil, stats, err
 	}
 	return coloring.Assignment(phi), stats, nil
+}
+
+// auxList is the seed form of a node's γ-class aux list: one 0-based
+// color per class candidate, with δ_{v,i} as its defect. Solve builds the
+// same list in place from the per-solve arena.
+func (s classSelection) auxList() coloring.NodeList {
+	colors := make([]int, len(s.cands))
+	defs := make([]int, len(s.cands))
+	for i, c := range s.cands {
+		colors[i] = c.class - 1 // 0-based for the aux color space
+		defs[i] = c.delta
+	}
+	return coloring.NodeList{Colors: colors, Defect: defs}
 }
 
 // refSolve is the seed Solve: the case analysis of refAnalyzeNode,

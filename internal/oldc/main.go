@@ -176,16 +176,6 @@ type classCandidate struct {
 	defect int   // d_v for those colors
 }
 
-func (s classSelection) auxList() coloring.NodeList {
-	colors := make([]int, len(s.cands))
-	defs := make([]int, len(s.cands))
-	for i, c := range s.cands {
-		colors[i] = c.class - 1 // 0-based for the aux color space
-		defs[i] = c.delta
-	}
-	return coloring.NodeList{Colors: colors, Defect: defs}
-}
-
 // listForClass returns the colors and defect of the candidate for γ-class
 // i, or no colors if i is not a candidate. The γ-class solve picks each
 // node's class from its own aux list, so the chosen class is always a
@@ -644,7 +634,8 @@ func (a *twoPhaseAlg) pickColor(v int, sc *algkit.Scratch) {
 // ignored reports whether a same-class out-neighbor's candidate set
 // conflicts too heavily with C_v (it is then outside N_{i,*} and accounted
 // against the d_v/4 ignore budget). pickColor evaluates the same rule
-// inside its counting probe; this form is the documented reference.
+// inside its counting probe; this form is the documented reference, and
+// only tests call it.
 func (a *twoPhaseAlg) ignored(v int, cu []int) bool {
 	return cover.ConflictWeight(a.cv[v], cu, 0) >= a.spec.tau
 }

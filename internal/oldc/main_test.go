@@ -229,16 +229,17 @@ func TestSolveFailsLoudlyUnderFaults(t *testing.T) {
 }
 
 func TestSolveUndirected(t *testing.T) {
+	// The reduction remarked after Theorem 1.2: replacing every edge {u,v}
+	// by the arcs (u,v) and (v,u) makes an undirected instance an
+	// equivalent oriented one with β_v = deg(v), so Solve's OLDC output on
+	// the symmetric orientation is a list defective coloring of g.
 	g := graph.RandomRegular(40, 6, 41)
-	eng := sim.NewEngine(g)
-	in, _ := prepareInput(t, graph.OrientSymmetric(g), 1<<12, 5.0, 2, 43)
-	// Re-wrap as an undirected instance: symmetric orientation means the
-	// square-sum lists were generated against β_v = deg(v) already.
-	uin := &coloring.Instance{G: g, SpaceSize: in.SpaceSize, Lists: in.Lists}
-	phi, _, err := SolveUndirected(eng, uin, in.InitColors, in.M, Options{})
+	in, eng := prepareInput(t, graph.OrientSymmetric(g), 1<<12, 5.0, 2, 43)
+	phi, _, err := Solve(eng, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	uin := &coloring.Instance{G: g, SpaceSize: in.SpaceSize, Lists: in.Lists}
 	if err := coloring.CheckLDC(uin, phi); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +481,7 @@ func TestSolveLeavesInputIntact(t *testing.T) {
 		t.Helper()
 		want := make([]coloring.NodeList, len(in.Lists))
 		for v, l := range in.Lists {
-			want[v] = l.Clone()
+			want[v] = coloring.NodeList{Colors: slices.Clone(l.Colors), Defect: slices.Clone(l.Defect)}
 		}
 		run(in)
 		if !reflect.DeepEqual(in.Lists, want) {

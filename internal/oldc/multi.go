@@ -45,7 +45,6 @@ type Solver func(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, 
 // bits.
 func SolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
 	pr := opts.Params.OrPractical()
-	pr.Gap = opts.Gap
 	o := in.O
 	n := o.N()
 	h := classCount(o)
@@ -83,58 +82,6 @@ func SolveMulti(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, s
 	if !opts.SkipValidate {
 		if err := coloring.CheckOLDCGap(o, in.Lists, asg, opts.Gap); err != nil {
 			return nil, stats, fmt.Errorf("oldc: SolveMulti output invalid: %w", err)
-		}
-	}
-	return asg, stats, nil
-}
-
-// SolveProperList is the Maus–Tonoyan two-round special case that Theorem
-// 1.1 generalizes: a *proper* list coloring of a directed graph whose
-// lists are large relative to β² (all defects zero). Forcing a single
-// γ-class gives the original MT20 schedule — one round to exchange types
-// (P2 is solved locally in zero rounds), one round to exchange candidate
-// sets, with the color picked from the conflict-free slack.
-func SolveProperList(eng *sim.Engine, in Input, opts Options) (coloring.Assignment, sim.Stats, error) {
-	pr := opts.Params.OrPractical()
-	pr.Gap = 0
-	o := in.O
-	n := o.N()
-	tau := pr.Tau(1, in.SpaceSize, in.M)
-	spec := basicSpec{
-		o:          o,
-		spaceSize:  in.SpaceSize,
-		m:          in.M,
-		initColors: in.InitColors,
-		lists:      make([][]int, n),
-		defect:     make([]int, n),
-		gclass:     make([]int, n),
-		h:          1,
-		gap:        0,
-		tau:        tau,
-		kprime:     pr.KPrime(1, tau),
-		pr:         pr,
-	}
-	for v := 0; v < n; v++ {
-		l := in.Lists[v]
-		if l.Len() == 0 {
-			return nil, sim.Stats{}, fmt.Errorf("oldc: node %d has an empty list", v)
-		}
-		for _, d := range l.Defect {
-			if d != 0 {
-				return nil, sim.Stats{}, fmt.Errorf("oldc: node %d has a nonzero defect; use SolveMulti", v)
-			}
-		}
-		spec.lists[v] = l.Colors
-		spec.gclass[v] = 1
-	}
-	phi, stats, err := runBasic(eng, spec)
-	if err != nil {
-		return nil, stats, err
-	}
-	asg := coloring.Assignment(phi)
-	if !opts.SkipValidate {
-		if err := coloring.CheckOLDC(o, in.Lists, asg); err != nil {
-			return nil, stats, fmt.Errorf("oldc: SolveProperList output invalid: %w", err)
 		}
 	}
 	return asg, stats, nil

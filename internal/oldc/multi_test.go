@@ -116,36 +116,6 @@ func TestSolveMultiRoundsGrowLogarithmically(t *testing.T) {
 	}
 }
 
-func TestSolveProperListTwoRounds(t *testing.T) {
-	// The MT20 special case: zero defects, lists Ω(β²τ), exactly 2 rounds.
-	g := graph.RandomRegular(48, 6, 71)
-	o := graph.OrientByID(g)
-	in, eng := prepareInput(t, o, 1<<11, 8.0, 0, 73)
-	phi, stats, err := SolveProperList(eng, in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 2 {
-		t.Fatalf("rounds=%d, MT20 schedule is exactly 2", stats.Rounds)
-	}
-	for v := 0; v < o.N(); v++ {
-		for _, u := range o.Out(v) {
-			if phi[u] == phi[v] {
-				t.Fatalf("monochromatic arc %d->%d", v, u)
-			}
-		}
-	}
-}
-
-func TestSolveProperListRejectsDefects(t *testing.T) {
-	g := graph.Ring(8)
-	o := graph.OrientByID(g)
-	in, eng := prepareInput(t, o, 256, 4.0, 2, 75)
-	if _, _, err := SolveProperList(eng, in, Options{}); err == nil {
-		t.Fatal("nonzero defects must be rejected")
-	}
-}
-
 func TestSolveMultiEmptyListFails(t *testing.T) {
 	g := graph.Ring(4)
 	o := graph.OrientByID(g)

@@ -52,8 +52,8 @@ func TestListArbdefectiveEulerSplit(t *testing.T) {
 		if phi[v] != 0 {
 			t.Fatal("single color forced")
 		}
-		if orient.RawOutDegree(v) != 1 {
-			t.Fatalf("node %d out-degree %d, Euler split should give 1", v, orient.RawOutDegree(v))
+		if len(orient.Out(v)) != 1 {
+			t.Fatalf("node %d out-degree %d, Euler split should give 1", v, len(orient.Out(v)))
 		}
 	}
 }

@@ -7,6 +7,45 @@ import (
 	"repro/internal/graph"
 )
 
+// BitsetPayload, ListPayload and Composite are test traffic: the engine
+// goldens (golden_test.go, gather_test.go, workers_golden_test.go) send
+// them so that their messages vary in size and shape. No algorithm sends
+// them.
+
+// BitsetPayload is a characteristic-vector set message over a universe.
+type BitsetPayload struct {
+	Set      []int
+	Universe int
+}
+
+// EncodeBits implements Payload.
+func (p BitsetPayload) EncodeBits(w *bitio.Writer) { w.WriteBitset(p.Set, p.Universe) }
+
+// ListPayload encodes a list of values each of fixed width, preceded by a
+// varint length (the "send the colors" encoding from Lemma 3.6).
+type ListPayload struct {
+	Values []int
+	Width  int
+}
+
+// EncodeBits implements Payload.
+func (p ListPayload) EncodeBits(w *bitio.Writer) {
+	w.WriteVarint(uint64(len(p.Values)))
+	for _, v := range p.Values {
+		w.WriteUint(uint64(v), p.Width)
+	}
+}
+
+// Composite concatenates several payloads into one message.
+type Composite []Payload
+
+// EncodeBits implements Payload.
+func (c Composite) EncodeBits(w *bitio.Writer) {
+	for _, p := range c {
+		p.EncodeBits(w)
+	}
+}
+
 func encBits(p Payload) int {
 	w := bitio.NewWriter()
 	p.EncodeBits(w)

@@ -91,10 +91,10 @@ type Outbox struct {
 // Broadcast sends p to every neighbor of the node. The engine encodes p
 // once and accounts its size once per wire, so broadcasting is O(1) encode
 // work regardless of degree. A node sends at most one message per round;
-// to send several values, it broadcasts one Composite. A second Broadcast
-// in one round is a programmer error: Run panics with a message that names
-// the node and the round. A nil p keeps the node silent, and so does
-// having no neighbors.
+// to send several values, it broadcasts one payload whose EncodeBits
+// writes them all. A second Broadcast in one round is a programmer error:
+// Run panics with a message that names the node and the round. A nil p
+// keeps the node silent, and so does having no neighbors.
 func (o *Outbox) Broadcast(p Payload) {
 	o.payload = p
 	o.calls++
@@ -324,10 +324,6 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers = n
 }
 
-// Workers returns the configured worker count (defaults to GOMAXPROCS); benchmark reports record it so figures are comparable
-// across machines.
-func (e *Engine) Workers() int { return e.workers }
-
 // Graph returns the communication graph.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
@@ -359,30 +355,6 @@ type VarintPayload struct{ Value uint64 }
 
 // EncodeBits implements Payload.
 func (p VarintPayload) EncodeBits(w *bitio.Writer) { w.WriteVarint(p.Value) }
-
-// BitsetPayload is a characteristic-vector set message over a universe.
-type BitsetPayload struct {
-	Set      []int
-	Universe int
-}
-
-// EncodeBits implements Payload.
-func (p BitsetPayload) EncodeBits(w *bitio.Writer) { w.WriteBitset(p.Set, p.Universe) }
-
-// ListPayload encodes a list of values each of fixed width, preceded by a
-// varint length (the "send the colors" encoding from Lemma 3.6).
-type ListPayload struct {
-	Values []int
-	Width  int
-}
-
-// EncodeBits implements Payload.
-func (p ListPayload) EncodeBits(w *bitio.Writer) {
-	w.WriteVarint(uint64(len(p.Values)))
-	for _, v := range p.Values {
-		w.WriteUint(uint64(v), p.Width)
-	}
-}
 
 // CorruptPayload is what a receiver sees on a wire the fault model
 // corrupted: the exact encoded bits of the original message with one bit
@@ -478,13 +450,3 @@ func (e *DecodeError) Error() string {
 
 // Unwrap exposes the underlying bitio error for errors.Is/As chains.
 func (e *DecodeError) Unwrap() error { return e.Err }
-
-// Composite concatenates several payloads into one message.
-type Composite []Payload
-
-// EncodeBits implements Payload.
-func (c Composite) EncodeBits(w *bitio.Writer) {
-	for _, p := range c {
-		p.EncodeBits(w)
-	}
-}

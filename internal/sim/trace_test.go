@@ -37,7 +37,7 @@ func runTraced(t *testing.T, workers int, faults FaultModel) ([]byte, Stats) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	obs.EmitEnd(tr, stats.TraceTotals())
+	tr.End(stats.TraceTotals())
 	if err := tr.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
