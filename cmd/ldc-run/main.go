@@ -517,12 +517,7 @@ func tracerOrNil(tr *obs.JSONL) obs.Tracer {
 // otherwise, so every schedule ldc-bench knows by name is also reachable
 // from the CLI.
 func resolvePlan(spec string, seed uint64, g *graph.Graph) (*chaos.Plan, error) {
-	for _, sched := range chaos.Builtin(g, seed) {
-		if sched.Name == spec {
-			return &chaos.Plan{Model: sched.Model, Corrupting: sched.Corrupting}, nil
-		}
-	}
-	for _, np := range chaos.BuiltinRecovery(g, seed) {
+	for _, np := range append(chaos.Builtin(g, seed), chaos.BuiltinRecovery(g, seed)...) {
 		if np.Name == spec {
 			return np.Plan, nil
 		}

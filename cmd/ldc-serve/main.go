@@ -2,7 +2,8 @@
 // generated graph, solves the initial OLDC instance, and then keeps the
 // coloring valid while clients mutate the graph and query colors. The
 // engine (internal/serve) recolors only the region each mutation batch
-// disturbs, via the same detect-and-repair pipeline SolveRobust uses.
+// disturbs, through oldc.Repair, the detect-and-repair pipeline
+// oldc.SolveRobust uses.
 //
 // Two front ends share the engine:
 //

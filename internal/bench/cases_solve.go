@@ -98,7 +98,7 @@ func chaosCases(quick bool) []benchCase {
 			name:   sched.Name,
 			params: params,
 			build: func() (benchOp, error) {
-				eng := sim.NewEngineWith(g, sim.Options{Faults: sched.Model})
+				eng := sim.NewEngineWith(g, sim.Options{Faults: sched.Plan.Model})
 				return func() (result, error) {
 					start := time.Now()
 					_, rr, err := oldc.SolveRobust(eng, in, cover.Params{})

@@ -182,21 +182,12 @@ func parseProb(s string) (float64, error) {
 	return p, nil
 }
 
-// Named pairs a fault schedule with a stable identifier for benchmarks.
-type Named struct {
-	Name  string
-	Model sim.FaultModel
-	// Corrupting marks schedules that corrupt message payloads (flip
-	// terms). Drivers must not run them against algorithms without
-	// hardened decode paths.
-	Corrupting bool
-}
-
 // Builtin returns the standard chaos-bench fault schedules over g, from
 // gentle i.i.d. loss to combined crash+loss+corruption adversaries. The
 // set is the robustness regression surface: `ldc-bench -suite chaos`
 // runs oldc.SolveRobust under each and records survival and repair effort.
-func Builtin(g *graph.Graph, seed uint64) []Named {
+// The plans have no Spec: cut-heaviest's cut set has no spec term.
+func Builtin(g *graph.Graph, seed uint64) []NamedPlan {
 	heavyNode := 0
 	for v := 1; v < g.N(); v++ {
 		if g.Degree(v) > g.Degree(heavyNode) {
@@ -207,15 +198,15 @@ func Builtin(g *graph.Graph, seed uint64) []Named {
 	for _, u := range g.Neighbors(heavyNode) {
 		cut = append(cut, [2]int{heavyNode, int(u)})
 	}
-	return []Named{
-		{Name: "drop-1pct", Model: Drop(seed, 0.01)},
-		{Name: "drop-10pct", Model: Drop(seed+1, 0.10)},
-		{Name: "flip-1pct", Model: Flip(seed+2, 0.01), Corrupting: true},
-		{Name: "flip-10pct", Model: Flip(seed+3, 0.10), Corrupting: true},
-		{Name: "heavy-4-half", Model: HeavyHitters(g, 4, seed+4, 0.5)},
-		{Name: "cut-heaviest", Model: CutSet(cut)},
-		{Name: "crash-heaviest", Model: Crash(heavyNode, 1)},
-		{Name: "crash-recover", Model: CrashWindow(heavyNode, 0, 2)},
-		{Name: "storm", Model: Compose(Crash(heavyNode, 1), Drop(seed+5, 0.05), Flip(seed+6, 0.02)), Corrupting: true},
+	return []NamedPlan{
+		{Name: "drop-1pct", Plan: &Plan{Model: Drop(seed, 0.01)}},
+		{Name: "drop-10pct", Plan: &Plan{Model: Drop(seed+1, 0.10)}},
+		{Name: "flip-1pct", Plan: &Plan{Model: Flip(seed+2, 0.01), Corrupting: true}},
+		{Name: "flip-10pct", Plan: &Plan{Model: Flip(seed+3, 0.10), Corrupting: true}},
+		{Name: "heavy-4-half", Plan: &Plan{Model: HeavyHitters(g, 4, seed+4, 0.5)}},
+		{Name: "cut-heaviest", Plan: &Plan{Model: CutSet(cut)}},
+		{Name: "crash-heaviest", Plan: &Plan{Model: Crash(heavyNode, 1)}},
+		{Name: "crash-recover", Plan: &Plan{Model: CrashWindow(heavyNode, 0, 2)}},
+		{Name: "storm", Plan: &Plan{Model: Compose(Crash(heavyNode, 1), Drop(seed+5, 0.05), Flip(seed+6, 0.02)), Corrupting: true}},
 	}
 }

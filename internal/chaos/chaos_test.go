@@ -194,7 +194,7 @@ func TestBuiltinSchedules(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, s := range scheds {
-		if s.Name == "" || s.Model == nil {
+		if s.Name == "" || s.Plan.Model == nil {
 			t.Fatalf("bad schedule %+v", s)
 		}
 		if seen[s.Name] {
@@ -207,8 +207,8 @@ func TestBuiltinSchedules(t *testing.T) {
 		for round := 0; round < 4; round++ {
 			for from := 0; from < g.N(); from++ {
 				for _, to := range g.Neighbors(from) {
-					o1, s1 := s.Model.Wire(round, from, int(to))
-					o2, s2 := s.Model.Wire(round, from, int(to))
+					o1, s1 := s.Plan.Model.Wire(round, from, int(to))
+					o2, s2 := s.Plan.Model.Wire(round, from, int(to))
 					if o1 != o2 || s1 != s2 {
 						t.Fatalf("%s: Wire(%d, %d, %d) gave (%v, %d), then (%v, %d)", s.Name, round, from, to, o1, s1, o2, s2)
 					}
@@ -219,7 +219,7 @@ func TestBuiltinSchedules(t *testing.T) {
 	// cut-heaviest must sever the hub's outgoing arcs.
 	for _, s := range scheds {
 		if s.Name == "cut-heaviest" {
-			if out, _ := s.Model.Wire(0, 0, 5); out != sim.FaultDrop {
+			if out, _ := s.Plan.Model.Wire(0, 0, 5); out != sim.FaultDrop {
 				t.Fatal("cut-heaviest must drop the hub's outgoing wires")
 			}
 		}

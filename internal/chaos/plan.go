@@ -233,8 +233,8 @@ func ParsePlan(spec string, seed uint64, g *graph.Graph) (*Plan, error) {
 	return plan, nil
 }
 
-// NamedPlan pairs a recovery plan with a stable identifier and its source
-// spec for benchmarks and reports.
+// NamedPlan pairs a fault plan with a stable identifier and, for plans
+// built by ParsePlan, its source spec, for benchmarks and reports.
 type NamedPlan struct {
 	Name string
 	Spec string

@@ -12,8 +12,8 @@ import (
 // TestOLDCViolatorsInMatchesFull is the property test for scoped
 // detection: over random graphs, random (frequently invalid) colorings,
 // and random unsorted candidate multisets, OLDCViolatorsIn must return
-// exactly the intersection of the full violator set with the candidates —
-// sorted, deduplicated, and appended after dst's existing entries.
+// exactly the intersection of the full violator set with the candidates,
+// sorted and deduplicated.
 func TestOLDCViolatorsInMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 50; trial++ {
@@ -69,12 +69,7 @@ func TestOLDCViolatorsInMatchesFull(t *testing.T) {
 		}
 		sort.Ints(want)
 
-		dst := []int{-7} // pre-existing entry must survive untouched
-		dst = OLDCViolatorsIn(o, lists, phi, cand, dst)
-		if dst[0] != -7 {
-			t.Fatalf("trial %d: dst prefix clobbered: %v", trial, dst)
-		}
-		got := dst[1:]
+		got := OLDCViolatorsIn(o, lists, phi, cand)
 		if len(got) == 0 {
 			got = []int{}
 		}
@@ -88,7 +83,7 @@ func TestOLDCViolatorsInMatchesFull(t *testing.T) {
 		for i := range all {
 			all[i] = n - 1 - i // reversed: exercises the sort
 		}
-		gotAll := OLDCViolatorsIn(o, lists, phi, all, nil)
+		gotAll := OLDCViolatorsIn(o, lists, phi, all)
 		if len(full) == 0 {
 			if len(gotAll) != 0 {
 				t.Fatalf("trial %d: scoped-all %v, want empty", trial, gotAll)

@@ -229,11 +229,9 @@ func oldcViolated(o *graph.Oriented, lists []NodeList, phi Assignment, v int) bo
 
 // OLDCViolatorsIn restricts violator detection to the candidate set: it
 // returns the ascending, duplicate-free list of candidates whose OLDC
-// constraint is violated, without touching any other node. cand may be
-// unsorted and may contain duplicates (the incremental recoloring service
-// accumulates dirty sets as unordered endpoint unions); the result is
-// appended to dst, which callers reuse across batches to avoid per-batch
-// allocation.
+// constraint is violated (nil when none), without touching any other node.
+// cand may be unsorted and may contain duplicates (the incremental
+// recoloring service accumulates dirty sets as unordered endpoint unions).
 //
 // Soundness rests on the OLDC constraint being local to out-arcs: starting
 // from a coloring with no violators, recoloring a node v can only newly
@@ -241,14 +239,13 @@ func oldcViolated(o *graph.Oriented, lists []NodeList, phi Assignment, v int) bo
 // newly violate its endpoints. A caller that seeds cand with the mutation
 // endpoints and the in-neighbors of every recolored node therefore sees
 // every violator that full-graph detection would.
-func OLDCViolatorsIn(o *graph.Oriented, lists []NodeList, phi Assignment, cand []int, dst []int) []int {
-	base := len(dst)
+func OLDCViolatorsIn(o *graph.Oriented, lists []NodeList, phi Assignment, cand []int) []int {
+	var bad []int
 	for _, v := range cand {
 		if oldcViolated(o, lists, phi, v) {
-			dst = append(dst, v)
+			bad = append(bad, v)
 		}
 	}
-	bad := dst[base:]
 	sort.Ints(bad)
 	// Deduplicate in place; duplicates are adjacent after the sort.
 	w := 0
@@ -258,7 +255,7 @@ func OLDCViolatorsIn(o *graph.Oriented, lists []NodeList, phi Assignment, cand [
 			w++
 		}
 	}
-	return dst[:base+w]
+	return bad[:w]
 }
 
 // CountColors returns the number of distinct colors used.

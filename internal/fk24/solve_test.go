@@ -67,8 +67,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 	for _, tc := range goldenInstances() {
 		t.Run(tc.name, func(t *testing.T) {
 			in := prepareInput(tc.o, 1<<12, 6.0, 3, tc.seed)
-			ref := sim.NewEngine(tc.o.Graph())
-			ref.SetWorkers(1)
+			ref := sim.NewEngineWith(tc.o.Graph(), sim.Options{Workers: 1})
 			wantPhi, wantStats, err := Solve(ref, in, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -77,10 +76,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 				t.Errorf("golden digest drifted: got %#x want %#x", got, want)
 			}
 			for _, workers := range []int{2, 4, 7, 0} {
-				eng := sim.NewEngine(tc.o.Graph())
-				if workers > 0 {
-					eng.SetWorkers(workers)
-				}
+				eng := sim.NewEngineWith(tc.o.Graph(), sim.Options{Workers: workers})
 				phi, stats, err := Solve(eng, in, Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -238,9 +234,7 @@ func TestFaultedDigest(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := prepareInput(tc.o, 1<<12, 5.0, 3, tc.seed)
 			for _, workers := range []int{1, 2, 4} {
-				eng := sim.NewEngine(tc.o.Graph())
-				eng.SetWorkers(workers)
-				eng.Faults = chaos.Compose(chaos.Drop(7, 0.08), chaos.Flip(8, 0.15))
+				eng := sim.NewEngineWith(tc.o.Graph(), sim.Options{Workers: workers, Faults: chaos.Compose(chaos.Drop(7, 0.08), chaos.Flip(8, 0.15))})
 				phi, stats, err := Solve(eng, in, Options{SkipValidate: true})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -273,8 +267,7 @@ func TestSameBucketDigest(t *testing.T) {
 	} {
 		in := prepareInput(o, tc.space, 6.0, 3, 7)
 		for _, workers := range []int{1, 2, 4} {
-			eng := sim.NewEngine(o.Graph())
-			eng.SetWorkers(workers)
+			eng := sim.NewEngineWith(o.Graph(), sim.Options{Workers: workers})
 			phi, stats, err := Solve(eng, in, Options{Buckets: 4, SkipValidate: true})
 			if err != nil {
 				t.Fatalf("|C|=%d workers=%d: %v", tc.space, workers, err)

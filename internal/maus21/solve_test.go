@@ -46,8 +46,7 @@ var goldenDigests = map[string]uint64{
 func TestGoldenBitIdentity(t *testing.T) {
 	for _, tc := range goldenInstances() {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := sim.NewEngine(tc.g)
-			ref.SetWorkers(1)
+			ref := sim.NewEngineWith(tc.g, sim.Options{Workers: 1})
 			wantPhi, wantColors, wantStats, err := Solve(ref, tc.g, Options{K: tc.k})
 			if err != nil {
 				t.Fatal(err)
@@ -56,10 +55,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 				t.Errorf("golden digest drifted: got %#x want %#x", got, want)
 			}
 			for _, workers := range []int{2, 4, 7, 0} {
-				eng := sim.NewEngine(tc.g)
-				if workers > 0 {
-					eng.SetWorkers(workers)
-				}
+				eng := sim.NewEngineWith(tc.g, sim.Options{Workers: workers})
 				phi, colors, stats, err := Solve(eng, tc.g, Options{K: tc.k})
 				if err != nil {
 					t.Fatal(err)

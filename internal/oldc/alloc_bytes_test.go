@@ -26,8 +26,7 @@ func TestSolveAllocBytes(t *testing.T) {
 	solve := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		eng := sim.NewEngine(g)
-		eng.SetWorkers(1)
+		eng := sim.NewEngineWith(g, sim.Options{Workers: 1})
 		if _, _, err := Solve(eng, in, Options{}); err != nil {
 			t.Fatal(err)
 		}

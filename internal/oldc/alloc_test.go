@@ -26,8 +26,7 @@ func TestSolveAllocBudget(t *testing.T) {
 	inst := coloring.SquareSumOriented(o, space, 5.0, 3, 7)
 	in := Input{O: o, SpaceSize: space, Lists: inst.Lists, InitColors: init, M: n}
 	solve := func() {
-		eng := sim.NewEngine(g)
-		eng.SetWorkers(1) // deterministic schedule, no pool churn
+		eng := sim.NewEngineWith(g, sim.Options{Workers: 1}) // deterministic schedule, no pool churn
 		if _, _, err := Solve(eng, in, Options{}); err != nil {
 			t.Fatal(err)
 		}

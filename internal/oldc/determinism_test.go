@@ -94,11 +94,8 @@ func TestFamilyCacheDeterminism(t *testing.T) {
 		stats sim.Stats
 	}
 	run := func(workers int) result {
-		in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 83)
-		if workers > 0 {
-			eng.SetWorkers(workers)
-		}
-		phi, stats, err := Solve(eng, in, Options{})
+		in, _ := prepareInput(t, o, 1<<12, 5.0, 2, 83)
+		phi, stats, err := Solve(sim.NewEngineWith(o.Graph(), sim.Options{Workers: workers}), in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,10 +147,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 			chaos.Flip(8, 0.08),
 			chaos.CrashWindow(3, 1, 3),
 		)
-		eng := sim.NewEngineWith(g, sim.Options{Faults: model})
-		if workers > 0 {
-			eng.SetWorkers(workers)
-		}
+		eng := sim.NewEngineWith(g, sim.Options{Workers: workers, Faults: model})
 		phi, rep, err := SolveRobust(eng, in, cover.Params{})
 		var res *ErrResidual
 		if err != nil && !errors.As(err, &res) {
@@ -201,11 +195,8 @@ func TestFamilyCacheDeterminismMulti(t *testing.T) {
 	g := graph.RandomRegular(36, 6, 91)
 	o := graph.OrientByID(g)
 	run := func(workers int) coloring.Assignment {
-		in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 93)
-		if workers > 0 {
-			eng.SetWorkers(workers)
-		}
-		phi, _, err := SolveMulti(eng, in, Options{Gap: 1, SkipValidate: true})
+		in, _ := prepareInput(t, o, 1<<12, 5.0, 2, 93)
+		phi, _, err := SolveMulti(sim.NewEngineWith(o.Graph(), sim.Options{Workers: workers}), in, Options{Gap: 1, SkipValidate: true})
 		if err != nil {
 			t.Fatal(err)
 		}

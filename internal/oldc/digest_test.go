@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"repro/internal/coloring"
+	"repro/internal/cover"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // The digests below pin the observable output of Solve, SolveMulti and
-// RepairRegion: colorings, Stats and JSONL trace bytes. The seed
+// repairRegion: colorings, Stats and JSONL trace bytes. The seed
 // references in golden_test.go derive families, type seeds, class
 // candidates and wire bits through the same cover, analyzeNodeInto and
 // bitio code as production, so a drift in any of those moves both sides of
@@ -135,8 +136,8 @@ func TestDigestSolveMultiGap1(t *testing.T) {
 	checkDigest(t, "SolveMulti gap 1", digest(phi, stats, buf.Bytes()), digestSolveMultiGap1)
 }
 
-// TestDigestRepairRegion re-solves a 24-node region of a solved instance
-// whose region colors were wiped to one shared color.
+// TestDigestRepairRegion re-solves a 24-node region of a solved instance,
+// whose region colors were wiped to one shared color, with repairRegion.
 func TestDigestRepairRegion(t *testing.T) {
 	g := graph.RandomRegular(128, 16, 31)
 	o := graph.OrientByID(g)
@@ -152,10 +153,10 @@ func TestDigestRepairRegion(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tr := obs.NewJSONL(&buf)
-	stats, err := RepairRegion(in, phi, region, RegionOptions{Tracer: tr})
+	stats, err := repairRegion(in, phi, region, cover.Params{}, sim.Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	closeTrace(t, tr, stats)
-	checkDigest(t, "RepairRegion", digest(phi, stats, buf.Bytes()), digestRepairRegion)
+	checkDigest(t, "repairRegion", digest(phi, stats, buf.Bytes()), digestRepairRegion)
 }

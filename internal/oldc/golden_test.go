@@ -651,11 +651,8 @@ func TestGoldenSolve(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4, 0} {
-				in2, eng2 := prepareInput(t, tc.o, 1<<12, 6.0, 3, tc.seed)
-				if workers > 0 {
-					eng2.SetWorkers(workers)
-				}
-				phi, stats, err := Solve(eng2, in2, Options{})
+				in2, _ := prepareInput(t, tc.o, 1<<12, 6.0, 3, tc.seed)
+				phi, stats, err := Solve(sim.NewEngineWith(tc.o.Graph(), sim.Options{Workers: workers}), in2, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -684,11 +681,8 @@ func TestGoldenSolveMulti(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 4, 0} {
-					in2, eng2 := prepareInput(t, tc.o, 1<<12, 6.0, 2, tc.seed)
-					if workers > 0 {
-						eng2.SetWorkers(workers)
-					}
-					phi, stats, err := SolveMulti(eng2, in2, opts)
+					in2, _ := prepareInput(t, tc.o, 1<<12, 6.0, 2, tc.seed)
+					phi, stats, err := SolveMulti(sim.NewEngineWith(tc.o.Graph(), sim.Options{Workers: workers}), in2, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -722,14 +716,11 @@ func (f dropWhere) Wire(round, from, to int) (sim.FaultOutcome, uint64) {
 func TestGoldenUnderFaults(t *testing.T) {
 	o := graph.OrientByID(graph.RandomRegular(40, 8, 53))
 	fault := dropWhere(func(round, from, to int) bool { return (from+to+round)%5 == 2 })
-	in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 55)
-	eng.Faults = fault
-	wantPhi, wantStats, refErr := refSolve(eng, in, Options{SkipValidate: true})
+	in, _ := prepareInput(t, o, 1<<12, 5.0, 2, 55)
+	wantPhi, wantStats, refErr := refSolve(sim.NewEngineWith(o.Graph(), sim.Options{Faults: fault}), in, Options{SkipValidate: true})
 	for _, workers := range []int{1, 4} {
-		in2, eng2 := prepareInput(t, o, 1<<12, 5.0, 2, 55)
-		eng2.Faults = fault
-		eng2.SetWorkers(workers)
-		phi, stats, err := Solve(eng2, in2, Options{SkipValidate: true})
+		in2, _ := prepareInput(t, o, 1<<12, 5.0, 2, 55)
+		phi, stats, err := Solve(sim.NewEngineWith(o.Graph(), sim.Options{Workers: workers, Faults: fault}), in2, Options{SkipValidate: true})
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("workers=%d: error divergence: ref=%v new=%v", workers, refErr, err)
 		}

@@ -213,11 +213,11 @@ func TestSolveFailsLoudlyUnderFaults(t *testing.T) {
 	g := graph.RandomRegular(40, 8, 53)
 	o := graph.OrientByID(g)
 	for drop := 0; drop < 5; drop++ {
-		in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 55)
+		in, _ := prepareInput(t, o, 1<<12, 5.0, 2, 55)
 		d := drop
-		eng.Faults = dropWhere(func(round, from, to int) bool {
+		eng := sim.NewEngineWith(g, sim.Options{Faults: dropWhere(func(round, from, to int) bool {
 			return (from+to+round)%5 == d // drop ~20% of messages
-		})
+		})})
 		phi, _, err := Solve(eng, in, Options{})
 		if err != nil {
 			continue // loud failure: acceptable

@@ -636,7 +636,7 @@ func TestServeChurnUnderChaos(t *testing.T) {
 		named := named
 		t.Run(named.Name, func(t *testing.T) {
 			mk := func() *Server {
-				s, err := New(mkGraph(), Config{Seed: 17, Faults: named.Model})
+				s, err := New(mkGraph(), Config{Seed: 17, Faults: named.Plan.Model})
 				if err != nil {
 					t.Fatal(err)
 				}

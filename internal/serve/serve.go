@@ -1,9 +1,9 @@
 // Package serve maintains a valid oriented list defective coloring over a
 // graph that changes: clients submit mutation batches (edge and node
 // additions and removals) and query colors, and the engine recolors only
-// the region the batch disturbed by reusing the detect-and-repair pipeline
-// (coloring.OLDCViolatorsIn → oldc.RepairRegion → scoped greedy sweep)
-// instead of re-solving the whole instance.
+// the region the batch disturbed by running oldc.Repair, the
+// detect-and-repair pipeline oldc.SolveRobust uses, over the batch's dirty
+// set instead of re-solving the whole instance.
 //
 // The engine is deterministic for a fixed mutation sequence: replaying the
 // same batches against a server built from the same Config produces
@@ -117,7 +117,7 @@ type BatchReport struct {
 	// InitialBad is the number of violators detected in the dirty set
 	// before any repair ran.
 	InitialBad int `json:"initial_bad"`
-	// Repairs is the number of RepairRegion iterations executed.
+	// Repairs is the number of region re-solves oldc.Repair ran.
 	Repairs int `json:"repairs"`
 	// Recolored is the number of nodes whose color changed this batch.
 	Recolored int `json:"recolored"`
@@ -149,9 +149,7 @@ type Server struct {
 	topups   []int // per-node list-extension generation (seeds the top-up RNG)
 	batches  int
 	stats    sim.Stats
-	scratch  *oldc.RepairScratch
 	dirty    []int // reused candidate buffer
-	prev     []int // reused pre-repair color snapshot
 }
 
 // New builds a server over a copy of g (Apply mutates the server's graph,
@@ -172,12 +170,11 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
-		cfg:     cfg,
-		o:       o,
-		list:    inst.Lists,
-		init:    make([]int, g.N()),
-		topups:  make([]int, g.N()),
-		scratch: &oldc.RepairScratch{},
+		cfg:    cfg,
+		o:      o,
+		list:   inst.Lists,
+		init:   make([]int, g.N()),
+		topups: make([]int, g.N()),
 	}
 	for v := range s.init {
 		s.init[v] = v
@@ -255,13 +252,12 @@ func (s *Server) Instance() (*graph.Oriented, []coloring.NodeList, []int) {
 // applied and repaired — each mutation is individually atomic, so the
 // instance is never left inconsistent.
 //
-// Recoloring is scoped: the dirty set (mutation endpoints, new nodes, and
-// any residual carried from earlier batches) is checked with
-// coloring.OLDCViolatorsIn, the violators are re-solved with
-// oldc.RepairRegion, and the recheck set after each iteration is the
-// region plus the in-neighbors of every node that changed color. Nodes the
-// repair budget cannot fix fall to a scoped greedy sweep and, failing
-// that, into BatchReport.Residual for the next batch.
+// Recoloring is scoped: oldc.Repair checks the dirty set (mutation
+// endpoints, new nodes, and any residual carried from earlier batches),
+// re-solves its violators, and rechecks only the region and the
+// in-neighbors of every node that changed color. Nodes that neither the
+// re-solves nor the greedy sweep fix go into BatchReport.Residual for the
+// next batch.
 func (s *Server) Apply(batch []Mutation) (BatchReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -380,71 +376,18 @@ func (p *colorDefectSort) Swap(i, j int) {
 	p.defs[i], p.defs[j] = p.defs[j], p.defs[i]
 }
 
-// repair runs the scoped detect-and-repair loop over the dirty set.
+// repair runs oldc.Repair over the dirty set.
 func (s *Server) repair(rep *BatchReport) {
-	in := s.input()
-	viol := coloring.OLDCViolatorsIn(s.o, s.list, s.phi, s.dirty, nil)
-	rep.InitialBad = len(viol)
-	for iter := 0; iter < oldc.MaxRepairs && len(viol) > 0; iter++ {
-		obs.EmitPhase(s.cfg.Tracer, "serve/repair", obs.Attrs{"batch": s.batches, "retry": iter, "violators": len(viol)})
-		s.prev = s.prev[:0]
-		for _, v := range viol {
-			s.prev = append(s.prev, s.phi[v])
-		}
-		subStats, err := oldc.RepairRegion(in, s.phi, viol, oldc.RegionOptions{
-			Tracer: s.cfg.Tracer, Metrics: s.cfg.Metrics, Scratch: s.scratch, Faults: s.cfg.Faults,
-		})
-		s.stats = s.stats.Add(subStats)
-		rep.Rounds += subStats.Rounds
-		rep.Repairs++
-		if err != nil {
-			break // budget exhausted or solver error: fall to the sweep
-		}
-		// Recheck the region plus the in-neighbors of every recolored node
-		// — the only places a new violation can appear.
-		next := viol[:len(viol):len(viol)]
-		for i, v := range viol {
-			if s.phi[v] != s.prev[i] {
-				rep.Recolored++
-				for _, u := range s.o.In(v) {
-					next = append(next, int(u))
-				}
-			}
-		}
-		nv := coloring.OLDCViolatorsIn(s.o, s.list, s.phi, next, nil)
-		if len(nv) >= len(viol) {
-			viol = nv
-			break // no progress; don't burn the remaining budget
-		}
-		viol = nv
-	}
-	if len(viol) > 0 {
-		obs.EmitPhase(s.cfg.Tracer, "serve/greedy-sweep", obs.Attrs{"batch": s.batches, "violators": len(viol)})
-		viol = s.sweep(rep, viol)
-	}
-	s.residual = append(s.residual[:0], viol...)
-	rep.Residual = append([]int(nil), viol...)
-}
-
-// sweep is the scoped greedy fallback: GreedyRecolor each violator in
-// ascending id order, rechecking the touched neighborhoods, for up to
-// oldc.MaxSweeps passes. It returns the final violator set.
-func (s *Server) sweep(rep *BatchReport, viol []int) []int {
-	for pass := 0; pass < oldc.MaxSweeps && len(viol) > 0; pass++ {
-		recheck := viol[:len(viol):len(viol)]
-		for _, v := range viol {
-			if x, changed := oldc.GreedyRecolor(s.o, s.list, s.phi, v); changed {
-				s.phi[v] = x
-				rep.Recolored++
-				rep.SweepRecolored++
-				for _, u := range s.o.In(v) {
-					recheck = append(recheck, int(u))
-				}
-			}
-		}
-		viol = coloring.OLDCViolatorsIn(s.o, s.list, s.phi, recheck, nil)
-	}
-	return viol
+	rr := oldc.Repair(s.input(), s.phi, s.dirty, cover.Params{},
+		sim.Options{Tracer: s.cfg.Tracer, Metrics: s.cfg.Metrics, Faults: s.cfg.Faults}, "serve")
+	s.stats = s.stats.Add(rr.Stats)
+	rep.InitialBad = rr.InitialBad
+	rep.Repairs = rr.Repairs
+	rep.Recolored = rr.Recolored
+	rep.SweepRecolored = rr.SweepRecolored
+	rep.Rounds = rr.Stats.Rounds
+	rep.Residual = rr.Residual
+	s.residual = append(s.residual[:0], rr.Residual...)
 }
 
 // observe publishes one batch's metrics.

@@ -142,7 +142,6 @@ func FromState(data []byte, cfg Config) (*Server, error) {
 		topups:  make([]int, n),
 		phi:     make(coloring.Assignment, n),
 		batches: batches,
-		scratch: &oldc.RepairScratch{},
 	}
 	for v := 0; v < n; v++ {
 		colors := d.Ints()

@@ -108,7 +108,7 @@ func warmRunAllocGuard(t *testing.T, g *graph.Graph, workers int, sparse, ignori
 }
 
 // TestFreshRunAllocBudget pins what an engine built per run — the regime
-// of congest, arb and oldc.RepairRegion — allocates: a fresh engine over a
+// of congest, arb and oldc.Repair's re-solves — allocates: a fresh engine over a
 // 1024-node 16-regular graph with 2 workers, eight rounds of one broadcast
 // per node. Delivery gathers, so the slot, sent and ignore tables and one
 // node's inbox per shard are all it sizes; every node sends, so gather

@@ -71,8 +71,7 @@ func TestQuiescenceAllMessagesDropped(t *testing.T) {
 	// A round where everything is sent but everything is dropped counts as
 	// quiescent: nothing was delivered.
 	g := graph.Ring(8)
-	e := NewEngine(g)
-	e.Faults = drops(func(round, from, to int) bool { return true })
+	e := NewEngineWith(g, Options{Faults: drops(func(round, from, to int) bool { return true })})
 	a := &talkThenHush{talk: 1000}
 	stats, err := e.Run(a, 1000)
 	if err != nil {
@@ -99,11 +98,7 @@ func TestFaultAccountingExcludesDrops(t *testing.T) {
 	// Drop everything node 0 sends: 5 of the 30 wires per round.
 	fromZero := func(round, from, to int) bool { return from == 0 }
 	runWith := func(workers int) Stats {
-		e := NewEngine(g)
-		if workers > 0 {
-			e.SetWorkers(workers)
-		}
-		e.Faults = drops(fromZero)
+		e := NewEngineWith(g, Options{Workers: workers, Faults: drops(fromZero)})
 		a := newFlood(6)
 		stats, err := e.Run(a, 30)
 		if err != nil {
@@ -144,10 +139,7 @@ func TestFaultAccountingExcludesDrops(t *testing.T) {
 func TestWorkerCountInvariance(t *testing.T) {
 	g := graph.GNP(200, 0.05, 9)
 	run := func(workers int) (Stats, []int64) {
-		e := NewEngine(g)
-		if workers > 0 {
-			e.SetWorkers(workers)
-		}
+		e := NewEngineWith(g, Options{Workers: workers})
 		a := newFlood(200)
 		stats, err := e.Run(a, 500)
 		if err != nil {
@@ -173,11 +165,7 @@ func TestBandwidthDeterministicFirstViolation(t *testing.T) {
 	// neighbor — for every worker count.
 	g := graph.GNP(64, 0.2, 3)
 	for _, workers := range []int{0, 1, 3} {
-		e := NewEngine(g)
-		if workers > 0 {
-			e.SetWorkers(workers)
-		}
-		e.Bandwidth = 2
+		e := NewEngineWith(g, Options{Workers: workers, Bandwidth: 2})
 		_, err := e.Run(newFlood(64), 10)
 		be, ok := err.(*ErrBandwidth)
 		if !ok {

@@ -96,13 +96,12 @@ func (a *corruptionProbe) Done() bool { return atomic.AddInt64(&a.rounds, 1) > 3
 
 func TestCorruptionDeliversDamagedPayload(t *testing.T) {
 	g := graph.Clique(6)
-	e := NewEngine(g)
-	e.Faults = stubModel(func(round, from, to int) (FaultOutcome, uint64) {
+	e := NewEngineWith(g, Options{Faults: stubModel(func(round, from, to int) (FaultOutcome, uint64) {
 		if from == 0 {
 			return FaultCorrupt, uint64(round*31 + to)
 		}
 		return FaultNone, 0
-	})
+	})})
 	a := &corruptionProbe{eng: e}
 	stats, err := e.Run(a, 10)
 	if err != nil {
@@ -184,10 +183,9 @@ func TestCorruptPayloadAccountsOriginalSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewEngine(g)
-	e2.Faults = stubModel(func(round, from, to int) (FaultOutcome, uint64) {
+	e2 := NewEngineWith(g, Options{Faults: stubModel(func(round, from, to int) (FaultOutcome, uint64) {
 		return FaultCorrupt, 3
-	})
+	})})
 	dirty, err := e2.Run(&oneShot{}, 5)
 	if err != nil {
 		t.Fatal(err)

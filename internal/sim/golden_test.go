@@ -116,13 +116,11 @@ func TestGoldenAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := NewEngine(g)
-			if workers > 0 {
-				e.SetWorkers(workers)
-			}
+			var model FaultModel
 			if fault != nil {
-				e.Faults = drops(fault)
+				model = drops(fault)
 			}
+			e := NewEngineWith(g, Options{Workers: workers, Faults: model})
 			aNew := newMixed(g.N())
 			got, err := e.Run(aNew, 12)
 			if err != nil {

@@ -30,8 +30,7 @@ func BenchmarkEngineSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := NewEngine(g)
-		e.SetWorkers(1)
+		e := NewEngineWith(g, Options{Workers: 1})
 		a := newFlood(g.N())
 		if _, err := e.Run(a, 30); err != nil {
 			b.Fatal(err)

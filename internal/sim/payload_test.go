@@ -89,11 +89,10 @@ func TestStatsAdd(t *testing.T) {
 
 func TestEngineAccessorsAndWorkers(t *testing.T) {
 	g := graph.Ring(12)
-	e := NewEngine(g)
+	e := NewEngineWith(g, Options{Workers: 1})
 	if e.Graph() != g {
 		t.Fatal("Graph accessor wrong")
 	}
-	e.SetWorkers(0) // clamps to 1
 	a := newFlood(12)
 	stats, err := e.Run(a, 50)
 	if err != nil {
@@ -119,8 +118,7 @@ func TestErrBandwidthMessage(t *testing.T) {
 
 func TestManyWorkersClamped(t *testing.T) {
 	g := graph.Path(3)
-	e := NewEngine(g)
-	e.SetWorkers(1000) // more workers than nodes
+	e := NewEngineWith(g, Options{Workers: 1000}) // more workers than nodes
 	a := newFlood(3)
 	if _, err := e.Run(a, 20); err != nil {
 		t.Fatal(err)

@@ -94,15 +94,15 @@ func partition(n, workers int) (chunk, count int) {
 
 // prepare builds the slot table and the per-shard state on the first run
 // and keeps them for later runs, re-partitioning only when the node count
-// or the worker count has changed since they were built. Buffers sized by
-// degree (inbox, senders) grow on demand and are reused from then on.
+// has changed since they were built. Buffers sized by degree (inbox,
+// senders) grow on demand and are reused from then on.
 func (e *Engine) prepare() {
 	n := e.g.N()
-	if e.shards != nil && e.builtN == n && e.builtFor == e.workers {
+	if e.shards != nil && e.builtN == n {
 		return
 	}
 	chunk, count := partition(n, e.workers)
-	e.chunk, e.builtN, e.builtFor = chunk, n, e.workers
+	e.chunk, e.builtN = chunk, n
 	e.slots = make([]Payload, n)
 	e.sent = make([]uint8, n)
 	e.ignore = make([]bool, n)
@@ -242,7 +242,7 @@ func (sh *shard) route(e *Engine) {
 		p.EncodeBits(w)
 		bits := w.Len()
 		nbr := e.g.Neighbors(v)
-		if e.Faults != nil {
+		if e.faults != nil {
 			sh.faultWires(e, round, v, nbr, bits)
 			continue
 		}
@@ -268,8 +268,8 @@ func (sh *shard) account(e *Engine, round, v int, targets []int32, bits int) {
 	if bits > sh.roundMax {
 		sh.roundMax = bits
 	}
-	if e.Bandwidth > 0 && bits > e.Bandwidth && sh.bwErr == nil {
-		sh.bwErr = &ErrBandwidth{Round: round, From: v, To: int(targets[0]), Bits: bits, Limit: e.Bandwidth}
+	if e.bandwidth > 0 && bits > e.bandwidth && sh.bwErr == nil {
+		sh.bwErr = &ErrBandwidth{Round: round, From: v, To: int(targets[0]), Bits: bits, Limit: e.bandwidth}
 	}
 }
 
@@ -280,7 +280,7 @@ func (sh *shard) account(e *Engine, round, v int, targets []int32, bits int) {
 // ignores its inbox.
 func (sh *shard) faultWires(e *Engine, round, v int, targets []int32, bits int) {
 	for i, u := range targets {
-		switch outcome, _ := e.Faults.Wire(round, v, int(u)); outcome {
+		switch outcome, _ := e.faults.Wire(round, v, int(u)); outcome {
 		case FaultDrop:
 			sh.dropped++
 			continue
@@ -318,7 +318,7 @@ func (sh *shard) gather(e *Engine) {
 		for _, u := range senders {
 			in = append(in, Received{From: int(u), Payload: slots[u]})
 		}
-		if e.Faults != nil {
+		if e.faults != nil {
 			in = sh.faultInbox(e, in, v)
 		}
 		sh.inbox = in
@@ -352,7 +352,7 @@ func (sh *shard) compactSenders(nbr []int32, sent []uint8) []int32 {
 func (sh *shard) faultInbox(e *Engine, in []Received, v int) []Received {
 	out := in[:0]
 	for _, m := range in {
-		switch outcome, salt := e.Faults.Wire(e.round, m.From, v); outcome {
+		switch outcome, salt := e.faults.Wire(e.round, m.From, v); outcome {
 		case FaultDrop:
 			continue
 		case FaultCorrupt:
@@ -444,7 +444,7 @@ func (e *Engine) RunFrom(alg Algorithm, startRound, maxRounds int, prior Stats) 
 	stats := prior
 	e.alg = alg
 	observing := e.tracer != nil || e.metrics != nil
-	ledger := e.Faults != nil
+	ledger := e.faults != nil
 	if ledger || observing {
 		e.decodeFaults.Store(0)
 	}

@@ -210,13 +210,13 @@ type FaultModel interface {
 type Engine struct {
 	g       *graph.Graph
 	workers int
-	// Bandwidth, when > 0, makes Run fail if any single message exceeds
+	// bandwidth, when > 0, makes Run fail if any single message exceeds
 	// this many bits (CONGEST assertion mode).
-	Bandwidth int
-	// Faults, when non-nil, is the fault model that drops and corrupts
+	bandwidth int
+	// faults, when non-nil, is the fault model that drops and corrupts
 	// wires (see FaultModel). Installing it activates the per-round fault
 	// ledger in Stats.
-	Faults FaultModel
+	faults FaultModel
 
 	// tracer receives one obs round event per round plus whatever phase
 	// events the algorithm layers emit. nil disables tracing entirely: the
@@ -234,23 +234,22 @@ type Engine struct {
 	decodeFaults atomic.Int64
 
 	// Routing state (see round.go): one shard per worker, built by the
-	// first run and kept for later ones until the node count or the worker
-	// count changes (builtN, builtFor record both at build time). chunk is
-	// the shard width: node v belongs to shards[v/chunk]. done collects
-	// the shard goroutines' phase completions. slots[v] is the message
-	// node v broadcast this round (nil when it sent none), and sent[v] is
-	// 1 exactly when slots[v] is non-nil; collect writes both for its own
-	// nodes, and other shards read them after the route barrier. ignore[v]
-	// records that v called Outbox.IgnoreInbox this round; only v's own
-	// shard writes and reads it.
-	shards   []*shard
-	chunk    int
-	builtN   int
-	builtFor int
-	done     chan struct{}
-	slots    []Payload
-	sent     []uint8
-	ignore   []bool
+	// first run and kept for later ones until the node count changes
+	// (builtN records it at build time). chunk is the shard width: node v
+	// belongs to shards[v/chunk]. done collects the shard goroutines'
+	// phase completions. slots[v] is the message node v broadcast this
+	// round (nil when it sent none), and sent[v] is 1 exactly when
+	// slots[v] is non-nil; collect writes both for its own nodes, and other
+	// shards read them after the route barrier. ignore[v] records that v
+	// called Outbox.IgnoreInbox this round; only v's own shard writes and
+	// reads it.
+	shards []*shard
+	chunk  int
+	builtN int
+	done   chan struct{}
+	slots  []Payload
+	sent   []uint8
+	ignore []bool
 
 	// Per-run state, written by the coordinator between phase barriers.
 	// allSent records that every node sent something this round.
@@ -261,7 +260,11 @@ type Engine struct {
 
 // Options bundles optional engine configuration for NewEngineWith.
 type Options struct {
-	Workers   int // shard count: contiguous node ranges, one goroutine each (0 = GOMAXPROCS)
+	// Workers is the shard count: contiguous node ranges, one goroutine
+	// each (0 = GOMAXPROCS; 1 runs fully sequentially). Stats are
+	// identical for every worker count: per-shard accounting merges with
+	// order-independent operations only.
+	Workers   int
 	Bandwidth int // per-message bit budget (0 = unlimited)
 	// Faults installs a structured fault schedule (see FaultModel and
 	// internal/chaos) and activates the Stats.Faults ledger.
@@ -283,10 +286,10 @@ func NewEngine(g *graph.Graph) *Engine {
 func NewEngineWith(g *graph.Graph, opts Options) *Engine {
 	e := NewEngine(g)
 	if opts.Workers > 0 {
-		e.SetWorkers(opts.Workers)
+		e.workers = opts.Workers
 	}
-	e.Bandwidth = opts.Bandwidth
-	e.Faults = opts.Faults
+	e.bandwidth = opts.Bandwidth
+	e.faults = opts.Faults
 	e.tracer = opts.Tracer
 	e.metrics = opts.Metrics
 	return e
@@ -310,18 +313,6 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 // while no fault model is installed are dropped.
 func (e *Engine) ReportDecodeFault() {
 	e.decodeFaults.Add(1)
-}
-
-// SetWorkers overrides the worker count, which is the number of shards
-// the node space is split into (1 forces fully sequential execution;
-// useful to pin down scheduling-independent behavior in tests). Stats are
-// identical for every worker count: per-shard accounting merges with
-// order-independent operations only. The next run re-partitions.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
 }
 
 // Graph returns the communication graph.

@@ -92,8 +92,7 @@ func TestMessageAccounting(t *testing.T) {
 
 func TestBandwidthEnforced(t *testing.T) {
 	g := graph.Ring(4)
-	e := NewEngine(g)
-	e.Bandwidth = 2 // varint of value 3 needs 5 bits
+	e := NewEngineWith(g, Options{Bandwidth: 2}) // varint of value 3 needs 5 bits
 	a := newFlood(4)
 	_, err := e.Run(a, 10)
 	if err == nil {
@@ -122,9 +121,8 @@ func (a *neverDone) Done() bool                 { return false }
 
 func TestFaultInjectionDropsMessages(t *testing.T) {
 	g := graph.Ring(10)
-	e := NewEngine(g)
 	// Cut node 0 off entirely: the flood of id 0 can never escape.
-	e.Faults = drops(func(round, from, to int) bool { return from == 0 || to == 0 })
+	e := NewEngineWith(g, Options{Faults: drops(func(round, from, to int) bool { return from == 0 || to == 0 })})
 	a := newFlood(10)
 	if _, err := e.Run(a, 50); err != nil {
 		t.Fatal(err)
@@ -142,10 +140,9 @@ func TestFaultInjectionDropsMessages(t *testing.T) {
 
 func TestFaultInjectionRoundScoped(t *testing.T) {
 	g := graph.Path(3)
-	e := NewEngine(g)
 	// Drop node 0's outgoing messages in round 0 only; other traffic keeps
 	// the flood alive, and id 0 propagates from round 1 on.
-	e.Faults = drops(func(round, from, to int) bool { return round == 0 && from == 0 })
+	e := NewEngineWith(g, Options{Faults: drops(func(round, from, to int) bool { return round == 0 && from == 0 })})
 	a := newFlood(3)
 	if _, err := e.Run(a, 20); err != nil {
 		t.Fatal(err)
